@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-command regression gate: tier-1 unit suite (golden traces included)
-# plus the BENCH_hotpath.json perf-regression benches.
+# One-command regression gate: tier-1 unit suite (golden traces included),
+# the perf/ benchmark's API-surface + bitwise-digest smoke, and the
+# BENCH_hotpath.json perf-regression benches.
 #
 #   scripts/check.sh            # tier-1 + bench gates (the pre-merge check)
 #   scripts/check.sh --slow     # additionally run the slow sweep tier
@@ -24,6 +25,13 @@ done
 
 echo "== tier-1: unit suite + golden traces =="
 python -m pytest -x -q
+
+# A refactor that renames a method perf/ wraps by name, or breaks a
+# workload's bitwise digest check, fails here instead of at the benchmark gate.
+echo "== perf/: API surface + quick run (exact counts, digests) =="
+python3 -m pytest perf/tests/test_perf_api_surface.py -q
+python3 perf/run.py --quick --no-micro
+echo "src/ LOC: $(find src -name '*.py' | xargs wc -l | tail -1)"
 
 if [ "$run_slow" -eq 1 ]; then
   echo "== slow tier: heavyweight sweeps =="

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .. import nn
@@ -67,10 +67,10 @@ from ..comm.latency import LinkModel
 from ..core.base import GLOBAL_KEY, BaseClient, BaseServer
 from ..core.config import FLConfig
 from ..core.exchange import PacketExchange
+from ..core.executor import GrowOnlyThreads, resolve_workers
 from ..core.metrics import Evaluator
 from ..core.runner import PHASES, RoundResult, TrainingHistory, build_endpoints
 from ..data import Dataset
-from ..mp import resolve_workers
 from ..obs import current_monitor, current_tracer
 from ..privacy import PrivacyAccountant
 from ..simulator.device import A100, DeviceSpec, LocalUpdateCostModel
@@ -182,9 +182,8 @@ class AsyncRunner:
         # process pool to shard, so execution_backend="process" runs its
         # (at most `concurrency`) in-flight updates on the thread pool too;
         # "serial" still forces in-line execution.
-        self.backend = str(getattr(config, "execution_backend", "thread"))
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_width = 0
+        self.backend = config.execution_backend
+        self._threads = GrowOnlyThreads("asyncfl-client")
 
         self.async_server = AsyncServer(server, self.strategy)
         # Every dispatch/upload flows through the same codec-aware exchange
@@ -301,20 +300,11 @@ class AsyncRunner:
         until its upload is encoded, so the instance stays valid while the
         pool runs it.
         """
-        if self.backend != "serial" and self.max_workers > 1 and self.num_clients > 1:
-            # At most `concurrency` updates are ever in flight — sizing by the
-            # population over-provisioned threads under partial participation.
-            needed = min(self.max_workers, self.concurrency)
-            if needed > 1:
-                if self._executor is None or self._executor_width < needed:
-                    if self._executor is not None:
-                        self._executor.shutdown(wait=True)
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=needed,
-                        thread_name_prefix="asyncfl-client",
-                    )
-                    self._executor_width = needed
-                return self._executor.submit(client.update, payload)
+        # At most `concurrency` updates are ever in flight — sizing by the
+        # population over-provisioned threads under partial participation.
+        width = min(self.max_workers, self.concurrency)
+        if self.backend != "serial" and width > 1:
+            return self._threads.at_least(width).submit(client.update, payload)
         return None
 
     def _dispatch(self, cid: int) -> None:
@@ -601,10 +591,7 @@ class AsyncRunner:
 
     def close(self) -> None:
         """Release the client worker pool (recreated lazily if needed again)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_width = 0
+        self._threads.close()
 
     def __enter__(self) -> "AsyncRunner":
         return self

@@ -31,7 +31,6 @@ from .latency import (
 from .mpi_sim import MPISimCommunicator
 from .records import CommLog, CommRecord, DeadLetter
 from .serial import SerialCommunicator
-from .shm_transport import SharedMemoryTransport
 from .serialization import (
     decode_packet,
     decode_state_dict,
@@ -56,7 +55,6 @@ __all__ = [
     "decode_packet_state",
     "Communicator",
     "SerialCommunicator",
-    "SharedMemoryTransport",
     "MPISimCommunicator",
     "GRPCSimCommunicator",
     "client_endpoint",

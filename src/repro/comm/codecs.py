@@ -159,7 +159,9 @@ class Int8QuantCodec(Codec):
         if arr.dtype.kind != "f":
             return arr, {"applied": False}
         amax = float(np.max(np.abs(arr))) if arr.size else 0.0
-        scale = amax / 127.0 if amax > 0.0 else 1.0
+        scale = amax / 127.0
+        if scale == 0.0:  # all zeros, or max|x| so small the division underflows
+            scale = 1.0
         q = np.clip(np.rint(arr / scale), -127, 127).astype(np.int8)
         return q, {"applied": True, "dtype": str(arr.dtype), "scale": scale, "zero_point": 0}
 

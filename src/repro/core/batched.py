@@ -36,9 +36,8 @@ Only exact instances of the three built-in clients (``FedAvgClient``,
 ``LogisticRegression`` — a pure Linear/ReLU chain), the flat engine, privacy
 disabled, and a lossless wire qualify; everything else (CNN models,
 DP-enabled runs, lossy codecs, user subclasses) falls back to the per-client
-path, as do leftover singleton groups.  The gate lives in the runners
-(:meth:`repro.core.runner.FederatedRunner._update_clients` and
-:meth:`repro.hier.edge.EdgeAggregator._update_clients`), keyed on
+path, as do leftover singleton groups.  The gate lives in
+:meth:`repro.core.executor.LocalExecutor.update`, keyed on
 ``FLConfig.client_batch``; ``client_batch=1`` never enters this module.
 """
 

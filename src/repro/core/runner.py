@@ -13,15 +13,14 @@ named algorithm over a list of client datasets.
 
 Architecture & performance
 --------------------------
-Client-local updates are the hot phase of every round.  When
-``FLConfig.parallel_clients`` (or the runner's ``max_workers`` argument) is
-greater than one, the runner executes ``client.update`` for all clients on a
-persistent thread pool: each client owns its model, flat parameter/gradient
-buffers (see :mod:`repro.core.base`), data loader, and RNG, so no state is
-shared between workers, the heavy numpy kernels release the GIL, and the
-resulting :class:`TrainingHistory` is bit-identical to a serial run.
-Uploads are collected in client order regardless of thread completion order,
-keeping aggregation deterministic.
+:meth:`FederatedRunner.run_round` is the one synchronous round body: it hands
+the client side of the round — dispatch, local updates, gather, ingest — to
+:func:`repro.core.phases.run_client_phases` (the loop shared with
+:class:`~repro.hier.edge.EdgeAggregator`) and keeps what is the server's:
+finalize, evaluate, and the :class:`RoundResult`.  *How* the local updates
+run (serial, thread pool, process pool, stacked cohorts — all bitwise
+identical, uploads always collected in client order) is
+:class:`repro.core.executor.LocalExecutor`'s decision alone.
 
 The runner also records wall-clock seconds per phase — ``broadcast``
 (codec encode + downlink + client-side decode), ``local_update``, ``gather``
@@ -46,24 +45,23 @@ the pre-codec behaviour, including the reported communication volume.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
-from ..comm import Communicator, SerialCommunicator, client_endpoint
-from ..comm.records import DeadLetter
+from ..comm import Communicator, SerialCommunicator
 from ..data import Dataset
-from ..mp import resolve_workers
-from ..obs import current_monitor, current_profiler, current_tracer, timed_call
-from ..privacy import PrivacyAccountant, dispatch_fingerprint
-from .base import GLOBAL_KEY, BaseClient, BaseServer
-from .batched import count_client_steps, run_batched_updates
+from ..obs import current_monitor, current_tracer
+from ..privacy import PrivacyAccountant
+from .base import BaseClient, BaseServer
 from .config import FLConfig
 from .exchange import PacketExchange
+from .executor import LocalExecutor
 from .metrics import Evaluator
+from .phases import PHASES, PhaseClock, run_client_phases
 from .registry import get_algorithm
 
 __all__ = [
@@ -74,12 +72,6 @@ __all__ = [
     "build_endpoints",
     "build_federation",
 ]
-
-#: Canonical per-round phase names.  Every runner (sync, async, hier sync,
-#: hier async) accumulates wall-clock seconds under exactly these keys in
-#: ``phase_seconds`` / ``RoundResult.phase_seconds``.
-PHASES: Tuple[str, ...] = ("broadcast", "local_update", "gather", "aggregate", "evaluate")
-
 
 @dataclass(frozen=True)
 class RoundResult:
@@ -156,12 +148,15 @@ class FederatedRunner:
     """Runs the synchronous federated-learning loop.
 
     Clients are supplied either *eagerly* (``clients`` — the classic list of
-    live :class:`BaseClient` instances; the default path, bit-for-bit
-    unchanged by the virtualization work) or *virtually* (``client_store`` —
-    a :class:`repro.scale.ClientStateStore`): each round then materialises
+    live :class:`BaseClient` instances) or *virtually* (``client_store`` — a
+    :class:`repro.scale.ClientStateStore`): each round then materialises
     clients in waves of at most ``live_cap``, runs their updates, encodes and
     ingests their uploads, and releases them back to the store, so peak
-    client-state memory is proportional to the cap, not the population.
+    client-state memory is proportional to the cap, not the population.  An
+    eager population is the same round with one wave of everyone.
+    ADMM-family servers (which absorb per-upload state in ``ingest`` and
+    ignore the finalize payloads) stream; FedAvg-style servers accumulate the
+    decoded uploads (one flat vector per client) until ``finalize_round``.
     With the default :class:`~repro.comm.serial.SerialCommunicator`, the
     store-backed history is bit-identical to the eager one (contention-aware
     communicators charge per-``collect`` congestion, which a waved gather
@@ -184,10 +179,13 @@ class FederatedRunner:
             raise ValueError("pass either clients or client_store, not both")
         self._store = client_store
         self.clients = list(clients) if clients else []
-        num_clients = client_store.num_clients if client_store is not None else len(self.clients)
-        if server.num_clients != num_clients:
+        self._client_by_id = {c.client_id: c for c in self.clients}
+        self._client_ids = (
+            list(range(client_store.num_clients)) if client_store is not None else list(self._client_by_id)
+        )
+        self.num_clients = len(self._client_ids)
+        if server.num_clients != self.num_clients:
             raise ValueError("server.num_clients must match the number of clients")
-        self.num_clients = num_clients
         self.server = server
         self.communicator = communicator if communicator is not None else SerialCommunicator()
         # One codec pipeline for every exchange.  FLConfig.codec is the single
@@ -209,450 +207,87 @@ class FederatedRunner:
         self.evaluator = evaluator
         self.accountant = accountant if accountant is not None else PrivacyAccountant()
         self.history = TrainingHistory()
-        if max_workers is None:
-            max_workers = server.config.parallel_clients
-        self.max_workers = resolve_workers(max_workers)
-        #: execution backend for local updates: "serial" runs in-line even
-        #: with max_workers > 1, "thread" (default) uses the GIL-bound pool,
-        #: "process" runs shards in spawn-context workers over shared memory.
-        self.backend = str(getattr(server.config, "execution_backend", "thread"))
-        if self.backend == "process" and self.exchange.lossy:
-            raise ValueError(
-                f"execution_backend='process' requires a lossless codec stack; "
-                f"{self.exchange.spec!r} is lossy and its reconcile step needs "
-                f"parent-side client state"
-            )
-        self._pool = None  # ProcessWorkerPool, created lazily
-        #: worker-shipped metrics banked from retired process pools (the
-        #: live pool's registry is read via ``_pool.telemetry``); ``None``
-        #: until a pool retires.  See MetricsRegistry.absorb_worker_telemetry.
-        self.worker_telemetry = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_width = 0
-        #: steps computed by the most recent _update_clients call, per client;
-        #: callers fold in survivors only (after the uplink gather).
-        self._pending_steps: Dict[int, int] = {}
+        #: runs the local updates (serial | thread | process | cohort) and
+        #: owns the worker pools and the client-step accounting
+        self.executor = LocalExecutor(
+            server.config, self.exchange, clients=self.clients, store=client_store,
+            max_workers=max_workers,
+        )
+        self.max_workers = self.executor.max_workers
         #: cumulative wall-clock seconds spent in each phase across all rounds
         self.phase_seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
-        #: cumulative client optimizer steps across all rounds (both execution
-        #: paths); with phase_seconds["local_update"] this yields the
-        #: client_steps_per_sec throughput metric.
-        self.client_steps: int = 0
 
-    def _update_clients(
-        self, clients: Sequence[BaseClient], received: Dict[int, Dict[str, np.ndarray]]
-    ) -> Dict[int, Dict[str, np.ndarray]]:
-        """Run the given clients' updates, as stacked cohorts when eligible.
+    @property
+    def client_steps(self) -> int:
+        """Cumulative client optimizer steps across all rounds; with
+        ``phase_seconds["local_update"]`` this yields the
+        client_steps_per_sec throughput metric."""
+        return self.executor.client_steps
 
-        With ``FLConfig.client_batch > 1``, a lossless wire, and at least one
-        group of two-or-more same-shaped batchable clients, the cohort engine
-        (:mod:`repro.core.batched`) executes them as stacked kernel calls —
-        bitwise identical to the per-client path at float64 — and everyone
-        else falls back to :meth:`_update_clients_eager`.  ``client_batch=1``
-        (the default) takes the eager path unconditionally.
-        """
-        cfg = self.server.config
-        client_batch = int(getattr(cfg, "client_batch", 1) or 1)
-        self._pending_steps = {}
-        if self.backend == "process" and self._store is None and len(clients) > 1:
-            uploads = self._update_clients_process(clients, received)
-            if uploads is not None:
-                return uploads
-        if client_batch > 1 and len(clients) > 1 and not self.exchange.lossy:
-            batched = run_batched_updates(
-                clients, received, client_batch, tracer=current_tracer()
-            )
-            if batched is not None:
-                uploads, leftover, _steps = batched
-                if leftover:
-                    uploads.update(self._update_clients_eager(leftover, received))
-                # Every cohort member took count_client_steps(c) optimizer
-                # steps (members share config and loader geometry), so the
-                # per-client accounting is exact on both paths.
-                self._pending_steps = {c.client_id: count_client_steps(c) for c in clients}
-                # Preserve client order: aggregation consumers iterate this
-                # dict and must see the same order as the eager path.
-                return {c.client_id: uploads[c.client_id] for c in clients}
-        uploads = self._update_clients_eager(clients, received)
-        self._pending_steps = {c.client_id: count_client_steps(c) for c in clients}
-        return uploads
-
-    def _settle_steps(self, gathered) -> None:
-        """Fold the pending step counts of the *surviving* clients — the ones
-        whose upload was actually gathered — into the cumulative counter.
-        Clients whose upload dead-lettered on the uplink did compute, but the
-        throughput metric counts aggregated work only (over-counting degraded
-        rounds was a long-standing bug)."""
-        self.client_steps += sum(self._pending_steps.get(cid, 0) for cid in gathered)
-        self._pending_steps = {}
-
-    def _ensure_pool(self):
-        """The lazily-built process pool for this runner's population."""
-        if self._pool is None:
-            from ..mp.pool import ProcessWorkerPool
-
-            client_batch = int(getattr(self.server.config, "client_batch", 1) or 1)
-            if self._store is not None:
-                self._pool = ProcessWorkerPool.from_store(
-                    self._store, self.max_workers, client_batch=client_batch
-                )
-            else:
-                self._pool = ProcessWorkerPool.from_eager_clients(
-                    self.clients, self.max_workers, client_batch=client_batch
-                )
-        return self._pool
-
-    def _retire_pool(self) -> None:
-        """Pull the workers' authoritative state home and discard the pool.
-
-        Used when a round cannot run on the process backend (the payloads are
-        not one shared template): that round then runs in-process against
-        parent state, which leaves the workers stale — a later pooled round
-        would silently diverge from serial, and a second consecutive
-        fallback's ``sync_parent`` would drag the stale worker state back
-        over the parent's progress.  Discarding the pool makes the next
-        eligible round rebuild it from parent state, keeping the bitwise
-        contract.
-        """
-        if self._pool is not None:
-            try:
-                self._pool.sync_parent()
-            finally:
-                self._bank_pool_telemetry()
-                self._pool.close()
-                self._pool = None
-
-    def _bank_pool_telemetry(self) -> None:
-        """Preserve a closing pool's worker-shipped metrics on the runner."""
-        telemetry = getattr(self._pool, "telemetry", None)
-        if telemetry is None or not telemetry.snapshot()["counters"]:
-            return
-        if self.worker_telemetry is None:
-            from ..obs import MetricsRegistry
-
-            self.worker_telemetry = MetricsRegistry()
-        self.worker_telemetry.merge(telemetry)
-
-    def _emit_worker_spans(self, ids, timings) -> None:
-        """Emit ``local_update`` spans from worker-side timestamps, in client
-        order (cohort members carry no per-client timing; as on the threaded
-        path they were covered by one batched call).  An armed monitor's
-        straggler histogram is fed from the same timestamps."""
-        tracer = current_tracer()
-        monitor = current_monitor()
-        if tracer is None and monitor is None:
-            return
-        for cid in ids:
-            t = timings.get(cid)
-            if t is not None:
-                if tracer is not None:
-                    tracer.emit_span(
-                        "local_update", "client", t[0], t[1],
-                        lane=f"client:{cid}", client=cid, backend="process",
-                    )
-                if monitor is not None:
-                    monitor.observe_local_update(t[1] - t[0], client=cid)
-
-    def _update_clients_process(self, clients, received):
-        """Run the given (eager) clients' updates on the process pool.
-
-        Returns ``None`` when the round's payloads are not one shared
-        broadcast template (the pool transports one copy through shared
-        memory) — the caller then falls back to the in-process paths.
-        """
-        from ..mp.pool import payload_template
-
-        ids = [c.client_id for c in clients]
-        template = payload_template(received, ids)
-        if template is None:
-            # The workers hold the authoritative state; re-home it and drop
-            # the now-stale pool before running these clients in-process.
-            self._retire_pool()
-            return None
-        uploads, steps, timings = self._ensure_pool().run_round(ids, template)
-        self._pending_steps = steps
-        self._emit_worker_spans(ids, timings)
-        return {cid: uploads[cid] for cid in ids}
-
-    def _update_clients_eager(
-        self, clients: Sequence[BaseClient], received: Dict[int, Dict[str, np.ndarray]]
-    ) -> Dict[int, Dict[str, np.ndarray]]:
-        """Run the given clients' updates (thread pool when ``max_workers > 1``).
-
-        With a tracer armed, each update is timed in place (inside the worker
-        for the pooled path) and its span emitted afterwards from this thread
-        in client order — tracing never changes execution order or results.
-        An armed monitor rides the same timings (straggler detection) under
-        the same contract.
-        """
-        tracer = current_tracer()
-        monitor = current_monitor()
-        if self.backend != "serial" and self.max_workers > 1 and len(clients) > 1:
-            # Size by the clients actually running this call (participants of
-            # this round/wave), not the full population — under
-            # client_fraction sampling or degraded rounds the population
-            # over-provisions.  The pool only grows; a smaller cohort reuses
-            # the existing (idle) threads.
-            needed = min(self.max_workers, len(clients))
-            if self._executor is None or self._executor_width < needed:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=True)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=needed,
-                    thread_name_prefix="fl-client",
-                )
-                self._executor_width = needed
-            if tracer is None and monitor is None:
-                results = list(
-                    self._executor.map(lambda c: c.update(received[c.client_id]), clients)
-                )
-                return {c.client_id: r for c, r in zip(clients, results)}
-            timed = list(
-                self._executor.map(lambda c: timed_call(c.update, received[c.client_id]), clients)
-            )
-            for client, (_, t0, t1) in zip(clients, timed):
-                if tracer is not None:
-                    tracer.emit_span(
-                        "local_update", "client", t0, t1,
-                        lane=f"client:{client.client_id}", client=client.client_id,
-                    )
-                if monitor is not None:
-                    monitor.observe_local_update(t1 - t0, client=client.client_id)
-            return {c.client_id: r for c, (r, _, _) in zip(clients, timed)}
-        if tracer is None and monitor is None:
-            return {c.client_id: c.update(received[c.client_id]) for c in clients}
-        uploads: Dict[int, Dict[str, np.ndarray]] = {}
-        for client in clients:
-            upload, t0, t1 = timed_call(client.update, received[client.client_id])
-            if tracer is not None:
-                tracer.emit_span(
-                    "local_update", "client", t0, t1,
-                    lane=f"client:{client.client_id}", client=client.client_id,
-                )
-            if monitor is not None:
-                monitor.observe_local_update(t1 - t0, client=client.client_id)
-            uploads[client.client_id] = upload
-        return uploads
-
-    def _run_clients(self, received: Dict[int, Dict[str, np.ndarray]]) -> Dict[int, Dict[str, np.ndarray]]:
-        """Run all (eager) client updates."""
-        return self._update_clients(self.clients, received)
-
-    def _virtual_round_process(
-        self, round_idx, active_ids, received, dispatched_global, legacy,
-        streaming, legacy_gathered, decoded_payloads, participants, timings,
-        tracer,
-    ) -> bool:
-        """One store-backed round's client phases on the process pool.
-
-        The workers own the population state (their per-shard stores), so no
-        parent-side checkout happens; phase accounting, ingest order, and
-        privacy charging replay the wave loop exactly, just ungrouped.
-        Returns ``False`` when the dispatch payloads are not one shared
-        template — the caller then waves through the store in-process, after
-        the workers' authoritative state has been pulled home.
-        """
-        from ..mp.pool import payload_template
-
+    def run_round(self, round_idx: int) -> RoundResult:
+        """Execute one communication round and return its metrics."""
         store = self._store
-
-        def end_phase(phase: str, t0: float) -> float:
-            now = time.perf_counter()
-            timings[phase] += now - t0
-            if tracer is not None:
-                tracer.emit_span(phase, "phase", t0, now, lane="runner", round=round_idx)
-            return now
-
-        tick = time.perf_counter()
-        payloads = {cid: self.exchange.open_dispatch(received[cid]) for cid in active_ids}
-        template = payload_template(payloads, active_ids)
-        if template is None:
-            self._retire_pool()
-            end_phase("broadcast", tick)
-            return False
-        tick = end_phase("broadcast", tick)
-
-        uploads, steps, wtimings = self._ensure_pool().run_round(active_ids, template)
-        self._emit_worker_spans(active_ids, wtimings)
-        tick = end_phase("local_update", tick)
-
-        # Lossless wire is enforced for this backend, so reconcile (a lossy-
-        # stack echo into client state) has nothing to do here.
-        packets = {
-            cid: self.exchange.encode_upload(uploads[cid], payloads[cid][GLOBAL_KEY])
-            for cid in active_ids
-        }
-        gathered = self.communicator.collect(round_idx, packets)
-        self.client_steps += sum(steps.get(cid, 0) for cid in gathered)
-        tick = end_phase("gather", tick)
-
-        privacy = (store.config if store.config is not None else self.server.config).privacy
-        privacy_key = None
-        if legacy:
-            legacy_gathered.update(gathered)
-        else:
-            for cid in active_ids:
-                if cid not in gathered:
-                    continue
-                decoded = self.server.ingest(cid, gathered[cid], dispatched_global)
-                if not streaming:
-                    decoded_payloads[cid] = decoded
-        for cid in active_ids:
-            if cid in gathered:
-                participants.append(cid)
-                if privacy.enabled:
-                    if privacy_key is None:
-                        privacy_key = dispatch_fingerprint(round_idx, dispatched_global)
-                    self.accountant.record(cid, privacy.epsilon, key=privacy_key)
-        end_phase("aggregate", tick)
-        return True
-
-    def _run_round_virtual(self, round_idx: int) -> RoundResult:
-        """One round over store-backed clients, in waves of ``live_cap``.
-
-        Phase structure, comm accounting, and numerics match :meth:`run_round`
-        exactly; only the *grouping* differs — broadcast decode, local update,
-        upload encode, and server ingest happen per wave so no more than
-        ``live_cap`` clients are ever materialised.  ADMM-family servers
-        (which absorb per-upload state in ``ingest`` and ignore the finalize
-        payloads) stream; FedAvg-style servers accumulate the decoded uploads
-        (one flat vector per client) until ``finalize_round``.
-        """
-        store = self._store
-        client_ids = list(range(self.num_clients))
         injector = self.communicator.injector
+        log = self.communicator.log
         bytes_before = self.communicator.total_bytes()
-        seconds_before = self.communicator.log.total_seconds()
-        faulted_before = self.communicator.log.failed_attempts() if injector is not None else 0
+        seconds_before = log.total_seconds()
+        faulted_before = log.failed_attempts() if injector is not None else 0
         steps_before = self.client_steps
-        timings: Dict[str, float] = {k: 0.0 for k in self.phase_seconds}
-        tracer = current_tracer()
-        monitor = current_monitor()
-        round_start = tick = time.perf_counter()
+        timings: Dict[str, float] = {phase: 0.0 for phase in PHASES}
+        clock = PhaseClock(timings, round_idx, "runner")
+        round_start = time.perf_counter()
 
-        def end_phase(phase: str) -> None:
-            # Close the phase interval opened at the last `tick` and (when a
-            # tracer is armed) emit it as a span — reusing the same
-            # perf_counter reading the timings accounting already needs.
-            now = time.perf_counter()
-            timings[phase] += now - tick
-            if tracer is not None:
-                tracer.emit_span(phase, "phase", tick, now, lane="runner", round=round_idx)
+        # The sink decodes each surviving upload exactly once (ingest).  A
+        # plug-and-play server whose only customisation is the legacy
+        # update() keeps the seed contract instead: it is handed the raw
+        # uploads and decodes via ingest internally, so the override is never
+        # bypassed.  Servers exposing aggregate_global() absorb every upload
+        # inside ingest() and ignore finalize_round's payload dict — those
+        # stream, everyone else's uploads are collected for the finish.
+        server = self.server
+        legacy = server.uses_legacy_update
+        streaming = not legacy and hasattr(server, "aggregate_global")
+        finish = server.update if legacy else server.finalize_round
+        collected: Dict[int, object] = {}
 
-        broadcast_payload = self.server.broadcast_payload()
-        packet = self.exchange.encode_dispatch(broadcast_payload)
-        received = self.communicator.broadcast(round_idx, packet, client_ids)
-        if self.exchange.lossy:
-            dispatched_global = self.exchange.open_dispatch(packet)[GLOBAL_KEY]
-        else:
-            dispatched_global = broadcast_payload[GLOBAL_KEY]
-        # Same degraded-cohort rules as the eager path: unreachable clients
-        # sit out, crashed clients never run (and never materialise), their
-        # unsent uploads are dead-lettered.
-        active_ids = [cid for cid in client_ids if cid in received]
-        if injector is not None:
-            crashed = [cid for cid in active_ids if injector.client_crashed(cid, round_idx)]
-            if crashed:
-                crashed_set = set(crashed)
-                active_ids = [cid for cid in active_ids if cid not in crashed_set]
-                for cid in crashed:
-                    injector.count("crash")
-                    self.communicator.log.add_dead_letter(
-                        DeadLetter(round_idx, client_endpoint(cid), "send_local", 0, 0, "crash")
-                    )
-        end_phase("broadcast")
+        def sink(cid, packet, dispatched_global) -> None:
+            upload = packet if legacy else server.ingest(cid, packet, dispatched_global)
+            if not streaming:
+                collected[cid] = upload
 
-        legacy = self.server.uses_legacy_update
-        # Servers exposing aggregate_global() absorb every upload inside
-        # ingest() and ignore finalize_round's payload dict — those stream.
-        streaming = not legacy and hasattr(self.server, "aggregate_global")
-        legacy_gathered: Dict[int, object] = {}
-        decoded_payloads: Dict[int, Dict[str, np.ndarray]] = {}
-        privacy_key = None
-        participants: List[int] = []
-        # Process backend: the whole active cohort runs through the worker
-        # pool in one call — each worker waves through its own shard at its
-        # live_cap share, so no client ever materialises parent-side.
-        pooled = self.backend == "process" and len(active_ids) > 1
-        if pooled:
-            pooled = self._virtual_round_process(
-                round_idx, active_ids, received, dispatched_global, legacy,
-                streaming, legacy_gathered, decoded_payloads, participants,
-                timings, tracer,
-            )
-        wave = max(1, int(store.live_cap))
-        wave_ids = [] if pooled else active_ids
-        for start in range(0, len(wave_ids), wave):
-            ids = wave_ids[start : start + wave]
-            wave_start = tick = time.perf_counter()
-            clients = [store.checkout(cid) for cid in ids]
-            payloads = {cid: self.exchange.open_dispatch(received[cid]) for cid in ids}
-            end_phase("broadcast")
+        participants = run_client_phases(
+            executor=self.executor,
+            exchange=self.exchange,
+            communicator=self.communicator,
+            clock=clock,
+            round_idx=round_idx,
+            ids=self._client_ids,
+            payload=server.broadcast_payload(),
+            wave=store.live_cap if store is not None else self.num_clients,
+            acquire=store.checkout if store is not None else self._client_by_id.__getitem__,
+            release=store.release if store is not None else None,
+            sink=sink,
+            accountant=self.accountant,
+            on_wave=partial(clock.end_wave, self) if store is not None else None,
+        )
 
-            tick = time.perf_counter()
-            uploads = self._update_clients(clients, payloads)
-            end_phase("local_update")
-
-            tick = time.perf_counter()
-            packets = {}
-            for client in clients:
-                cid = client.client_id
-                packets[cid] = self.exchange.encode_upload(uploads[cid], payloads[cid][GLOBAL_KEY])
-                self.exchange.reconcile(client, uploads[cid], packets[cid], payloads[cid][GLOBAL_KEY])
-            gathered = self.communicator.collect(round_idx, packets)
-            self._settle_steps(gathered)
-            end_phase("gather")
-
-            # Privacy is charged per accepted ingest, deduped on (client,
-            # round, dispatched global) — uplink dead letters never consume
-            # epsilon, replays of an accepted release consume it once.
-            tick = time.perf_counter()
-            if legacy:
-                legacy_gathered.update(gathered)
-            else:
-                for cid in ids:
-                    if cid not in gathered:
-                        continue
-                    decoded = self.server.ingest(cid, gathered[cid], dispatched_global)
-                    if not streaming:
-                        decoded_payloads[cid] = decoded
-            for client in clients:
-                cid = client.client_id
-                if cid in gathered:
-                    participants.append(cid)
-                    if client.config.privacy.enabled:
-                        if privacy_key is None:
-                            privacy_key = dispatch_fingerprint(round_idx, dispatched_global)
-                        self.accountant.record(cid, client.config.privacy.epsilon, key=privacy_key)
-            end_phase("aggregate")
-            for cid in ids:
-                store.release(cid)
-            if tracer is not None:
-                tracer.emit_span(
-                    "wave", "round", wave_start, time.perf_counter(),
-                    lane="runner", round=round_idx, wave=start // wave, clients=len(ids),
-                )
-            if monitor is not None:
-                monitor.on_wave(self, round_idx, start // wave)
-
-        tick = time.perf_counter()
-        if legacy:
-            if legacy_gathered or injector is None:
-                self.server.update(legacy_gathered)
-        else:
-            if decoded_payloads or streaming or injector is None:
-                self.server.finalize_round(decoded_payloads)
-        end_phase("aggregate")
+        # Finish with whatever cohort survived the wire; a faulted round
+        # that lost everyone keeps the current global.
+        clock.begin("aggregate")
+        if collected or streaming or injector is None:
+            finish(collected)
+        clock.end("aggregate")
 
         accuracy = loss = None
-        tick = time.perf_counter()
+        clock.begin("evaluate")
         if self.evaluator is not None:
-            self.server.sync_model()
-            accuracy, loss = self.evaluator(self.server.model)
-        end_phase("evaluate")
+            server.sync_model()
+            accuracy, loss = self.evaluator(server.model)
+        clock.end("evaluate")
 
         for phase, seconds in timings.items():
             self.phase_seconds[phase] += seconds
+        tracer = current_tracer()
         if tracer is not None:
             tracer.emit_span(
                 "round", "round", round_start, time.perf_counter(),
@@ -665,179 +300,25 @@ class FederatedRunner:
             test_accuracy=accuracy,
             test_loss=loss,
             comm_bytes=self.communicator.total_bytes() - bytes_before,
-            comm_seconds=self.communicator.log.total_seconds() - seconds_before,
+            comm_seconds=log.total_seconds() - seconds_before,
             phase_seconds=timings,
-            participating_clients=tuple(participants),
-            failed_clients=tuple(sorted(set(client_ids) - set(participants))) if faulty else None,
-            retries=(self.communicator.log.failed_attempts() - faulted_before) if faulty else None,
+            participating_clients=tuple(sorted(participants)),
+            failed_clients=(
+                tuple(sorted(set(self._client_ids) - set(participants))) if faulty else None
+            ),
+            retries=(log.failed_attempts() - faulted_before) if faulty else None,
             client_steps=self.client_steps - steps_before,
         )
         self.history.add(result)
-        if monitor is not None:
-            monitor.on_round(self, result)
-        return result
-
-    def run_round(self, round_idx: int) -> RoundResult:
-        """Execute one communication round and return its metrics."""
-        if self._store is not None:
-            return self._run_round_virtual(round_idx)
-        client_ids = [c.client_id for c in self.clients]
-        injector = self.communicator.injector
-        bytes_before = self.communicator.total_bytes()
-        seconds_before = self.communicator.log.total_seconds()
-        faulted_before = self.communicator.log.failed_attempts() if injector is not None else 0
-        steps_before = self.client_steps
-        timings: Dict[str, float] = {}
-        tracer = current_tracer()
         monitor = current_monitor()
-        profiler = current_profiler()
-        round_start = tick = time.perf_counter()
-
-        def end_phase(phase: str) -> None:
-            if profiler is not None:
-                profiler.end(phase)
-            now = time.perf_counter()
-            timings[phase] = timings.get(phase, 0.0) + (now - tick)
-            if tracer is not None:
-                tracer.emit_span(phase, "phase", tick, now, lane="runner", round=round_idx)
-
-        def begin_phase(phase: str) -> None:
-            if profiler is not None:
-                profiler.begin(phase)
-
-        begin_phase("broadcast")
-
-        # Server -> clients: encode the global model into one UpdatePacket,
-        # transport it (the communicator charges packet.nbytes), and decode a
-        # fresh payload per client.  The round's dispatched-global reference
-        # must be bitwise what every client saw: under a lossy codec that
-        # requires a server-side decode of the same packet; lossless stacks
-        # skip the extra decode since encode/decode is bit-transparent.
-        broadcast_payload = self.server.broadcast_payload()
-        packet = self.exchange.encode_dispatch(broadcast_payload)
-        received = self.communicator.broadcast(round_idx, packet, client_ids)
-        # Unreachable clients (downlink dead-lettered) sit this round out;
-        # crashed ones die before computing — their local state must not
-        # advance (a stateful algorithm's server-side replica would silently
-        # desynchronise from a half-run update), and their unsent upload is
-        # dead-lettered for the accounting.
-        active = [c for c in self.clients if c.client_id in received]
-        if injector is not None:
-            crashed = [c.client_id for c in active if injector.client_crashed(c.client_id, round_idx)]
-            if crashed:
-                crashed_set = set(crashed)
-                active = [c for c in active if c.client_id not in crashed_set]
-                for cid in crashed:
-                    injector.count("crash")
-                    self.communicator.log.add_dead_letter(
-                        DeadLetter(round_idx, client_endpoint(cid), "send_local", 0, 0, "crash")
-                    )
-        payloads = {c.client_id: self.exchange.open_dispatch(received[c.client_id]) for c in active}
-        if self.exchange.lossy:
-            dispatched_global = self.exchange.open_dispatch(packet)[GLOBAL_KEY]
-        else:
-            dispatched_global = broadcast_payload[GLOBAL_KEY]
-        end_phase("broadcast")
-
-        # Clients: local updates (optionally on the thread pool).  Any DP
-        # clipping/noising happens inside client.update — before the codec
-        # encode below — so the guarantee survives quantization.
-        tick = time.perf_counter()
-        begin_phase("local_update")
-        uploads = self._update_clients(active, payloads)
-        end_phase("local_update")
-
-        # Clients -> server: encode each upload against the dispatched
-        # global, reconcile lossy-codec client state with the decoded echo,
-        # and transport the packets.
-        tick = time.perf_counter()
-        begin_phase("gather")
-        packets = {}
-        for client in active:
-            cid = client.client_id
-            packets[cid] = self.exchange.encode_upload(uploads[cid], payloads[cid][GLOBAL_KEY])
-            self.exchange.reconcile(client, uploads[cid], packets[cid], payloads[cid][GLOBAL_KEY])
-        gathered = self.communicator.collect(round_idx, packets)
-        self._settle_steps(gathered)
-        end_phase("gather")
-
-        # Server: decode each upload exactly once (ingest) and finalize with
-        # whatever cohort survived the wire.  Privacy budget is charged per
-        # *accepted* ingest, deduped on (client, round, dispatched global) —
-        # a retried or replayed packet re-sends the same noised release and
-        # must not consume epsilon twice.  A plug-and-play server whose only
-        # customisation is the legacy update() keeps the seed contract:
-        # update() is driven directly (it decodes via ingest internally), so
-        # the override is never bypassed.
-        tick = time.perf_counter()
-        begin_phase("aggregate")
-        streaming = not self.server.uses_legacy_update and hasattr(self.server, "aggregate_global")
-        if self.server.uses_legacy_update:
-            if gathered or injector is None:
-                self.server.update(gathered)
-        else:
-            decoded = {
-                cid: self.server.ingest(cid, payload, dispatched_global)
-                for cid, payload in gathered.items()
-            }
-            if decoded or streaming or injector is None:
-                self.server.finalize_round(decoded)
-        privacy_key = None
-        active_by_id = {c.client_id: c for c in active}
-        for cid in gathered:
-            client = active_by_id[cid]
-            if client.config.privacy.enabled:
-                if privacy_key is None:
-                    privacy_key = dispatch_fingerprint(round_idx, dispatched_global)
-                self.accountant.record(cid, client.config.privacy.epsilon, key=privacy_key)
-        end_phase("aggregate")
-
-        accuracy = loss = None
-        tick = time.perf_counter()
-        begin_phase("evaluate")
-        if self.evaluator is not None:
-            self.server.sync_model()
-            accuracy, loss = self.evaluator(self.server.model)
-        end_phase("evaluate")
-
-        for phase, seconds in timings.items():
-            self.phase_seconds[phase] += seconds
-        if tracer is not None:
-            tracer.emit_span(
-                "round", "round", round_start, time.perf_counter(),
-                lane="runner", round=round_idx, participants=len(gathered),
-            )
-
-        faulty = injector is not None
-        result = RoundResult(
-            round=round_idx,
-            test_accuracy=accuracy,
-            test_loss=loss,
-            comm_bytes=self.communicator.total_bytes() - bytes_before,
-            comm_seconds=self.communicator.log.total_seconds() - seconds_before,
-            phase_seconds=timings,
-            participating_clients=tuple(sorted(gathered)),
-            failed_clients=tuple(sorted(set(client_ids) - set(gathered))) if faulty else None,
-            retries=(self.communicator.log.failed_attempts() - faulted_before) if faulty else None,
-            client_steps=self.client_steps - steps_before,
-        )
-        self.history.add(result)
         if monitor is not None:
             monitor.on_round(self, result)
         return result
 
     def close(self) -> None:
-        """Release the worker pools (recreated lazily if needed again).
-
-        The process pool's client state is pulled home first, so a later
-        ``run`` call (which re-ships it into a fresh pool) continues bitwise
-        where this one stopped — exactly like the thread path.
-        """
-        self._retire_pool()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_width = 0
+        """Release the worker pools (recreated lazily if needed again); see
+        :meth:`LocalExecutor.close`."""
+        self.executor.close()
 
     def __enter__(self) -> "FederatedRunner":
         return self

@@ -20,8 +20,11 @@ from O(clients) to O(edges) packets per round.
 Clients attach either eagerly (a list of :class:`~repro.core.base.
 BaseClient`) or virtually (a per-edge :class:`~repro.scale.store.
 ClientStateStore`); store-backed shards run in waves of the store's
-``live_cap``, exactly like :class:`~repro.core.runner.FederatedRunner`'s
-virtual mode, so a 100k-client population runs under a bounded live set.
+``live_cap``, so a 100k-client population runs under a bounded live set.
+The shard's round is :func:`repro.core.phases.run_client_phases` — the very
+loop :class:`~repro.core.runner.FederatedRunner` runs — with
+:meth:`EdgeAggregator.ingest_upload` as its sink, and its local updates
+execute on the edge's own :class:`~repro.core.executor.LocalExecutor`.
 
 The client↔edge hop has its own codec stack (``FLConfig.edge_codec``): the
 edge re-encodes the root's global for its shard and is the single decode
@@ -30,22 +33,18 @@ point for its clients' uploads.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..comm import Communicator, client_endpoint
-from ..comm.records import DeadLetter
+from ..comm import Communicator
 from ..core.base import GLOBAL_KEY, BaseClient, BaseServer
-from ..core.batched import count_client_steps, run_batched_updates
 from ..core.exchange import PacketExchange
+from ..core.executor import LocalExecutor
 from ..core.partial import ExactPartial, pack_partial
-from ..core.runner import PHASES
-from ..mp import resolve_workers
-from ..obs import current_monitor, current_tracer, timed_call
-from ..privacy import dispatch_fingerprint
+from ..core.phases import PHASES, PhaseClock, run_client_phases
+from ..obs import current_tracer
 
 __all__ = ["EdgeAggregator"]
 
@@ -117,21 +116,13 @@ class EdgeAggregator:
                     f"must carry the edge-hop codec"
                 )
         self.communicator = communicator
-        if max_workers is None:
-            max_workers = server.config.parallel_clients
-        self.max_workers = resolve_workers(max_workers)
-        self.backend = str(getattr(server.config, "execution_backend", "thread"))
-        if self.backend == "process" and self.exchange.lossy:
-            raise ValueError(
-                f"execution_backend='process' requires a lossless client-hop "
-                f"codec; {self.exchange.spec!r} is lossy and its reconcile "
-                f"step needs parent-side client state"
-            )
-        self._pool = None  # ProcessWorkerPool over this edge's shard
-        self.worker_telemetry = None  # banked metrics from retired pools
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_width = 0
-        self._pending_steps: Dict[int, int] = {}
+        #: runs this shard's local updates and owns its pools and step count
+        self.executor = LocalExecutor(
+            server.config, self.exchange, clients=self.clients, store=client_store,
+            ids=self.shard, max_workers=max_workers, name=f"hier-edge{self.edge_id}",
+            labels={"edge": self.edge_id},
+        )
+        self.max_workers = self.executor.max_workers
         #: the latest global model received from the root (decoded)
         self._global: np.ndarray = server.global_params.copy()
         #: ADMM-family servers absorb uploads in ingest(); FedAvg-style ones
@@ -140,10 +131,13 @@ class EdgeAggregator:
         self._streaming = hasattr(server, "aggregate_global")
         self._fold: Optional[ExactPartial] = None
         self._participants: List[int] = []
-        #: cumulative client optimizer steps this edge executed (see
-        #: FederatedRunner.client_steps; the hier runner sums edges per round).
-        self.client_steps: int = 0
         self.begin_collect()
+
+    @property
+    def client_steps(self) -> int:
+        """Cumulative client optimizer steps this edge executed (see
+        FederatedRunner.client_steps; the hier runner sums edges per round)."""
+        return self.executor.client_steps
 
     # ------------------------------------------------------------ global hop
     def receive_global(self, payload: "Dict[str, np.ndarray]") -> None:
@@ -222,350 +216,42 @@ class EdgeAggregator:
         if self._store is not None:
             self._store.release(cid)
 
-    def _update_clients(self, clients: Sequence[BaseClient], payloads) -> Dict[int, Dict]:
-        # Same cohort gate as FederatedRunner._update_clients: with
-        # client_batch > 1 and a lossless client-hop, eligible shard members
-        # run as stacked cohorts (bitwise identical at float64) and the rest
-        # fall back to the per-client path below.
-        cfg = self.server.config
-        client_batch = int(getattr(cfg, "client_batch", 1) or 1)
-        self._pending_steps = {}
-        if self.backend == "process" and self._store is None and len(clients) > 1:
-            uploads = self._update_clients_process(clients, payloads)
-            if uploads is not None:
-                return uploads
-        if client_batch > 1 and len(clients) > 1 and not self.exchange.lossy:
-            batched = run_batched_updates(
-                clients, payloads, client_batch, tracer=current_tracer()
-            )
-            if batched is not None:
-                uploads, leftover, _steps = batched
-                if leftover:
-                    uploads.update(self._update_clients_eager(leftover, payloads))
-                self._pending_steps = {c.client_id: count_client_steps(c) for c in clients}
-                return {c.client_id: uploads[c.client_id] for c in clients}
-        uploads = self._update_clients_eager(clients, payloads)
-        self._pending_steps = {c.client_id: count_client_steps(c) for c in clients}
-        return uploads
-
-    def _settle_steps(self, gathered) -> None:
-        """Fold pending step counts of surviving clients only (see
-        FederatedRunner._settle_steps — uplink dead letters must not count)."""
-        self.client_steps += sum(self._pending_steps.get(cid, 0) for cid in gathered)
-        self._pending_steps = {}
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from ..mp.pool import ProcessWorkerPool
-
-            client_batch = int(getattr(self.server.config, "client_batch", 1) or 1)
-            workers = min(self.max_workers, len(self.shard))
-            if self._store is not None:
-                self._pool = ProcessWorkerPool.from_store(
-                    self._store, workers, client_batch=client_batch,
-                    ids=self.shard,
-                )
-            else:
-                self._pool = ProcessWorkerPool.from_eager_clients(
-                    self.clients, workers, client_batch=client_batch
-                )
-        return self._pool
-
-    def _retire_pool(self) -> None:
-        """Pull worker state home and discard the pool (see
-        FederatedRunner._retire_pool) — an in-process fallback round would
-        otherwise leave the workers stale and a later pooled round (or a
-        second fallback's ``sync_parent``) would silently diverge."""
-        if self._pool is not None:
-            try:
-                self._pool.sync_parent()
-            finally:
-                self._bank_pool_telemetry()
-                self._pool.close()
-                self._pool = None
-
-    def _bank_pool_telemetry(self) -> None:
-        """Fold the dying pool's worker metrics into a registry that outlives
-        it, so a fallback round doesn't silently drop worker telemetry."""
-        telemetry = getattr(self._pool, "telemetry", None)
-        if telemetry is None or not telemetry.snapshot()["counters"]:
-            return
-        if self.worker_telemetry is None:
-            from ..obs import MetricsRegistry
-
-            self.worker_telemetry = MetricsRegistry()
-        self.worker_telemetry.merge(telemetry)
-
-    def _emit_worker_spans(self, ids, timings) -> None:
-        tracer = current_tracer()
-        monitor = current_monitor()
-        if tracer is None and monitor is None:
-            return
-        for cid in ids:
-            t = timings.get(cid)
-            if t is not None:
-                if tracer is not None:
-                    tracer.emit_span(
-                        "local_update", "client", t[0], t[1],
-                        lane=f"client:{cid}", client=cid, edge=self.edge_id,
-                        backend="process",
-                    )
-                if monitor is not None:
-                    monitor.observe_local_update(t[1] - t[0], client=cid)
-
-    def _update_clients_process(self, clients, payloads):
-        """Run this (eager) shard's updates on the edge's process pool; see
-        FederatedRunner._update_clients_process."""
-        from ..mp.pool import payload_template
-
-        ids = [c.client_id for c in clients]
-        template = payload_template(payloads, ids)
-        if template is None:
-            # Re-home the workers' authoritative state and drop the now-stale
-            # pool before running this shard in-process.
-            self._retire_pool()
-            return None
-        uploads, steps, timings = self._ensure_pool().run_round(ids, template)
-        self._pending_steps = steps
-        self._emit_worker_spans(ids, timings)
-        return {cid: uploads[cid] for cid in ids}
-
-    def _update_clients_eager(self, clients: Sequence[BaseClient], payloads) -> Dict[int, Dict]:
-        # With a tracer armed, updates are timed in place and the spans
-        # emitted afterwards from this thread in client order (see
-        # FederatedRunner._update_clients) — order and results are unchanged.
-        tracer = current_tracer()
-        monitor = current_monitor()
-        if self.backend != "serial" and self.max_workers > 1 and len(clients) > 1:
-            # Size by this call's participants, not the whole shard — degraded
-            # rounds would over-provision.  Grow-only, like the flat runner.
-            needed = min(self.max_workers, len(clients))
-            if self._executor is None or self._executor_width < needed:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=True)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=needed,
-                    thread_name_prefix=f"hier-edge{self.edge_id}",
-                )
-                self._executor_width = needed
-            if tracer is None and monitor is None:
-                results = list(self._executor.map(lambda c: c.update(payloads[c.client_id]), clients))
-                return {c.client_id: r for c, r in zip(clients, results)}
-            timed = list(
-                self._executor.map(lambda c: timed_call(c.update, payloads[c.client_id]), clients)
-            )
-            for client, (_, t0, t1) in zip(clients, timed):
-                if tracer is not None:
-                    tracer.emit_span(
-                        "local_update", "client", t0, t1,
-                        lane=f"client:{client.client_id}",
-                        client=client.client_id, edge=self.edge_id,
-                    )
-                if monitor is not None:
-                    monitor.observe_local_update(t1 - t0, client=client.client_id)
-            return {c.client_id: r for c, (r, _, _) in zip(clients, timed)}
-        if tracer is None and monitor is None:
-            return {c.client_id: c.update(payloads[c.client_id]) for c in clients}
-        uploads: Dict[int, Dict] = {}
-        for client in clients:
-            upload, t0, t1 = timed_call(client.update, payloads[client.client_id])
-            if tracer is not None:
-                tracer.emit_span(
-                    "local_update", "client", t0, t1,
-                    lane=f"client:{client.client_id}",
-                    client=client.client_id, edge=self.edge_id,
-                )
-            if monitor is not None:
-                monitor.observe_local_update(t1 - t0, client=client.client_id)
-            uploads[client.client_id] = upload
-        return uploads
-
-    def _local_round_process(
-        self, round_idx, active_ids, received, dispatched_global, accountant,
-        timings, tracer, lane,
-    ) -> bool:
-        """This shard's client phases on the edge's process pool (see
-        FederatedRunner._virtual_round_process — same structure, with the
-        edge's ingest/summary fold instead of a server finalize)."""
-        from ..mp.pool import payload_template
-
-        def end_phase(phase: str, t0: float) -> float:
-            now = time.perf_counter()
-            timings[phase] += now - t0
-            if tracer is not None:
-                tracer.emit_span(
-                    phase, "phase", t0, now, lane=lane, edge=self.edge_id, round=round_idx
-                )
-            return now
-
-        tick = time.perf_counter()
-        payloads = {cid: self.exchange.open_dispatch(received[cid]) for cid in active_ids}
-        template = payload_template(payloads, active_ids)
-        if template is None:
-            self._retire_pool()
-            end_phase("broadcast", tick)
-            return False
-        tick = end_phase("broadcast", tick)
-
-        uploads, steps, wtimings = self._ensure_pool().run_round(active_ids, template)
-        self._emit_worker_spans(active_ids, wtimings)
-        tick = end_phase("local_update", tick)
-
-        # Lossless client hop is enforced for this backend — no reconcile.
-        packets = {
-            cid: self.exchange.encode_upload(uploads[cid], payloads[cid][GLOBAL_KEY])
-            for cid in active_ids
-        }
-        if self.communicator is not None:
-            gathered = self.communicator.collect(round_idx, packets)
-        else:
-            gathered = packets
-        self.client_steps += sum(steps.get(cid, 0) for cid in gathered)
-        tick = end_phase("gather", tick)
-
-        cfg = self._store.config if self._store.config is not None else self.server.config
-        privacy_key = None
-        for cid in active_ids:
-            if cid not in gathered:
-                continue
-            self.ingest_upload(cid, gathered[cid], dispatched_global)
-            if accountant is not None and cfg.privacy.enabled:
-                if privacy_key is None:
-                    privacy_key = dispatch_fingerprint(round_idx, dispatched_global)
-                accountant.record(cid, cfg.privacy.epsilon, key=privacy_key)
-        end_phase("aggregate", tick)
-        return True
-
     def run_local_round(
         self,
         round_idx: int,
         accountant=None,
         timings: Optional[Dict[str, float]] = None,
     ) -> Tuple[Dict[str, np.ndarray], Tuple[int, ...]]:
-        """One synchronous shard round: dispatch → update → gather → ingest.
-
-        Mirrors :meth:`FederatedRunner.run_round`'s client loop over this
-        shard (wave-limited when store-backed), then folds the uploads into
-        the shard summary via :meth:`summarize`.  ``timings`` (when given)
-        accumulates the runner's phase keys.
+        """One synchronous shard round: dispatch → update → gather → ingest
+        (:func:`~repro.core.phases.run_client_phases` over this shard,
+        wave-limited when store-backed), then the fold into the shard
+        summary via :meth:`summarize`.  ``timings`` (when given) accumulates
+        the runner's phase keys.
         """
         timings = timings if timings is not None else {}
         for phase in PHASES[:4]:  # the shard loop has no evaluate phase
             timings.setdefault(phase, 0.0)
-        shard = list(self.shard)
-        injector = self.communicator.injector if self.communicator is not None else None
-        tracer = current_tracer()
-        monitor = current_monitor()
-        lane = f"edge:{self.edge_id}"
-
-        def end_phase(phase: str) -> None:
-            now = time.perf_counter()
-            timings[phase] += now - tick
-            if tracer is not None:
-                tracer.emit_span(
-                    phase, "phase", tick, now, lane=lane, edge=self.edge_id, round=round_idx
-                )
-
-        tick = time.perf_counter()
-        broadcast_payload = {GLOBAL_KEY: self._global.copy()}
-        packet = self.exchange.encode_dispatch(broadcast_payload)
-        if self.communicator is not None:
-            received = self.communicator.broadcast(round_idx, packet, shard)
-        else:
-            received = {cid: packet for cid in shard}
-        if self.exchange.lossy:
-            dispatched_global = self.exchange.open_dispatch(packet)[GLOBAL_KEY]
-        else:
-            dispatched_global = broadcast_payload[GLOBAL_KEY]
-        # Same degraded-cohort rules as the flat runner: unreachable clients
-        # sit the round out, crashed ones die before computing (their local
-        # state — and this edge's server-side replica of it — must not
-        # advance), and their unsent uploads are dead-lettered.
-        active_ids = [cid for cid in shard if cid in received]
-        if injector is not None:
-            crashed = [cid for cid in active_ids if injector.client_crashed(cid, round_idx)]
-            if crashed:
-                crashed_set = set(crashed)
-                active_ids = [cid for cid in active_ids if cid not in crashed_set]
-                for cid in crashed:
-                    injector.count("crash")
-                    self.communicator.log.add_dead_letter(
-                        DeadLetter(round_idx, client_endpoint(cid), "send_local", 0, 0, "crash")
-                    )
-        end_phase("broadcast")
-
-        privacy_key = None
-        # Store-backed shard on the process backend: one pool call, each
-        # worker waving through its sub-shard (eager shards route through
-        # _update_clients' gate inside the wave loop instead).
-        pooled = (
-            self.backend == "process" and self._store is not None and len(active_ids) > 1
+        clock = PhaseClock(timings, round_idx, f"edge:{self.edge_id}", edge=self.edge_id)
+        run_client_phases(
+            executor=self.executor,
+            exchange=self.exchange,
+            communicator=self.communicator,
+            clock=clock,
+            round_idx=round_idx,
+            ids=list(self.shard),
+            payload={GLOBAL_KEY: self._global.copy()},
+            wave=self._store.live_cap if self._store is not None else len(self.shard),
+            acquire=self._acquire,
+            release=self._release,
+            sink=self.ingest_upload,
+            accountant=accountant,
+            on_wave=partial(clock.end_wave, self),
         )
-        if pooled:
-            pooled = self._local_round_process(
-                round_idx, active_ids, received, dispatched_global, accountant,
-                timings, tracer, lane,
-            )
-        wave = max(1, int(self._store.live_cap)) if self._store is not None else len(shard)
-        wave_ids = [] if pooled else active_ids
-        for start in range(0, len(wave_ids), wave):
-            ids = wave_ids[start : start + wave]
-            wave_start = tick = time.perf_counter()
-            clients = [self._acquire(cid) for cid in ids]
-            payloads = {cid: self.exchange.open_dispatch(received[cid]) for cid in ids}
-            end_phase("broadcast")
-
-            tick = time.perf_counter()
-            uploads = self._update_clients(clients, payloads)
-            end_phase("local_update")
-
-            tick = time.perf_counter()
-            packets = {}
-            for client in clients:
-                cid = client.client_id
-                packets[cid] = self.exchange.encode_upload(uploads[cid], payloads[cid][GLOBAL_KEY])
-                self.exchange.reconcile(client, uploads[cid], packets[cid], payloads[cid][GLOBAL_KEY])
-            if self.communicator is not None:
-                gathered = self.communicator.collect(round_idx, packets)
-            else:
-                gathered = packets
-            self._settle_steps(gathered)
-            end_phase("gather")
-
-            tick = time.perf_counter()
-            # Privacy is charged per *accepted* ingest, keyed on the exact
-            # dispatched-global bytes so a crash-recovery replay of this shard
-            # round never double-spends the budget.
-            for client in clients:
-                cid = client.client_id
-                if cid not in gathered:
-                    continue
-                self.ingest_upload(cid, gathered[cid], dispatched_global)
-                if accountant is not None and client.config.privacy.enabled:
-                    if privacy_key is None:
-                        privacy_key = dispatch_fingerprint(round_idx, dispatched_global)
-                    accountant.record(cid, client.config.privacy.epsilon, key=privacy_key)
-            end_phase("aggregate")
-            for cid in ids:
-                self._release(cid)
-            if tracer is not None:
-                tracer.emit_span(
-                    "wave", "round", wave_start, time.perf_counter(),
-                    lane=lane, edge=self.edge_id, round=round_idx,
-                    wave=start // wave, clients=len(ids),
-                )
-            if monitor is not None:
-                monitor.on_wave(self, round_idx, start // wave)
-
-        tick = time.perf_counter()
+        clock.begin("aggregate")
         summary, participants = self.summarize()
-        end_phase("aggregate")
+        clock.end("aggregate")
         return summary, participants
 
     # -------------------------------------------------------------- plumbing
     def close(self) -> None:
-        self._retire_pool()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_width = 0
+        self.executor.close()

@@ -12,16 +12,14 @@ Select it with ``FLConfig(execution_backend="process")``; ``"thread"``
 (default) keeps the GIL-bound thread pool, ``"serial"`` forces in-line
 execution regardless of ``parallel_clients``.
 
-This module imports lazily: the runners only need
-:func:`~repro.mp.workers.resolve_workers` at import time, so the pool
-machinery (and its ``multiprocessing`` import) loads on first use.
+This module imports lazily, so the pool machinery (and its
+``multiprocessing`` import) loads on first use — a runner that never selects
+the process backend never pays for it.
 """
 
 from __future__ import annotations
 
-from .workers import resolve_workers
-
-__all__ = ["resolve_workers", "ProcessWorkerPool", "payload_template"]
+__all__ = ["ProcessWorkerPool", "payload_template"]
 
 _LAZY = {"ProcessWorkerPool": "pool", "payload_template": "pool"}
 

@@ -334,20 +334,12 @@ class MetricsRegistry:
         self.gauge("privacy_max_epsilon", tier=tier).set(accountant.max_epsilon_spent())
         self.gauge("privacy_clients_charged", tier=tier).set(len(summary))
 
-    def absorb_worker_telemetry(self, owner) -> None:
-        """Fold process-backend worker metrics owned by a runner or edge.
-
-        ``owner.worker_telemetry`` holds deltas banked when pools retired;
-        ``owner._pool.telemetry`` is the live pool's parent-merged registry.
-        Both are worker-labelled, so merging is collision-free.
-        """
-        banked = getattr(owner, "worker_telemetry", None)
-        if banked is not None:
-            self.merge(banked)
-        pool = getattr(owner, "_pool", None)
-        telemetry = getattr(pool, "telemetry", None) if pool is not None else None
-        if telemetry is not None:
-            self.merge(telemetry)
+    def absorb_worker_telemetry(self, executor) -> None:
+        """Fold the process-backend worker metrics a runner's or edge's
+        :class:`~repro.core.executor.LocalExecutor` holds: deltas banked when
+        pools retired, then the live pool's parent-merged registry."""
+        for registry in executor.worker_telemetry():
+            self.merge(registry)
 
     def absorb_history(self, history) -> None:
         """Fold per-round :class:`RoundResult` aggregates."""
@@ -419,12 +411,12 @@ class MetricsRegistry:
             if edge_store is not None:
                 self.absorb_store(edge_store, tier=f"edge:{edge.edge_id}")
 
-        # Worker-side telemetry from the process backend: the live pool's
-        # parent-merged registry, plus deltas banked by _retire_pool after
-        # fallback rounds or shutdown tore a pool down.
-        self.absorb_worker_telemetry(runner)
-        for edge in getattr(runner, "edges", ()):
-            self.absorb_worker_telemetry(edge)
+        # Worker-side telemetry from the process backend (the event-driven
+        # runners have no pooled executor).
+        for owner in (runner, *getattr(runner, "edges", ())):
+            executor = getattr(owner, "executor", None)
+            if executor is not None:
+                self.absorb_worker_telemetry(executor)
 
         accountant = getattr(runner, "accountant", None)
         if accountant is not None:

@@ -72,7 +72,7 @@ def timed_call(fn: Callable, *args, **kwargs) -> Tuple[Any, float, float]:
 
     Used to time work executed inside thread-pool workers without
     emitting from the worker: the caller emits the span afterwards (see
-    ``FederatedRunner._update_clients``), keeping record order
+    ``LocalExecutor.update``), keeping record order
     deterministic while the timestamps stay honest.
     """
     t0 = time.perf_counter()

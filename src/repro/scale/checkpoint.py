@@ -78,26 +78,26 @@ def _load_history(state) -> TrainingHistory:
     return history
 
 
-def _clients_state(runner) -> Dict[str, object]:
+def _clients_state(owner, executor=None) -> Dict[str, object]:
     """Client-population state of a runner *or* a hier EdgeAggregator (both
-    expose ``clients`` / ``_store``)."""
-    # Under execution_backend="process" the worker processes hold the
-    # authoritative client state between rounds — pull it home first so the
-    # snapshot covers what actually ran.
-    pool = getattr(runner, "_pool", None)
-    if pool is not None:
-        pool.sync_parent()
-    store = getattr(runner, "_store", None)
+    expose ``clients`` / ``_store``).  ``executor`` is the owner's
+    :class:`~repro.core.executor.LocalExecutor` (the event-driven runner has
+    none): under execution_backend="process" its workers hold the
+    authoritative client state between rounds — pulled home first so the
+    snapshot covers what actually ran."""
+    if executor is not None:
+        executor.sync_parent()
+    store = getattr(owner, "_store", None)
     if store is not None:
         return {"mode": "store", "snapshot": store.snapshot()}
     return {
         "mode": "eager",
-        "states": {c.client_id: c.client_state() for c in runner.clients},
+        "states": {c.client_id: c.client_state() for c in owner.clients},
     }
 
 
-def _restore_clients(runner, state) -> None:
-    store = getattr(runner, "_store", None)
+def _restore_clients(owner, state, executor=None) -> None:
+    store = getattr(owner, "_store", None)
     if state["mode"] == "store":
         if store is None:
             raise ValueError("checkpoint holds a client store but the runner is eager")
@@ -105,14 +105,13 @@ def _restore_clients(runner, state) -> None:
     else:
         if store is not None:
             raise ValueError("checkpoint holds eager clients but the runner is store-backed")
-        by_id = {c.client_id: c for c in runner.clients}
+        by_id = {c.client_id: c for c in owner.clients}
         for cid, client_state in state["states"].items():
             by_id[int(cid)].load_client_state(client_state)
     # Mirror the restored state back into any live process workers, so the
     # next pooled round resumes from the checkpoint bitwise.
-    pool = getattr(runner, "_pool", None)
-    if pool is not None:
-        pool.push_from_parent()
+    if executor is not None:
+        executor.push_from_parent()
 
 
 def edge_slice_state(edge) -> Dict[str, object]:
@@ -123,7 +122,7 @@ def edge_slice_state(edge) -> Dict[str, object]:
     """
     return {
         "server": edge.server.server_state(),
-        "clients": _clients_state(edge),
+        "clients": _clients_state(edge, edge.executor),
     }
 
 
@@ -134,7 +133,7 @@ def restore_edge_slice(edge, state) -> None:
     # (the root broadcast it trained its previous round on).
     edge._global = edge.server.global_params
     edge.begin_collect()
-    _restore_clients(edge, state["clients"])
+    _restore_clients(edge, state["clients"], edge.executor)
 
 
 class RunCheckpoint:
@@ -255,7 +254,7 @@ class RunCheckpoint:
                 "round_timings": dict(runner._round_timings),
             }
         # Clients last: the async quiesce above may advance client state.
-        payload["clients"] = _clients_state(runner)
+        payload["clients"] = _clients_state(runner, None if kind == "async" else runner.executor)
         return cls(cls._finish_capture(payload, kind, tick))
 
     @staticmethod
@@ -313,7 +312,8 @@ class RunCheckpoint:
             for edge in runner.edges:
                 restore_edge_slice(edge, edges_state[edge.edge_id])
         else:
-            _restore_clients(runner, self.payload["clients"])
+            executor = None if kind == "async" else runner.executor
+            _restore_clients(runner, self.payload["clients"], executor)
         runner.history = _load_history(self.payload["history"])
         runner.accountant.load_accountant_state(self.payload["accountant"])
         runner.phase_seconds = {k: float(v) for k, v in self.payload["phase_seconds"].items()}

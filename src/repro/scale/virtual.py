@@ -16,8 +16,8 @@ the default :class:`~repro.comm.serial.SerialCommunicator`, a virtual run's
 
 Batched cohort execution: with ``FLConfig.client_batch > 1``, each
 store-backed wave of checked-out clients is executed as stacked cohorts by
-the runner's shared gate (:meth:`~repro.core.runner.FederatedRunner.
-_update_clients` → :mod:`repro.core.batched`) — so the cohort size is
+the runner's executor (:meth:`repro.core.executor.LocalExecutor.update` →
+:mod:`repro.core.batched`) — so the cohort size is
 effectively ``min(client_batch, live_cap)``.  Size ``live_cap`` accordingly
 when benchmarking large cohorts (the ``scale/`` throughput benchmarks use
 ``live_cap >= 1024`` so ``B = 256`` cohorts form whole).  Batched waves stay

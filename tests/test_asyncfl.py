@@ -280,7 +280,7 @@ class TestAsyncRunner:
         config = tiny_config("fedavg", parallel_clients=2, num_rounds=1)
         with build_async_federation(config, mlp_fn(spec), clients, test) as runner:
             runner.run()
-        assert runner._executor is None
+        assert runner._threads.pool is None
 
     def test_invalid_concurrency(self):
         clients, test, spec = tiny_mnist()
@@ -322,7 +322,7 @@ class TestAccountingAndHistory:
         config = tiny_config("fedavg", num_rounds=2, parallel_clients=2)
         with build_federation(config, mlp_fn(spec), clients, test) as runner:
             history = runner.run()
-        assert runner._executor is None
+        assert runner.executor._threads.pool is None
         for r in history.rounds:
             assert r.participating_clients == (0, 1, 2, 3)
             assert r.wall_clock_seconds is None

@@ -174,12 +174,12 @@ class TestBatchedEquivalence:
     def test_client_batch_one_never_enters_the_cohort_engine(self, monkeypatch):
         """client_batch=1 (the default) must be bit-for-bit the pre-PR path:
         the cohort engine is not even consulted."""
-        import repro.core.runner as runner_mod
+        import repro.core.executor as executor_mod
 
         def boom(*args, **kwargs):  # pragma: no cover - fails the test if hit
             raise AssertionError("run_batched_updates called with client_batch=1")
 
-        monkeypatch.setattr(runner_mod, "run_batched_updates", boom)
+        monkeypatch.setattr(executor_mod, "run_batched_updates", boom)
         datasets = _datasets(4)
         runner = build_federation(_config("fedavg"), _model_fn(), datasets)
         runner.run(1)

@@ -13,6 +13,7 @@ Covers the PR acceptance criteria:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,12 +127,23 @@ class TestRoundTrips:
         assert decoded.dtype == x.dtype
         assert np.max(np.abs(decoded - x)) <= scale / 2 + 1e-12
 
-    def test_int8_preserves_exact_zero(self):
-        x = np.array([0.0, 1.0, -2.0, 0.0])
-        decoded = resolve_codec("int8").decode_state(
-            resolve_codec("int8").encode_state({PRIMAL_KEY: x})
-        )[PRIMAL_KEY]
-        assert decoded[0] == 0.0 and decoded[3] == 0.0
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.0, 1.0, -2.0, 0.0]),
+            # max|x| > 0, but max|x| / 127 underflows to a zero scale.
+            np.array([5e-324, 0.0]),
+        ],
+        ids=["normal", "subnormal"],
+    )
+    def test_int8_preserves_exact_zero(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decoded = resolve_codec("int8").decode_state(
+                resolve_codec("int8").encode_state({PRIMAL_KEY: x})
+            )[PRIMAL_KEY]
+        assert np.all(decoded[x == 0.0] == 0.0)
+        assert np.max(np.abs(decoded - x)) <= np.abs(x).max() / 254 + 1e-12
 
     def test_int8_passthrough_for_int_arrays(self):
         x = np.arange(10, dtype=np.int64)

@@ -18,10 +18,9 @@ Covers the deterministic chaos engine below the runners:
 import numpy as np
 import pytest
 
-from repro.comm import DeadLetter, SerialCommunicator
+from repro.comm import DeadLetter, SerialCommunicator, client_endpoint
 from repro.comm.codecs import resolve_codec
 from repro.core import FLConfig, MLP, build_federation
-from repro.core.runner import client_endpoint
 from repro.data import TensorDataset, iid_partition
 from repro.faults import FaultInjector, FaultPlan, FaultStats, RetryPolicy, keyed_rng
 from repro.privacy import PrivacyAccountant, dispatch_fingerprint

@@ -7,8 +7,7 @@ over shared-memory arenas, and the result is **bitwise identical** to the
 serial backend for FedAvg / ICEADMM / IIADMM — histories, global parameters,
 client RNG streams, ADMM dual replicas — across eager, store-backed, and
 hierarchical federations, composing with ``client_batch``, tracing,
-checkpoints, and the fault layer.  ``SharedMemoryTransport`` round-trips
-payloads through a real shm segment bitwise.  The regression tests at the
+checkpoints, and the fault layer.  The regression tests at the
 bottom pin the worker-pool bugfix sweep: negative worker counts raise,
 executors are sized by the participating cohort (not the full population),
 and ``client_steps`` counts surviving clients only.
@@ -20,16 +19,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.comm import SerialCommunicator, SharedMemoryTransport
 from repro.core import FLConfig, build_federation
 from repro.core.batched import count_client_steps
+from repro.core.executor import resolve_workers
 from repro.core.models import MLP, SeededModelFn
 from repro.core.runner import FederatedRunner
 from repro.data import TensorDataset
 from repro.faults import FaultPlan
 from repro.hier import build_hier_federation
 from repro.hier.topology import contiguous_shards
-from repro.mp import ProcessWorkerPool, payload_template, resolve_workers
+from repro.mp import ProcessWorkerPool, payload_template
 from repro.obs import Tracer, use_tracer
 from repro.scale import RunCheckpoint, build_virtual_federation
 
@@ -248,37 +247,6 @@ class TestProcessObservability:
         assert result.ok
 
 
-# ------------------------------------------------------------- transport
-class TestSharedMemoryTransport:
-    def test_state_dict_roundtrip_is_isolated_and_exact(self):
-        with SharedMemoryTransport() as transport:
-            state = {"w": np.arange(12, dtype=np.float64).reshape(3, 4), "b": np.ones(3)}
-            out = transport.broadcast(0, state, [0, 1])
-            for copy in out.values():
-                for key in state:
-                    np.testing.assert_array_equal(copy[key], state[key])
-                    assert copy[key].dtype == state[key].dtype
-            out[0]["w"][0, 0] = 99.0  # receiver must not alias the sender
-            assert state["w"][0, 0] == 0.0
-
-    @pytest.mark.parametrize("algorithm", ["fedavg", "iiadmm"])
-    def test_run_bitwise_equals_serial_transport(self, algorithm):
-        def run(communicator):
-            cfg = _config(algorithm, "serial")
-            runner = build_federation(
-                cfg, _model_fn(), _datasets(4),
-                test_dataset=_datasets(1, n=20)[0], communicator=communicator,
-            )
-            history = runner.run()
-            return _history_key(history), runner.server.global_params.tobytes()
-
-        shm = SharedMemoryTransport()
-        try:
-            assert run(SerialCommunicator()) == run(shm)
-        finally:
-            shm.close()
-
-
 # ------------------------------------------------------------- pool pieces
 class TestPoolPlumbing:
     def test_contiguous_shards(self):
@@ -385,7 +353,7 @@ class TestFallbackStateSync:
                     self._template_gate(monkeypatch, rnd in fallback_rounds)
                 runner.run_round(rnd)
                 if backend == "process" and rnd in fallback_rounds:
-                    assert runner._pool is None, "fallback must retire the stale pool"
+                    assert runner.executor._pool is None, "fallback must retire the stale pool"
             self._template_gate(monkeypatch, False)
             runner.close()
             return (
@@ -409,7 +377,7 @@ class TestFallbackStateSync:
                     self._template_gate(monkeypatch, rnd in fallback_rounds)
                 runner.run_round(rnd)
                 if backend == "process" and rnd in fallback_rounds:
-                    assert all(e._pool is None for e in runner.edges)
+                    assert all(e.executor._pool is None for e in runner.edges)
             self._template_gate(monkeypatch, False)
             runner.close()
             duals = []
@@ -450,10 +418,11 @@ class TestWorkerPoolBugfixes:
         runner = build_federation(cfg, _model_fn(), _datasets(6))
         runner.communicator.install_faults(FaultPlan(seed=0, client_crashes={0: (1, 2)}))
         runner.run_round(0)  # run() would tear the executor down in close()
-        assert runner._executor is not None
+        threads = runner.executor._threads
+        assert threads.pool is not None
         participants = len(runner.history.rounds[0].participating_clients)
         assert participants == 4  # 6 clients minus the two crashed
-        assert runner._executor._max_workers == participants
+        assert threads.pool._max_workers == participants
         runner.close()
 
     def test_client_steps_count_survivors_only(self):

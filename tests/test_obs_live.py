@@ -573,6 +573,26 @@ class TestProfiler:
         folded = profiler.collapsed()
         assert all(stack.startswith("local_update") for stack in folded)
 
+    @pytest.mark.parametrize("population", ["eager", "store"])
+    def test_round_phases_are_profiled(self, population):
+        """The one synchronous round body brackets every phase with the
+        profiler's hooks, however the clients are held (the store-backed
+        round body used to have none)."""
+        if population == "eager":
+            runner = _build("sync", "fedavg")
+        else:
+            from repro.scale import build_virtual_federation
+
+            datasets, test = _make_data()
+            runner = build_virtual_federation(
+                _config("fedavg"), _model_fn(), datasets, live_cap=2, test_dataset=test
+            )
+        profiler = PhaseProfiler(phases=("local_update", "aggregate"))
+        with use_profiler(profiler):
+            runner.run(ROUNDS)
+        roots = {stack.split(";", 1)[0] for stack in profiler.collapsed()}
+        assert roots == {"local_update", "aggregate"}
+
 
 # ----------------------------------------------------------------- obsreport
 class TestObsreportLive:
