@@ -32,6 +32,9 @@ echo "== perf/: API surface + quick run (exact counts, digests) =="
 python3 -m pytest perf/tests/test_perf_api_surface.py -q
 python3 perf/run.py --quick --no-micro
 echo "src/ LOC: $(find src -name '*.py' | xargs wc -l | tail -1)"
+# ROADMAP "one round engine" bar: the five runner/edge files stay <= 2,437.
+echo "runner/edge LOC: $(wc -l src/repro/core/runner.py src/repro/hier/edge.py \
+  src/repro/hier/runner.py src/repro/asyncfl/runner.py src/repro/hier/async_runner.py | tail -1)"
 
 if [ "$run_slow" -eq 1 ]; then
   echo "== slow tier: heavyweight sweeps =="
@@ -42,6 +45,10 @@ echo "== obs quickstart: trace + metrics + run report =="
 python examples/obs_quickstart.py > /dev/null
 
 echo "== bench gates: BENCH_hotpath.json regression checks =="
+# One BLAS thread, as perf/run.py pins for its children: unpinned, the serial
+# baseline's large GEMMs spread over every core while the optimized arm's
+# client threads oversubscribe them, which skews the speedup ratios.
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 python -m pytest benchmarks/bench_hotpath.py -x -q
 
 echo "All checks passed."

@@ -11,15 +11,15 @@ reacts to upload *arrivals* through an :class:`repro.asyncfl.strategies.
 AsyncServer` (FedAsync mixing, FedBuff buffering, or sampled synchronous
 rounds).  The result is wall-clock-to-accuracy, not just rounds-to-accuracy.
 
-Model movement uses the same codec-aware :class:`~repro.core.exchange.
-PacketExchange` as the synchronous runner: dispatches and uploads are
-:class:`~repro.comm.codecs.UpdatePacket` objects, and both link latencies and
-``comm_bytes`` are charged from each packet's measured post-codec ``nbytes``
-— so a compressing ``FLConfig.codec`` directly shortens the simulated
-timeline.  Upload packets are encoded against the *dispatched* global
-snapshot (the delta-codec reference), which composes with the staleness
-bookkeeping: ``ingest`` decodes each arrival against the exact global that
-client trained on, under any buffering or overwrites.
+What happens to one client between dispatch and ingest is
+:class:`repro.asyncfl.flight.ClientFlights` (shared with the hierarchical
+actors); the runner keeps what is its own — which client fills a freed slot
+(the sampler), when a cohort restarts, and :meth:`AsyncRunner.quiesce`.
+Dispatches and uploads are :class:`~repro.comm.codecs.UpdatePacket` objects
+of the same codec-aware :class:`~repro.core.exchange.PacketExchange` as the
+synchronous runner, and both link latencies and ``comm_bytes`` are charged
+from each packet's measured post-codec ``nbytes`` — so a compressing
+``FLConfig.codec`` directly shortens the simulated timeline.
 
 Determinism and sync equivalence
 --------------------------------
@@ -37,7 +37,8 @@ synchronous :class:`FederatedRunner`'s.
 The runner mirrors ``FederatedRunner``'s API — ``history``,
 ``phase_seconds``, ``run()``, ``close()``, context management — so harnesses
 and benchmarks drive either interchangeably.  Each completed global update is
-recorded as one :class:`~repro.core.runner.RoundResult` whose
+closed by the shared :class:`~repro.core.phases.RoundLedger` as one
+:class:`~repro.core.runner.RoundResult` whose
 ``wall_clock_seconds`` is the virtual arrival time and whose
 ``participating_clients`` lists the aggregated cohort.
 
@@ -58,43 +59,31 @@ and resume it bit-identically.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from .. import nn
 from ..comm.latency import LinkModel
-from ..core.base import GLOBAL_KEY, BaseClient, BaseServer
+from ..core.base import BaseClient, BaseServer
 from ..core.config import FLConfig
 from ..core.exchange import PacketExchange
 from ..core.executor import GrowOnlyThreads, resolve_workers
 from ..core.metrics import Evaluator
-from ..core.runner import PHASES, RoundResult, TrainingHistory, build_endpoints
+from ..core.phases import PhaseClock, RoundLedger
+from ..core.runner import RoundResult, TrainingHistory, build_endpoints
 from ..data import Dataset
-from ..obs import current_monitor, current_tracer
+from ..faults.injector import FaultInjector
 from ..privacy import PrivacyAccountant
 from ..simulator.device import A100, DeviceSpec, LocalUpdateCostModel
 from .events import EventLoop
+from .flight import COMPUTE_DONE, ZERO_LINK, ClientFlights, per_client
 from .sampling import ClientSampler, FullParticipationSampler, UniformSampler
 from .strategies import AsyncServer, AsyncStrategy, FedBuffStrategy
 
 __all__ = ["ZERO_LINK", "AsyncRunner", "build_async_federation"]
 
-#: a free link: zero latency, infinite bandwidth — transfers take 0 simulated
-#: seconds, which is what the sync-equivalence guarantees assume.
-ZERO_LINK = LinkModel(latency=0.0, bandwidth=math.inf)
-
-_COMPUTE_DONE = "compute_done"
-_ARRIVAL = "arrival"
-
-
-def _per_client(value, num_clients: int, kind: str) -> List:
-    """Broadcast a scalar spec to one entry per client, or validate a sequence."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != num_clients:
-            raise ValueError(f"need one {kind} per client ({num_clients}), got {len(value)}")
-        return list(value)
-    return [value] * num_clients
+#: the single wire tier of a flat timeline (the metrics ``tier`` label)
+FLAT = "flat"
 
 
 class AsyncRunner:
@@ -115,22 +104,20 @@ class AsyncRunner:
         max_workers: Optional[int] = None,
         client_store=None,
     ):
-        if (clients is None or not list(clients)) and client_store is None:
-            raise ValueError("at least one client is required")
-        if clients and client_store is not None:
-            raise ValueError("pass either clients or client_store, not both")
+        # Every dispatch/upload flows through the same codec-aware exchange
+        # as the synchronous runner; link latency and comm_bytes are driven
+        # by the encoded packets' measured nbytes.
+        self.exchange = PacketExchange(server.config.codec)
+        self.clients = self.exchange.check_endpoints(clients, client_store, "the async runner")
         self._store = client_store
-        self.clients = list(clients) if clients else []
         num_clients = client_store.num_clients if client_store is not None else len(self.clients)
         if server.num_clients != num_clients:
             raise ValueError("server.num_clients must match the number of clients")
         self.num_clients = num_clients
         self.server = server
-        self._client_by_id = {c.client_id: c for c in self.clients}
-        if self.clients and len(self._client_by_id) != len(self.clients):
+        client_by_id = {c.client_id: c for c in self.clients}
+        if len(client_by_id) != len(self.clients):
             raise ValueError("client ids must be unique")
-        #: store-backed clients currently checked out (dispatch -> upload encode)
-        self._active: Dict[int, BaseClient] = {}
         config = server.config
         self.strategy = strategy if strategy is not None else FedBuffStrategy(num_clients)
         buffer_size = getattr(self.strategy, "buffer_size", None)
@@ -157,8 +144,8 @@ class AsyncRunner:
         self.cost_model = (
             cost_model if cost_model is not None else LocalUpdateCostModel(local_steps=config.local_steps)
         )
-        self.devices: List[DeviceSpec] = _per_client(devices if devices is not None else A100, num_clients, "device")
-        self.links: List[LinkModel] = _per_client(link if link is not None else ZERO_LINK, num_clients, "link")
+        self.devices: List[DeviceSpec] = per_client(devices if devices is not None else A100, num_clients, "device")
+        self.links: List[LinkModel] = per_client(link if link is not None else ZERO_LINK, num_clients, "link")
         if concurrency is None:
             # Store-backed populations default to the store's live-client cap:
             # every in-flight client is pinned, so more concurrency than cap
@@ -186,43 +173,42 @@ class AsyncRunner:
         self._threads = GrowOnlyThreads("asyncfl-client")
 
         self.async_server = AsyncServer(server, self.strategy)
-        # Every dispatch/upload flows through the same codec-aware exchange
-        # as the synchronous runner; link latency and comm_bytes below are
-        # driven by the encoded packets' measured nbytes.  Clients must share
-        # the stack: their lossy-wire bookkeeping (IIADMM's reconcile stash)
-        # is derived from their own config's codec.
-        self.exchange = PacketExchange(config.codec)
-        store_config = getattr(client_store, "config", None)
-        endpoint_codecs = [c.config.codec for c in self.clients]
-        if store_config is not None:
-            endpoint_codecs.append(store_config.codec)
-        for codec in endpoint_codecs:
-            if PacketExchange(codec).spec != self.exchange.spec:
-                raise ValueError(
-                    f"an endpoint was built with codec {codec!r} but the server "
-                    f"config uses {config.codec!r}; all endpoints must share "
-                    f"one codec stack"
-                )
         self._dispatch_cache: Optional[tuple] = None  # (model version, encoded packet)
         self.history = TrainingHistory()
         self._clock = EventLoop()
+        #: round accounting and close (phase seconds, wire bytes/seconds,
+        #: crashed clients) — shared with every other runner
+        self.ledger = RoundLedger(self, {FLAT: None})
+        #: cumulative real wall-clock seconds per phase (FederatedRunner API)
+        self.phase_seconds = self.ledger.phase_seconds
+        self._phases = PhaseClock(self.ledger, "async", loop=self._clock)
+        #: every client's dispatch → compute-done → arrival trip
+        self.flights = ClientFlights(
+            self._phases,
+            self.exchange,
+            FLAT,
+            self.accountant,
+            self.cost_model,
+            self.devices,
+            self.links,
+            sink=self.async_server.receive,
+            on_done=self._slot_freed,
+            trace_labels=lambda version: {"version": version},
+            clients=client_by_id,
+            store=client_store,
+            slowdown=self.sampler.compute_multiplier,
+            submit=self._submit,
+        )
         self._in_flight: set = set()
         self._pending_slots: List[int] = []
         self._need_cohort = False
         self._primed = False
+        self._callback: Optional[Callable[[RoundResult], None]] = None
         #: fault layer (client crashes on the virtual timeline); see
         #: :meth:`enable_faults`
         self.injector = None
-        self._failed_since_round: List[int] = []
         #: total events handled on the virtual timeline (the benchmark metric)
         self.events_processed = 0
-        #: cumulative real wall-clock seconds per phase (FederatedRunner API)
-        self.phase_seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
-        self._round_timings: Dict[str, float] = {k: 0.0 for k in self.phase_seconds}
-        self._comm_bytes = 0
-        self._comm_bytes_last = 0
-        self._sim_comm_seconds = 0.0
-        self._sim_comm_seconds_last = 0.0
 
     # ----------------------------------------------------------------- clock
     @property
@@ -244,55 +230,16 @@ class AsyncRunner:
         rejected: they wait for their full cohort, which a crashed client
         would stall forever.
         """
-        from ..faults.injector import FaultInjector
-        from ..faults.plan import FaultPlan
-
-        if isinstance(faults, FaultPlan):
-            faults = FaultInjector(faults)
+        faults = FaultInjector.coerce(faults)
         if self.strategy.round_based and faults.plan.any_client_crashes:
             raise ValueError(
                 "client-crash injection requires a non-round-based strategy: a "
                 "round-based cohort would wait forever for its crashed members"
             )
-        self.injector = faults
+        self.injector = self.flights.injector = faults
         return self
 
     # ------------------------------------------------------------- execution
-    def _charge(self, phase: str, tick: float, **labels) -> None:
-        """Close the phase interval opened at ``tick`` (a ``perf_counter``
-        reading): accumulate its wall-clock seconds and, with a tracer armed,
-        emit the same interval as a span stamped with the virtual clock."""
-        now = time.perf_counter()
-        seconds = now - tick
-        self.phase_seconds[phase] += seconds
-        self._round_timings[phase] += seconds
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.emit_span(phase, "phase", tick, now, lane="async", vt0=self._clock.now, **labels)
-        if phase == "local_update" and "client" in labels:
-            monitor = current_monitor()
-            if monitor is not None:
-                monitor.observe_local_update(seconds, client=labels["client"])
-
-    def _acquire(self, cid: int) -> BaseClient:
-        """The live client for ``cid`` — checked out (and pinned) from the
-        store in virtual mode, a plain lookup in eager mode.  In store mode a
-        client acquired at dispatch stays pinned until the upload is encoded
-        (:meth:`_handle_compute_done` releases it); resumed checkpoints may
-        re-acquire a client here whose dispatch happened before the save."""
-        if self._store is None:
-            return self._client_by_id[cid]
-        client = self._active.get(cid)
-        if client is None:
-            client = self._store.checkout(cid)
-            self._active[cid] = client
-        return client
-
-    def _release(self, cid: int) -> None:
-        if self._store is not None and cid in self._active:
-            del self._active[cid]
-            self._store.release(cid)
-
     def _submit(self, client: BaseClient, payload) -> Optional[Future]:
         """Start the client's local update eagerly when running parallel.
 
@@ -308,173 +255,29 @@ class AsyncRunner:
         return None
 
     def _dispatch(self, cid: int) -> None:
-        """Send the current global model to one client and schedule its compute."""
-        tick = time.perf_counter()
+        """Send the current global model to one client."""
+        self._phases.begin("broadcast")
         # Encode once per model version: the global model only changes when
         # the version bumps, so concurrent dispatches of the same version
         # reuse one packet (each client still decodes its own fresh payload).
-        if self._dispatch_cache is not None and self._dispatch_cache[0] == self.async_server.version:
-            version, packet = self.async_server.version, self._dispatch_cache[1]
-        else:
+        if self._dispatch_cache is None or self._dispatch_cache[0] != self.async_server.version:
             payload, version = self.async_server.dispatch()
-            packet = self.exchange.encode_dispatch(payload)
-            self._dispatch_cache = (version, packet)
-        nbytes = packet.nbytes
-        self._comm_bytes += nbytes
-        download = self.links[cid].transfer_time(nbytes)
-        self._sim_comm_seconds += download
-        payload = self.exchange.open_dispatch(packet)
-        client = self._acquire(cid)
-        compute = self.sampler.compute_multiplier(cid) * self.cost_model.local_update_time(
-            self.devices[cid], client.num_samples
-        )
-        if self.injector is not None and self.injector.client_crashed(cid, version):
-            # The client dies on-device mid-update: its in-memory progress is
-            # lost (update never ran, so its persistent state — and any
-            # server-side replica of it — stays consistent), and the failure
-            # surfaces when the upload would have been due.
-            self._clock.schedule_after(
-                download + compute, _COMPUTE_DONE, cid=cid, version=version, crashed=True
-            )
-            self._in_flight.add(cid)
-            self._charge("broadcast", tick, client=cid)
-            return
-        future = self._submit(client, payload)
-        self._clock.schedule_after(
-            download + compute,
-            _COMPUTE_DONE,
-            cid=cid,
-            payload=payload,
-            version=version,
-            future=future,
-        )
+            self._dispatch_cache = (version, self.exchange.encode_dispatch(payload))
+        version, packet = self._dispatch_cache
         self._in_flight.add(cid)
-        self._charge("broadcast", tick, client=cid)
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.event(
-                "dispatch", "async", lane="async", vt=self._clock.now,
-                client=cid, version=version, nbytes=nbytes,
-            )
+        self.flights.dispatch(cid, packet, version)
 
-    def _handle_compute_done(self, event) -> None:
-        cid = event.data["cid"]
-        if event.data.get("crashed"):
-            # The crash scheduled at dispatch time comes due: record the
-            # failure, unpin the client, and free the dispatch slot — the
-            # round (if any) completes with the surviving cohort.
-            self._release(cid)
-            self._in_flight.discard(cid)
-            self._failed_since_round.append(cid)
-            self.injector.count("crash")
-            if not self.strategy.round_based:
-                self._pending_slots.append(cid)
-            return
-        client = self._acquire(cid)
-        tick = time.perf_counter()
-        future = event.data.get("future")
-        if "upload" in event.data:
-            # Quiesced/checkpointed event: client.update already ran (eagerly
-            # or forced at save time) and its result travelled with the event.
-            upload = event.data["upload"]
-        elif future is not None:
-            upload = future.result()
-        else:
-            upload = client.update(event.data["payload"])
-        self._charge("local_update", tick, client=cid)
-        # Encode the upload against the *dispatched* global (delta reference;
-        # DP noise was already applied inside client.update), reconcile any
-        # lossy-codec client state with the decoded echo, and charge the
-        # uplink with the packet's true post-codec bytes.  Privacy is charged
-        # on *arrival* (the accepted ingest), keyed so replays never
-        # double-spend — the epsilon travels with the event since the client
-        # may be spilled by then.
-        tick = time.perf_counter()
-        dispatched_global = event.data["payload"][GLOBAL_KEY]
-        packet = self.exchange.encode_upload(upload, dispatched_global)
-        self.exchange.reconcile(client, upload, packet, dispatched_global)
-        privacy_eps = client.config.privacy.epsilon if client.config.privacy.enabled else None
-        self._release(cid)  # store mode: pinned since dispatch, now spillable
-        self._charge("gather", tick, client=cid)
-        nbytes = packet.nbytes
-        self._comm_bytes += nbytes
-        uplink = self.links[cid].transfer_time(nbytes)
-        self._sim_comm_seconds += uplink
-        self._clock.schedule_after(
-            uplink,
-            _ARRIVAL,
-            cid=cid,
-            upload=packet,
-            version=event.data["version"],
-            dispatched_global=dispatched_global,
-            privacy_eps=privacy_eps,
-        )
-
-    def _handle_arrival(self, event, callback) -> None:
-        cid = event.data["cid"]
+    def _slot_freed(self, cid: int, participants) -> None:
+        """A flight ended — crashed (``participants`` is ``None``; a round,
+        if any, completes with the surviving cohort) or ingested, which may
+        have completed a global update."""
         self._in_flight.discard(cid)
-        # Charge privacy at the accepted ingest.  Keyless on purpose: on this
-        # timeline every arrival is a distinct release (a client re-dispatched
-        # the same model version trains — and noises — again), and crashed
-        # dispatches never reach here, so there is nothing to dedupe.
-        eps = event.data.get("privacy_eps")
-        if eps is not None:
-            self.accountant.record(cid, eps)
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.event(
-                "arrival", "async", lane="async", vt=self._clock.now,
-                client=cid, version=event.data["version"], nbytes=event.data["upload"].nbytes,
-            )
-        tick = time.perf_counter()
-        participants = self.async_server.receive(
-            cid, event.data["upload"], event.data["version"], event.data["dispatched_global"]
-        )
-        self._charge("aggregate", tick, client=cid)
         if participants is not None:
-            self._record_round(participants, callback)
+            self.ledger.close_timeline_round(self._phases, participants, self.injector, self._callback)
             if self.strategy.round_based:
                 self._need_cohort = True
         if not self.strategy.round_based:
             self._pending_slots.append(cid)
-
-    def _record_round(self, participants, callback) -> None:
-        accuracy = loss = None
-        tick = time.perf_counter()
-        if self.evaluator is not None:
-            self.server.sync_model()
-            accuracy, loss = self.evaluator(self.server.model)
-        self._charge("evaluate", tick)
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.event(
-                "round_complete", "async", lane="async", vt=self._clock.now,
-                round=len(self.history), participants=len(participants),
-            )
-        result = RoundResult(
-            round=len(self.history),
-            test_accuracy=accuracy,
-            test_loss=loss,
-            comm_bytes=self._comm_bytes - self._comm_bytes_last,
-            comm_seconds=self._sim_comm_seconds - self._sim_comm_seconds_last,
-            phase_seconds=dict(self._round_timings),
-            wall_clock_seconds=self.now,
-            participating_clients=tuple(participants),
-            failed_clients=(
-                tuple(sorted(set(self._failed_since_round))) if self.injector is not None else None
-            ),
-            retries=self.injector.stats.retries if self.injector is not None else None,
-        )
-        self._failed_since_round = []
-        self._comm_bytes_last = self._comm_bytes
-        self._sim_comm_seconds_last = self._sim_comm_seconds
-        self._round_timings = {k: 0.0 for k in self.phase_seconds}
-        self.history.add(result)
-        monitor = current_monitor()
-        if monitor is not None:
-            monitor.on_round(self, result)
-        if callback is not None:
-            callback(result)
 
     # ------------------------------------------------------------ dispatching
     def _dispatch_cohort(self) -> None:
@@ -522,6 +325,7 @@ class AsyncRunner:
         total = num_rounds if num_rounds is not None else self.server.config.num_rounds
         target = len(self.history) + total
         event_budget = math.inf if max_events is None else int(max_events)
+        self._callback = callback
         try:
             if not self._primed:
                 self._prime()
@@ -539,10 +343,7 @@ class AsyncRunner:
                     event = self._clock.pop()
                     self.events_processed += 1
                     event_budget -= 1
-                    if event.kind == _COMPUTE_DONE:
-                        self._handle_compute_done(event)
-                    else:
-                        self._handle_arrival(event, callback)
+                    self.flights.handle(event)
                     if len(self.history) >= target or event_budget <= 0:
                         break
                 if len(self.history) >= target or event_budget <= 0:
@@ -575,7 +376,7 @@ class AsyncRunner:
         the forced results are attached to the events it will later pop.
         """
         for event in self._clock.snapshot_events():
-            if event.kind != _COMPUTE_DONE or "upload" in event.data:
+            if event.kind != COMPUTE_DONE or "upload" in event.data:
                 continue
             if event.data.get("crashed"):
                 # Crashed dispatches carry no payload and never ran — nothing
@@ -585,9 +386,57 @@ class AsyncRunner:
             if future is not None:
                 event.data["upload"] = future.result()
             else:
-                client = self._acquire(event.data["cid"])
+                client = self.flights.acquire(event.data["cid"])
                 event.data["upload"] = client.update(event.data["payload"])
             event.data["future"] = None
+
+    # ------------------------------------------------------------ persistence
+    def timeline_state(self) -> Dict[str, Any]:
+        """Everything the timeline's future depends on beyond the server,
+        strategy, sampler and clients — the ``"async"`` section of a
+        :class:`repro.scale.RunCheckpoint`.  Call after :meth:`quiesce`:
+        live futures are not part of the state."""
+        ledger = self.ledger
+        return {
+            "loop": {
+                "now": self._clock.now,
+                "seq": self._clock.sequence,
+                "events": [
+                    (ev.time, ev.seq, ev.kind, {k: v for k, v in ev.data.items() if k != "future"})
+                    for ev in self._clock.snapshot_events()
+                ],
+            },
+            "in_flight": sorted(self._in_flight),
+            "pending_slots": list(self._pending_slots),
+            "need_cohort": self._need_cohort,
+            "primed": self._primed,
+            "events_processed": self.events_processed,
+            "comm_bytes": ledger.wire_bytes[FLAT],
+            "comm_bytes_last": ledger.bytes_mark[FLAT],
+            "sim_comm_seconds": ledger.wire_seconds[FLAT],
+            "sim_comm_seconds_last": ledger.seconds_mark[FLAT],
+            "round_timings": dict(ledger.timings),
+        }
+
+    def load_timeline_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`timeline_state`, into a freshly built runner.
+        Store pins did not survive the save: a popped ``compute_done``
+        re-takes its client's."""
+        loop = state["loop"]
+        self._clock.load(loop["now"], loop["seq"], loop["events"])
+        self._in_flight = set(int(c) for c in state["in_flight"])
+        self._pending_slots = [int(c) for c in state["pending_slots"]]
+        self._need_cohort = bool(state["need_cohort"])
+        self._primed = bool(state["primed"])
+        self.events_processed = int(state["events_processed"])
+        ledger = self.ledger
+        ledger.wire_bytes[FLAT] = int(state["comm_bytes"])
+        ledger.bytes_mark[FLAT] = int(state["comm_bytes_last"])
+        ledger.wire_seconds[FLAT] = float(state["sim_comm_seconds"])
+        ledger.seconds_mark[FLAT] = float(state["sim_comm_seconds_last"])
+        ledger.timings = {k: float(v) for k, v in state["round_timings"].items()}
+        self._dispatch_cache = None
+        self.flights.pinned.clear()
 
     def close(self) -> None:
         """Release the client worker pool (recreated lazily if needed again)."""

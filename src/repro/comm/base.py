@@ -80,11 +80,8 @@ class Communicator(ABC):
         :class:`~repro.faults.RetryPolicy`.  Returns ``self`` for chaining.
         """
         from ..faults.injector import FaultInjector  # local: avoid import cycle
-        from ..faults.plan import FaultPlan
 
-        if isinstance(faults, FaultPlan):
-            faults = FaultInjector(faults)
-        self.injector = faults
+        self.injector = faults = FaultInjector.coerce(faults)
         self.retry = retry if retry is not None else faults.retry
         return self
 

@@ -29,7 +29,7 @@ measured post-codec size.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +56,34 @@ class PacketExchange:
     def lossy(self) -> bool:
         """True when decoded payloads may differ from the encoded originals."""
         return self.pipeline.lossy
+
+    def check_endpoints(
+        self, clients: Optional[Sequence[BaseClient]], client_store, owner: str
+    ) -> List[BaseClient]:
+        """Validate one hop's client population and return the eager list.
+
+        Exactly one of ``clients`` / ``client_store`` attaches a population.
+        Every endpoint must have been built with this hop's codec stack:
+        clients derive their lossy-wire bookkeeping (IIADMM's reconcile
+        stash) from their own config's codec, so a mismatch would silently
+        desynchronise the dual replicas — fail fast instead.
+        """
+        clients = list(clients) if clients else []
+        if not clients and client_store is None:
+            raise ValueError(f"{owner} needs at least one client (clients or a client_store)")
+        if clients and client_store is not None:
+            raise ValueError("pass either clients or client_store, not both")
+        codecs = {c.config.codec for c in clients}
+        store_config = getattr(client_store, "config", None)
+        if store_config is not None:
+            codecs.add(store_config.codec)
+        for codec in codecs:
+            if PacketExchange(codec).spec != self.spec:
+                raise ValueError(
+                    f"an endpoint was built with codec {codec!r} but {owner}'s exchange "
+                    f"uses {self.spec!r}; all endpoints of one hop must share one codec stack"
+                )
+        return clients
 
     # -------------------------------------------------------------- dispatch
     def encode_dispatch(self, payload: Payload) -> UpdatePacket:

@@ -16,8 +16,10 @@ Architecture & performance
 :meth:`FederatedRunner.run_round` is the one synchronous round body: it hands
 the client side of the round — dispatch, local updates, gather, ingest — to
 :func:`repro.core.phases.run_client_phases` (the loop shared with
-:class:`~repro.hier.edge.EdgeAggregator`) and keeps what is the server's:
-finalize, evaluate, and the :class:`RoundResult`.  *How* the local updates
+:class:`~repro.hier.edge.EdgeAggregator`), keeps what is the server's — the
+finalize — and closes the round (evaluate, :class:`RoundResult`, history,
+monitor) in the :class:`repro.core.phases.RoundLedger` every runner shares.
+*How* the local updates
 run (serial, thread pool, process pool, stacked cohorts — all bitwise
 identical, uploads always collected in client order) is
 :class:`repro.core.executor.LocalExecutor`'s decision alone.
@@ -45,7 +47,6 @@ the pre-codec behaviour, including the reported communication volume.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,14 +55,14 @@ import numpy as np
 from .. import nn
 from ..comm import Communicator, SerialCommunicator
 from ..data import Dataset
-from ..obs import current_monitor, current_tracer
+from ..obs import current_tracer
 from ..privacy import PrivacyAccountant
 from .base import BaseClient, BaseServer
 from .config import FLConfig
 from .exchange import PacketExchange
 from .executor import LocalExecutor
 from .metrics import Evaluator
-from .phases import PHASES, PhaseClock, run_client_phases
+from .phases import PHASES, PhaseClock, RoundLedger, RoundResult, TrainingHistory, run_client_phases
 from .registry import get_algorithm
 
 __all__ = [
@@ -72,76 +73,6 @@ __all__ = [
     "build_endpoints",
     "build_federation",
 ]
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Metrics recorded after one communication round."""
-
-    round: int
-    test_accuracy: Optional[float]
-    test_loss: Optional[float]
-    comm_bytes: int
-    comm_seconds: float
-    #: wall-clock seconds per phase of this round (broadcast, local_update,
-    #: gather, aggregate, evaluate); ``None`` for externally built results.
-    phase_seconds: Optional[Dict[str, float]] = None
-    #: *simulated* wall-clock seconds at which this round completed on the
-    #: asyncfl virtual clock; ``None`` for the real-time synchronous runner.
-    wall_clock_seconds: Optional[float] = None
-    #: ids of the clients whose updates were aggregated this round; ``None``
-    #: for externally built results.
-    participating_clients: Optional[Tuple[int, ...]] = None
-    #: per-tier on-wire bytes of a hierarchical round (keys "client_edge" and
-    #: "edge_root", summing to ``comm_bytes``); ``None`` for flat runs.
-    comm_bytes_by_tier: Optional[Dict[str, int]] = None
-    #: ids of clients that failed this round (crashed, or unreachable after
-    #: the retry budget); ``None`` when fault injection is not active.
-    failed_clients: Optional[Tuple[int, ...]] = None
-    #: number of faulted transfer attempts this round (each implies a retry
-    #: or a dead letter); ``None`` when fault injection is not active.
-    retries: Optional[int] = None
-    #: ids of edges killed and recovered during this round (hier runs);
-    #: ``None`` when fault injection is not active.
-    recovered_edges: Optional[Tuple[int, ...]] = None
-    #: client optimizer steps executed this round (the unit of the
-    #: ``client_steps_per_sec`` throughput metric; see
-    #: :func:`repro.core.batched.count_client_steps`); ``None`` for
-    #: externally built results and pre-existing checkpoints.
-    client_steps: Optional[int] = None
-
-
-@dataclass
-class TrainingHistory:
-    """Per-round metrics of one federated run."""
-
-    rounds: List[RoundResult] = field(default_factory=list)
-
-    def add(self, result: RoundResult) -> None:
-        self.rounds.append(result)
-
-    def __len__(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def accuracies(self) -> np.ndarray:
-        return np.array([r.test_accuracy for r in self.rounds if r.test_accuracy is not None])
-
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([r.test_loss for r in self.rounds if r.test_loss is not None])
-
-    @property
-    def final_accuracy(self) -> Optional[float]:
-        acc = self.accuracies
-        return float(acc[-1]) if len(acc) else None
-
-    @property
-    def best_accuracy(self) -> Optional[float]:
-        acc = self.accuracies
-        return float(acc.max()) if len(acc) else None
-
-    def total_comm_bytes(self) -> int:
-        return int(sum(r.comm_bytes for r in self.rounds))
 
 
 class FederatedRunner:
@@ -173,12 +104,11 @@ class FederatedRunner:
         max_workers: Optional[int] = None,
         client_store=None,
     ):
-        if (clients is None or not list(clients)) and client_store is None:
-            raise ValueError("at least one client is required")
-        if clients and client_store is not None:
-            raise ValueError("pass either clients or client_store, not both")
+        # One codec pipeline for every exchange: FLConfig.codec is the single
+        # source of truth, for the endpoints too (check_endpoints).
+        self.exchange = PacketExchange(server.config.codec)
+        self.clients = self.exchange.check_endpoints(clients, client_store, "the runner")
         self._store = client_store
-        self.clients = list(clients) if clients else []
         self._client_by_id = {c.client_id: c for c in self.clients}
         self._client_ids = (
             list(range(client_store.num_clients)) if client_store is not None else list(self._client_by_id)
@@ -188,22 +118,6 @@ class FederatedRunner:
             raise ValueError("server.num_clients must match the number of clients")
         self.server = server
         self.communicator = communicator if communicator is not None else SerialCommunicator()
-        # One codec pipeline for every exchange.  FLConfig.codec is the single
-        # source of truth: clients derive their lossy-wire bookkeeping (e.g.
-        # IIADMM's reconcile stash) from the same config, so a mismatched
-        # client codec would silently break those invariants — fail fast.
-        self.exchange = PacketExchange(server.config.codec)
-        store_config = getattr(client_store, "config", None)
-        endpoint_codecs = [c.config.codec for c in self.clients]
-        if store_config is not None:
-            endpoint_codecs.append(store_config.codec)
-        for codec in endpoint_codecs:
-            if PacketExchange(codec).spec != self.exchange.spec:
-                raise ValueError(
-                    f"an endpoint was built with codec {codec!r} but the server "
-                    f"config uses {server.config.codec!r}; all endpoints must "
-                    f"share one codec stack"
-                )
         self.evaluator = evaluator
         self.accountant = accountant if accountant is not None else PrivacyAccountant()
         self.history = TrainingHistory()
@@ -214,8 +128,10 @@ class FederatedRunner:
             max_workers=max_workers,
         )
         self.max_workers = self.executor.max_workers
+        #: round accounting and close, shared with every other runner
+        self.ledger = RoundLedger(self, {"flat": self.communicator})
         #: cumulative wall-clock seconds spent in each phase across all rounds
-        self.phase_seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
+        self.phase_seconds = self.ledger.phase_seconds
 
     @property
     def client_steps(self) -> int:
@@ -228,13 +144,10 @@ class FederatedRunner:
         """Execute one communication round and return its metrics."""
         store = self._store
         injector = self.communicator.injector
-        log = self.communicator.log
-        bytes_before = self.communicator.total_bytes()
-        seconds_before = log.total_seconds()
-        faulted_before = log.failed_attempts() if injector is not None else 0
+        ledger = self.ledger
+        ledger.open_round(faulty=injector is not None)
         steps_before = self.client_steps
-        timings: Dict[str, float] = {phase: 0.0 for phase in PHASES}
-        clock = PhaseClock(timings, round_idx, "runner")
+        clock = PhaseClock(ledger, "runner", round_idx)
         round_start = time.perf_counter()
 
         # The sink decodes each surviving upload exactly once (ingest).  A
@@ -278,42 +191,21 @@ class FederatedRunner:
             finish(collected)
         clock.end("aggregate")
 
-        accuracy = loss = None
-        clock.begin("evaluate")
-        if self.evaluator is not None:
-            server.sync_model()
-            accuracy, loss = self.evaluator(server.model)
-        clock.end("evaluate")
-
-        for phase, seconds in timings.items():
-            self.phase_seconds[phase] += seconds
+        scores = ledger.evaluate(clock)
         tracer = current_tracer()
         if tracer is not None:
             tracer.emit_span(
                 "round", "round", round_start, time.perf_counter(),
                 lane="runner", round=round_idx, participants=len(participants),
             )
-
-        faulty = injector is not None
-        result = RoundResult(
-            round=round_idx,
-            test_accuracy=accuracy,
-            test_loss=loss,
-            comm_bytes=self.communicator.total_bytes() - bytes_before,
-            comm_seconds=log.total_seconds() - seconds_before,
-            phase_seconds=timings,
-            participating_clients=tuple(sorted(participants)),
-            failed_clients=(
-                tuple(sorted(set(self._client_ids) - set(participants))) if faulty else None
-            ),
-            retries=(log.failed_attempts() - faulted_before) if faulty else None,
+        return ledger.close_round(
+            scores,
+            sorted(participants),
+            injector,
+            round_idx=round_idx,
+            population=self._client_ids,
             client_steps=self.client_steps - steps_before,
         )
-        self.history.add(result)
-        monitor = current_monitor()
-        if monitor is not None:
-            monitor.on_round(self, result)
-        return result
 
     def close(self) -> None:
         """Release the worker pools (recreated lazily if needed again); see

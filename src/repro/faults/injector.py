@@ -57,6 +57,12 @@ class FaultInjector:
         self.stats = FaultStats()
         self._kills_fired: set = set()
 
+    @classmethod
+    def coerce(cls, faults) -> "FaultInjector":
+        """``faults`` itself when it is an injector, a fresh one over it when
+        it is a :class:`FaultPlan` (what every ``enable_faults`` accepts)."""
+        return cls(faults) if isinstance(faults, FaultPlan) else faults
+
     # ----------------------------------------------------------- wire faults
     def transfer_fault(self, round_idx: int, endpoint: str, op: str, attempt: int) -> Optional[str]:
         """Fault verdict for one transfer attempt at the communicator seam.

@@ -3,12 +3,14 @@
 :class:`HierAsyncRunner` is the asynchronous counterpart of
 :class:`~repro.hier.runner.HierRunner`.  Every edge is an *actor* with its
 own :class:`~repro.asyncfl.events.EventLoop`: it dispatches the latest
-global model it holds to a sampled cohort of its shard, pays per-client
-download/compute/upload times (device cost model + the topology's
-client↔edge :class:`~repro.comm.latency.LinkModel`), ingests arrivals into
-its shard server (the same single-decode/dual-replay/reconcile path as
-everywhere else), and when its cohort completes it folds the window into one
-exact shard summary and sends it up the edge↔root link.  The root reacts to
+global model it holds to a sampled cohort of its shard — each client's
+download/compute/upload trip and its ingest into the shard server is the same
+:class:`~repro.asyncfl.flight.ClientFlights` lifecycle the flat
+``AsyncRunner`` drives (device cost model + the topology's client↔edge
+:class:`~repro.comm.latency.LinkModel`) — and when its cohort completes it
+folds the window into one exact shard summary and sends it up the edge↔root
+link.  The actor keeps what is its own: cohort sampling, the backpressure
+FIFO, the flush, kill/recover, and adopting root broadcasts.  The root reacts to
 *summary arrivals* through a :class:`RootStrategy`:
 
 * :class:`RootFedBuff` — combine once ``buffer_size`` distinct edges have
@@ -47,27 +49,27 @@ import numpy as np
 
 from .. import nn
 from ..asyncfl.events import EventLoop, next_event_loop
+from ..asyncfl.flight import ZERO_LINK, ClientFlights, per_client
+from ..asyncfl.strategies import STALENESS_KINDS, staleness_weight
 from ..comm.latency import LinkModel
+from ..comm.serialization import decode_state_blob, encode_state_blob
 from ..core.base import GLOBAL_KEY, BaseServer
 from ..core.config import FLConfig
 from ..core.exchange import PacketExchange
 from ..core.metrics import Evaluator
-from ..core.partial import unpack_partial
-from ..core.runner import PHASES, RoundResult, TrainingHistory
+from ..core.partial import ExactPartial, unpack_partial
+from ..core.phases import PhaseClock, RoundLedger, RoundResult, TrainingHistory
 from ..data import Dataset
-from ..obs import current_monitor, current_tracer
+from ..faults.injector import FaultInjector
+from ..obs import current_tracer
 from ..privacy import PrivacyAccountant
 from ..simulator.device import A100, DeviceSpec, LocalUpdateCostModel
 from .edge import EdgeAggregator
-from .runner import CLIENT_EDGE, EDGE_ROOT, _check_hier_server, _hop_codecs
-from .topology import Topology, build_topology, majority_labels, parse_topology
+from .runner import CLIENT_EDGE, EDGE_ROOT, _check_hier_server, _hop_codecs, build_hier_endpoints
+from .topology import Topology
 
 __all__ = ["RootStrategy", "RootFedBuff", "RootFedAsync", "HierAsyncRunner", "build_hier_async_federation"]
 
-FREE_LINK = LinkModel(latency=0.0, bandwidth=math.inf)
-
-_COMPUTE_DONE = "compute_done"
-_ARRIVAL = "arrival"
 _SUMMARY = "summary"
 _GLOBAL = "global"
 
@@ -119,8 +121,6 @@ class RootFedAsync(RootStrategy):
     """
 
     def __init__(self, alpha: float = 0.6, staleness: str = "polynomial", a: float = 0.5, b: float = 4.0):
-        from ..asyncfl.strategies import STALENESS_KINDS
-
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if staleness not in STALENESS_KINDS:
@@ -131,8 +131,6 @@ class RootFedAsync(RootStrategy):
         self.b = float(b)
 
     def on_summary(self, runner, edge_id, partial, participants, staleness):
-        from ..asyncfl.strategies import staleness_weight
-
         server = runner.server
         if hasattr(server, "duals"):
             raise ValueError(
@@ -141,16 +139,12 @@ class RootFedAsync(RootStrategy):
             )
         if not participants:
             return None
-        import math as _math
-
-        from ..core.partial import ExactPartial
-
         acc = ExactPartial(server.vectorizer.dim, server.vectorizer.dtype)
         acc.merge(partial)
         weights = getattr(server, "_agg_weights", None)
         if weights is None:
             weights = server.client_weights()
-        weight_sum = _math.fsum(float(weights[c]) for c in sorted(participants))
+        weight_sum = math.fsum(float(weights[c]) for c in sorted(participants))
         candidate = acc.round() / weight_sum
         mix = self.alpha * staleness_weight(staleness, self.staleness, a=self.a, b=self.b)
         server.global_params = (1.0 - mix) * server.global_params + mix * candidate
@@ -183,8 +177,24 @@ class _EdgeActor:
         self.runner = runner
         self.edge = edge
         self.loop = EventLoop()
-        self.devices = {cid: dev for cid, dev in zip(edge.shard, devices)}
-        self.client_link = client_link
+        self.clock = PhaseClock(runner.ledger, f"edge:{edge.edge_id}", loop=self.loop)
+        edge_labels = {"edge": edge.edge_id}
+        #: every shard client's dispatch → compute-done → arrival trip (in-line
+        #: updates: no thread submitter)
+        self.flights = ClientFlights(
+            self.clock,
+            edge.exchange,
+            CLIENT_EDGE,
+            runner.accountant,
+            runner.cost_model,
+            dict(zip(edge.shard, devices)),
+            dict.fromkeys(edge.shard, client_link),
+            sink=lambda cid, packet, version, dispatched: edge.ingest_upload(cid, packet, dispatched),
+            on_done=self._complete_one,
+            trace_labels=lambda version: edge_labels,
+            clients=edge._client_by_id,
+            store=edge._store,
+        )
         self.root_link = root_link
         self.fraction = float(fraction)
         self.round_based = bool(round_based)
@@ -214,38 +224,14 @@ class _EdgeActor:
         picked = self.rng.choice(len(shard), size=k, replace=False)
         return [shard[i] for i in sorted(picked)]
 
-    def _dispatch_one(self, cid: int, packet) -> None:
-        """Put one client's download+compute on the timeline (pins it in
-        store mode).  A planned crash for this dispatch schedules a dead
-        ``compute_done`` instead: the update never runs, so the client's
-        persistent state — and the edge's server-side replica — stay exactly
-        where they were."""
-        runner = self.runner
-        tick = time.perf_counter()
-        nbytes = packet.nbytes
-        runner._client_bytes += nbytes
-        download = self.client_link.transfer_time(nbytes)
-        payload = self.edge.exchange.open_dispatch(packet)
-        client = self.edge._acquire(cid)
-        compute = runner.cost_model.local_update_time(self.devices[cid], client.num_samples)
-        injector = runner.injector
-        lane = f"edge:{self.edge.edge_id}"
-        if injector is not None and injector.client_crashed(cid, self._dispatched_version):
-            self.loop.schedule_after(download + compute, _COMPUTE_DONE, cid=cid, crashed=True)
-            runner._charge("broadcast", tick, lane=lane, vt=self.loop.now, client=cid)
-            return
-        self.loop.schedule_after(download + compute, _COMPUTE_DONE, cid=cid, payload=payload)
-        runner._charge("broadcast", tick, lane=lane, vt=self.loop.now, client=cid)
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.event(
-                "dispatch", "async", lane=lane, vt=self.loop.now,
-                edge=self.edge.edge_id, client=cid, nbytes=nbytes,
-            )
+    def _dispatch_one(self, cid: int) -> None:
+        """Put one cohort member on the timeline (pins it in store mode)."""
+        self.clock.begin("broadcast")
+        self.flights.dispatch(cid, self._cohort_packet, self._dispatched_version)
 
     def start_cohort(self) -> None:
         """Dispatch the edge's current global to a fresh cohort."""
-        tick = time.perf_counter()
+        self.clock.begin("broadcast")
         if self._pending_global is not None:
             payload, version = self._pending_global
             self._pending_global = None
@@ -253,106 +239,39 @@ class _EdgeActor:
             self._dispatched_version = version
         self._waiting_for_global = False
         cohort = self.sample_cohort()
-        packet = self.edge.exchange.encode_dispatch({GLOBAL_KEY: self.edge.current_global.copy()})
-        self.runner._charge(
-            "broadcast", tick, lane=f"edge:{self.edge.edge_id}", vt=self.loop.now
+        self._cohort_packet = self.edge.exchange.encode_dispatch(
+            {GLOBAL_KEY: self.edge.current_global.copy()}
         )
+        self.clock.end("broadcast")
         limit = len(cohort) if self.max_in_flight is None else self.max_in_flight
-        self._cohort_packet = packet
         self._queue = list(cohort[limit:])
         for cid in cohort[:limit]:
-            self._dispatch_one(cid, packet)
+            self._dispatch_one(cid)
         self._outstanding += len(cohort)
 
     # -------------------------------------------------------------- handlers
     def handle(self, event) -> None:
-        if event.kind == _COMPUTE_DONE:
-            self._handle_compute_done(event)
-        elif event.kind == _ARRIVAL:
-            self._handle_arrival(event)
-        elif event.kind == _GLOBAL:
+        if event.kind == _GLOBAL:
             self._handle_global(event)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown edge event kind {event.kind!r}")
+        else:
+            self.flights.handle(event)
 
-    def _handle_compute_done(self, event) -> None:
-        cid = event.data["cid"]
-        if event.data.get("crashed"):
-            # The dispatch-time crash comes due: unpin, tally, free the slot.
-            # The cohort window completes over the survivors.
-            self.edge._release(cid)
-            self.runner.injector.count("crash")
-            self.runner._failed_since_round.append(cid)
-            self._complete_one()
-            return
-        client = self.edge._acquire(cid)
-        payload = event.data["payload"]
-        lane = f"edge:{self.edge.edge_id}"
-        tick = time.perf_counter()
-        upload = client.update(payload)
-        self.runner._charge("local_update", tick, lane=lane, vt=self.loop.now, client=cid)
-        dispatched_global = payload[GLOBAL_KEY]
-        tick = time.perf_counter()
-        packet = self.edge.exchange.encode_upload(upload, dispatched_global)
-        self.edge.exchange.reconcile(client, upload, packet, dispatched_global)
-        self.runner._charge("gather", tick, lane=lane, vt=self.loop.now, client=cid)
-        # Privacy is charged when the upload is *ingested* (see
-        # _handle_arrival) — the epsilon rides the event since the client may
-        # be spilled by then.
-        privacy_eps = client.config.privacy.epsilon if client.config.privacy.enabled else None
-        # Store mode holds two pins — the dispatch-time checkout (kept while
-        # in flight) and this handler's re-acquire; both end here, making the
-        # client spillable the moment its upload is on the wire.
-        self.edge._release(cid)
-        self.edge._release(cid)
-        self.runner._client_bytes += packet.nbytes
-        uplink = self.client_link.transfer_time(packet.nbytes)
-        self.loop.schedule_after(
-            uplink,
-            _ARRIVAL,
-            cid=cid,
-            upload=packet,
-            dispatched_global=dispatched_global,
-            privacy_eps=privacy_eps,
-        )
-
-    def _handle_arrival(self, event) -> None:
-        eps = event.data.get("privacy_eps")
-        if eps is not None:
-            self.runner.accountant.record(event.data["cid"], eps)
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.event(
-                "arrival", "async", lane=f"edge:{self.edge.edge_id}", vt=self.loop.now,
-                edge=self.edge.edge_id, client=event.data["cid"],
-                nbytes=event.data["upload"].nbytes,
-            )
-        tick = time.perf_counter()
-        self.edge.ingest_upload(event.data["cid"], event.data["upload"], event.data["dispatched_global"])
-        self.runner._charge(
-            "aggregate", tick, lane=f"edge:{self.edge.edge_id}", vt=self.loop.now,
-            client=event.data["cid"],
-        )
-        self._complete_one()
-
-    def _complete_one(self) -> None:
-        """One cohort member accounted for (arrived or crashed): hand its
-        slot to the backpressure queue, flush when the window completes."""
+    def _complete_one(self, cid: int, _outcome) -> None:
+        """One cohort member accounted for (arrived or crashed — the window
+        completes over the survivors): hand its slot to the backpressure
+        queue, flush when the window completes."""
         self._outstanding -= 1
         if self._queue:
-            self._dispatch_one(self._queue.pop(0), self._cohort_packet)
+            self._dispatch_one(self._queue.pop(0))
         if self._outstanding == 0:
             self._flush()
 
     def _flush(self) -> None:
-        tick = time.perf_counter()
+        self.clock.begin("aggregate")
         summary, participants = self.edge.summarize()
         packet = self.runner.exchange.pipeline.encode_state(summary)
-        self.runner._charge(
-            "aggregate", tick, lane=f"edge:{self.edge.edge_id}", vt=self.loop.now
-        )
-        self.runner._root_bytes += packet.nbytes
-        uplink = self.root_link.transfer_time(packet.nbytes)
+        self.clock.end("aggregate")
+        uplink = self.runner.ledger.charge_wire(EDGE_ROOT, self.root_link, packet.nbytes)
         self.runner.root_loop.schedule(
             self.loop.now + uplink,
             _SUMMARY,
@@ -388,7 +307,6 @@ class _EdgeActor:
         :func:`repro.scale.edge_slice_state` tree) plus the actor's cohort
         RNG and the root version its dispatches carry.  Only meaningful at a
         quiescent point (no in-flight cohort)."""
-        from ..comm.serialization import encode_state_blob
         from ..scale.checkpoint import edge_slice_state
 
         return encode_state_blob(
@@ -405,14 +323,8 @@ class _EdgeActor:
         rolled back), queued work is dropped, and only root broadcasts still
         in transit — which live on the wire, not in the edge's memory — keep
         their place on the clock."""
-        kept = []
-        for ev in self.loop.snapshot_events():
-            if ev.kind == _COMPUTE_DONE:
-                # One pin per in-flight dispatch (crashed ones included:
-                # their release in _handle_compute_done never ran).
-                self.edge._release(ev.data["cid"])
-            elif ev.kind == _GLOBAL:
-                kept.append((ev.time, ev.seq, ev.kind, ev.data))
+        self.flights.abort()
+        kept = [ev for ev in self.loop.snapshot_events() if ev.kind == _GLOBAL]
         self.loop.load(self.loop.now, self.loop.sequence, kept)
         self._outstanding = 0
         self._queue = []
@@ -425,7 +337,6 @@ class _EdgeActor:
         dispatched version roll back to the captured quiescent point, then a
         fresh cohort starts (or the edge waits for the next broadcast, in
         round-based mode with nothing pending)."""
-        from ..comm.serialization import decode_state_blob
         from ..scale.checkpoint import restore_edge_slice
 
         state = decode_state_blob(blob)
@@ -484,19 +395,20 @@ class HierAsyncRunner:
         )
         _, root_spec = _hop_codecs(config)
         self.exchange = PacketExchange(root_spec)
+        self.root_loop = EventLoop()
+        #: round accounting and close (phase seconds, per-tier wire
+        #: bytes/seconds, crashed clients, recovered edges) — shared with
+        #: every other runner
+        self.ledger = RoundLedger(self, {CLIENT_EDGE: None, EDGE_ROOT: None})
+        #: cumulative real wall-clock seconds per canonical phase (the same
+        #: FederatedRunner/AsyncRunner accounting surface)
+        self.phase_seconds = self.ledger.phase_seconds
+        self.clock = PhaseClock(self.ledger, "root", loop=self.root_loop)
         seed = config.seed if seed is None else seed
         fraction = config.client_fraction if edge_fraction is None else edge_fraction
-        client_link = topology.client_link if topology.client_link is not None else FREE_LINK
-        root_link = topology.root_link if topology.root_link is not None else FREE_LINK
-        num_clients = root.num_clients
-        if devices is None:
-            devices = A100
-        if isinstance(devices, DeviceSpec):
-            device_list = [devices] * num_clients
-        else:
-            device_list = list(devices)
-            if len(device_list) != num_clients:
-                raise ValueError(f"need one device per client ({num_clients}), got {len(device_list)}")
+        client_link = topology.client_link if topology.client_link is not None else ZERO_LINK
+        root_link = topology.root_link if topology.root_link is not None else ZERO_LINK
+        device_list = per_client(devices if devices is not None else A100, root.num_clients, "device")
         self.actors = [
             _EdgeActor(
                 self,
@@ -512,18 +424,10 @@ class HierAsyncRunner:
             for edge in self.edges
         ]
         self._actor_by_edge = {actor.edge.edge_id: actor for actor in self.actors}
-        self.root_loop = EventLoop()
         self.history = TrainingHistory()
         self.version = 0
         self.staleness_log: List[int] = []
         self.events_processed = 0
-        self._client_bytes = 0
-        self._root_bytes = 0
-        self._bytes_last = (0, 0)
-        #: cumulative real wall-clock seconds per canonical phase (the same
-        #: FederatedRunner/AsyncRunner accounting surface)
-        self.phase_seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
-        self._round_timings: Dict[str, float] = {phase: 0.0 for phase in PHASES}
         #: last-known decoded summary partial + participants per edge
         self._last_summary: Dict[int, Tuple[List[np.ndarray], Tuple[int, ...]]] = {}
         if hasattr(root, "duals"):
@@ -536,8 +440,6 @@ class HierAsyncRunner:
         #: fault layer (edge kills + client crashes on the merged clocks);
         #: see :meth:`enable_faults`
         self.injector = None
-        self._failed_since_round: List[int] = []
-        self._recovered_since_round: List[int] = []
         #: real seconds spent restoring killed edges (the recovery-latency
         #: gauge benchmarks/bench_hotpath.py reports)
         self.recovery_seconds = 0.0
@@ -565,18 +467,14 @@ class HierAsyncRunner:
         Must be called before the first :meth:`run` so every edge's initial
         rollback slice exists before anything can kill it.
         """
-        from ..faults.injector import FaultInjector
-        from ..faults.plan import FaultPlan
-
-        if isinstance(faults, FaultPlan):
-            faults = FaultInjector(faults)
         if self._primed:
             raise RuntimeError(
                 "enable_faults must be called before the first run(): the initial "
                 "per-edge recovery slices are captured at arm time"
             )
-        self.injector = faults
+        self.injector = FaultInjector.coerce(faults)
         for actor in self.actors:
+            actor.flights.injector = self.injector
             actor.slice_blob = actor.capture_slice()
         return self
 
@@ -592,26 +490,9 @@ class HierAsyncRunner:
         actor.recover(actor.slice_blob)
         self.injector.stats.recoveries += 1
         self.recovery_seconds += time.perf_counter() - tick
-        self._recovered_since_round.append(edge_id)
+        self.ledger.recovered.append(edge_id)
         if tracer is not None:
             tracer.event("edge_recover", "fault", lane="faults", vt=actor.loop.now, edge=edge_id)
-
-    # ------------------------------------------------------- phase accounting
-    def _charge(self, phase: str, tick: float, lane: str = "root", vt: Optional[float] = None, **labels) -> None:
-        """Close the phase interval opened at ``tick``: accumulate it under
-        the canonical phase keys and, with a tracer armed, emit it as a span
-        on the given lane stamped with that clock's virtual time."""
-        now = time.perf_counter()
-        seconds = now - tick
-        self.phase_seconds[phase] += seconds
-        self._round_timings[phase] += seconds
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.emit_span(phase, "phase", tick, now, lane=lane, vt0=vt, **labels)
-        if phase == "local_update" and "client" in labels:
-            monitor = current_monitor()
-            if monitor is not None:
-                monitor.observe_local_update(seconds, client=labels["client"])
 
     # -------------------------------------------------------------- combine
     def _combine_last_known(self) -> Optional[Tuple[int, ...]]:
@@ -631,8 +512,7 @@ class HierAsyncRunner:
         """Ship the new global to every edge over the root links."""
         packet = self.exchange.encode_dispatch(self.server.broadcast_payload())
         for actor in self.actors:
-            self._root_bytes += packet.nbytes
-            delay = actor.root_link.transfer_time(packet.nbytes)
+            delay = self.ledger.charge_wire(EDGE_ROOT, actor.root_link, packet.nbytes)
             payload = self.exchange.open_dispatch(packet)
             actor.loop.schedule(
                 self.root_loop.now + delay, _GLOBAL, payload=payload, version=self.version
@@ -647,69 +527,23 @@ class HierAsyncRunner:
                 edge=edge_id, nbytes=event.data["packet"].nbytes,
                 staleness=self.version - event.data["version"],
             )
-        tick = time.perf_counter()
+        self.clock.begin("aggregate")
         partial = unpack_partial(self.exchange.pipeline.decode_state(event.data["packet"]))
         participants = tuple(event.data["participants"])
         staleness = self.version - event.data["version"]
         self.staleness_log.append(staleness)
         self._last_summary[edge_id] = (partial, participants)
         finished = self.strategy.on_summary(self, edge_id, partial, participants, staleness)
-        self._charge("aggregate", tick, lane="root", vt=self.root_loop.now, edge=edge_id)
+        self.clock.end("aggregate", edge=edge_id)
         if finished is not None:
             self.version += 1
-            self._record_round(finished, callback)
+            self.ledger.close_timeline_round(self.clock, finished, self.injector, callback)
             self._broadcast_global()
             if tracer is not None:
                 tracer.event(
                     "global_broadcast", "async", lane="root", vt=self.root_loop.now,
                     version=self.version,
                 )
-
-    def _record_round(self, participants, callback) -> None:
-        accuracy = loss = None
-        tick = time.perf_counter()
-        if self.evaluator is not None:
-            self.server.sync_model()
-            accuracy, loss = self.evaluator(self.server.model)
-        self._charge("evaluate", tick, lane="root", vt=self.root_loop.now)
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.event(
-                "round_complete", "async", lane="root", vt=self.root_loop.now,
-                round=len(self.history), participants=len(participants),
-            )
-        client_bytes = self._client_bytes - self._bytes_last[0]
-        root_bytes = self._root_bytes - self._bytes_last[1]
-        self._bytes_last = (self._client_bytes, self._root_bytes)
-        result = RoundResult(
-            round=len(self.history),
-            test_accuracy=accuracy,
-            test_loss=loss,
-            comm_bytes=client_bytes + root_bytes,
-            comm_seconds=0.0,
-            phase_seconds=dict(self._round_timings),
-            wall_clock_seconds=self.root_loop.now,
-            participating_clients=tuple(participants),
-            comm_bytes_by_tier={CLIENT_EDGE: client_bytes, EDGE_ROOT: root_bytes},
-            failed_clients=(
-                tuple(sorted(set(self._failed_since_round))) if self.injector is not None else None
-            ),
-            retries=self.injector.stats.retries if self.injector is not None else None,
-            recovered_edges=(
-                tuple(sorted(set(self._recovered_since_round)))
-                if self.injector is not None
-                else None
-            ),
-        )
-        self._failed_since_round = []
-        self._recovered_since_round = []
-        self._round_timings = {phase: 0.0 for phase in PHASES}
-        self.history.add(result)
-        monitor = current_monitor()
-        if monitor is not None:
-            monitor.on_round(self, result)
-        if callback is not None:
-            callback(result)
 
     # ------------------------------------------------------------------- run
     @property
@@ -794,28 +628,15 @@ def build_hier_async_federation(
     shard per edge round.  ``live_cap`` gives every edge its own
     :class:`~repro.scale.store.ClientStateStore`.
     """
-    from .runner import build_hier_federation
-
-    seed_value = config.seed if seed is None else seed
-    topo_src = topology if topology is not None else config.topology
-    if topo_src is None:
-        raise ValueError("a topology is required: pass topology= or set FLConfig.topology")
-    if isinstance(topo_src, str) and labels is None:
-        if parse_topology(topo_src).mode == "by-label":
-            labels = majority_labels(client_datasets)
-    topo = build_topology(
-        topo_src, len(client_datasets), labels=labels, seed=seed_value,
+    root, edges, topo = build_hier_endpoints(
+        config, model_fn, client_datasets, topology=topology, live_cap=live_cap,
+        seed=seed, labels=labels, state_codec=state_codec, compress=compress,
         client_link=client_link, root_link=root_link,
-    )
-    sync = build_hier_federation(
-        config, model_fn, client_datasets, test_dataset=None, topology=topo,
-        live_cap=live_cap, seed=seed_value, labels=labels,
-        state_codec=state_codec, compress=compress,
     )
     evaluator = Evaluator(test_dataset) if test_dataset is not None else None
     return HierAsyncRunner(
-        sync.server,
-        sync.edges,
+        root,
+        edges,
         topo,
         strategy=strategy,
         evaluator=evaluator,
@@ -823,6 +644,6 @@ def build_hier_async_federation(
         devices=devices,
         edge_fraction=edge_fraction,
         edge_round_based=edge_round_based,
-        seed=seed_value,
+        seed=seed,
         max_in_flight=max_in_flight,
     )

@@ -43,7 +43,7 @@ from ..core.base import GLOBAL_KEY, BaseClient, BaseServer
 from ..core.exchange import PacketExchange
 from ..core.executor import LocalExecutor
 from ..core.partial import ExactPartial, pack_partial
-from ..core.phases import PHASES, PhaseClock, run_client_phases
+from ..core.phases import PhaseClock, RoundLedger, run_client_phases
 from ..obs import current_tracer
 
 __all__ = ["EdgeAggregator"]
@@ -85,14 +85,12 @@ class EdgeAggregator:
         communicator: Optional[Communicator] = None,
         max_workers: Optional[int] = None,
     ):
-        if (clients is None or not list(clients)) and client_store is None:
-            raise ValueError("an edge needs clients or a client_store")
-        if clients and client_store is not None:
-            raise ValueError("pass either clients or client_store, not both")
         self.edge_id = int(edge_id)
         self.server = server
         self.shard: Tuple[int, ...] = server.shard
-        self.clients = list(clients) if clients else []
+        self.exchange = exchange if exchange is not None else PacketExchange(server.config.codec)
+        # Hier clients must carry the edge-hop codec (check_endpoints).
+        self.clients = self.exchange.check_endpoints(clients, client_store, f"edge {edge_id}")
         self._store = client_store
         if self.clients and sorted(c.client_id for c in self.clients) != list(self.shard):
             raise ValueError(
@@ -100,21 +98,6 @@ class EdgeAggregator:
                 f"do not match its shard {list(self.shard)}"
             )
         self._client_by_id = {c.client_id: c for c in self.clients}
-        self.exchange = exchange if exchange is not None else PacketExchange(server.config.codec)
-        # Clients derive their lossy-wire bookkeeping (IIADMM's reconcile
-        # stash) from their own config's codec — a mismatch with this hop's
-        # stack would silently desynchronise the dual replicas.  Fail fast.
-        endpoint_codecs = {c.config.codec for c in self.clients}
-        store_config = getattr(client_store, "config", None)
-        if store_config is not None:
-            endpoint_codecs.add(store_config.codec)
-        for codec in endpoint_codecs:
-            if PacketExchange(codec).spec != self.exchange.spec:
-                raise ValueError(
-                    f"edge {edge_id}'s clients were built with codec {codec!r} but its "
-                    f"client-hop exchange uses {self.exchange.spec!r}; hier clients "
-                    f"must carry the edge-hop codec"
-                )
         self.communicator = communicator
         #: runs this shard's local updates and owns its pools and step count
         self.executor = LocalExecutor(
@@ -207,31 +190,21 @@ class EdgeAggregator:
         return pack_partial(self.server.partial_sum()), ()
 
     # ------------------------------------------------------ client execution
-    def _acquire(self, cid: int) -> BaseClient:
-        if self._store is None:
-            return self._client_by_id[cid]
-        return self._store.checkout(cid)
-
-    def _release(self, cid: int) -> None:
-        if self._store is not None:
-            self._store.release(cid)
-
     def run_local_round(
         self,
         round_idx: int,
         accountant=None,
-        timings: Optional[Dict[str, float]] = None,
+        ledger: Optional[RoundLedger] = None,
     ) -> Tuple[Dict[str, np.ndarray], Tuple[int, ...]]:
         """One synchronous shard round: dispatch → update → gather → ingest
         (:func:`~repro.core.phases.run_client_phases` over this shard,
         wave-limited when store-backed), then the fold into the shard
-        summary via :meth:`summarize`.  ``timings`` (when given) accumulates
-        the runner's phase keys.
+        summary via :meth:`summarize`.  ``ledger`` (the runner's, when
+        given) accumulates the phase seconds on this edge's lane.
         """
-        timings = timings if timings is not None else {}
-        for phase in PHASES[:4]:  # the shard loop has no evaluate phase
-            timings.setdefault(phase, 0.0)
-        clock = PhaseClock(timings, round_idx, f"edge:{self.edge_id}", edge=self.edge_id)
+        ledger = ledger if ledger is not None else RoundLedger()
+        store = self._store
+        clock = PhaseClock(ledger, f"edge:{self.edge_id}", round_idx, edge=self.edge_id)
         run_client_phases(
             executor=self.executor,
             exchange=self.exchange,
@@ -240,9 +213,9 @@ class EdgeAggregator:
             round_idx=round_idx,
             ids=list(self.shard),
             payload={GLOBAL_KEY: self._global.copy()},
-            wave=self._store.live_cap if self._store is not None else len(self.shard),
-            acquire=self._acquire,
-            release=self._release,
+            wave=store.live_cap if store is not None else len(self.shard),
+            acquire=store.checkout if store is not None else self._client_by_id.__getitem__,
+            release=store.release if store is not None else None,
             sink=self.ingest_upload,
             accountant=accountant,
             on_wave=partial(clock.end_wave, self),

@@ -6,7 +6,8 @@ management) over a two-tier topology: every round the root's global model is
 broadcast once per edge (the edge↔root hop's codec and communicator), each
 :class:`~repro.hier.edge.EdgeAggregator` runs its shard's client loop
 (client↔edge hop) and folds the uploads into one exact shard summary, and
-the root combines the E summaries into the next global model.
+the root combines the E summaries into the next global model and closes the
+round in the shared :class:`~repro.core.phases.RoundLedger`.
 
 Exactness: with identity codecs on both hops the resulting
 :class:`~repro.core.runner.TrainingHistory` — accuracies, losses, the global
@@ -36,17 +37,19 @@ from ..comm import Communicator, SerialCommunicator, edge_endpoint
 from ..core.base import BaseServer
 from ..core.config import FLConfig
 from ..core.exchange import PacketExchange
+from ..comm.latency import LinkModel
 from ..core.metrics import Evaluator
+from ..core.partial import pack_partial, unpack_partial
+from ..core.phases import PhaseClock, RoundLedger, RoundResult, TrainingHistory
 from ..core.registry import get_algorithm
-from ..core.runner import PHASES, RoundResult, TrainingHistory
 from ..data import Dataset
-from ..obs import current_monitor, current_tracer, timed_call
+from ..faults.injector import FaultInjector
+from ..obs import current_tracer, timed_call
 from ..privacy import PrivacyAccountant
 from .edge import EdgeAggregator
 from .topology import Topology, build_topology, majority_labels, parse_topology
-from ..core.partial import unpack_partial
 
-__all__ = ["HierRunner", "build_hier_federation"]
+__all__ = ["HierRunner", "build_hier_endpoints", "build_hier_federation"]
 
 CLIENT_EDGE = "client_edge"
 EDGE_ROOT = "edge_root"
@@ -128,7 +131,11 @@ class HierRunner:
         self.evaluator = evaluator
         self.accountant = accountant if accountant is not None else PrivacyAccountant()
         self.history = TrainingHistory()
-        self.phase_seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
+        #: round accounting and close, shared with every other runner
+        self.ledger = RoundLedger(
+            self, {CLIENT_EDGE: self.client_communicator, EDGE_ROOT: self.root_communicator}
+        )
+        self.phase_seconds = self.ledger.phase_seconds
         #: cumulative client optimizer steps across all edges and rounds (the
         #: numerator of the client_steps_per_sec throughput metric)
         self.client_steps: int = 0
@@ -156,17 +163,10 @@ class HierRunner:
         unreachable (their clients' last-known state — the algorithms'
         partial-participation form); FedAvg omits them and renormalises.
         """
-        from ..faults.injector import FaultInjector
-        from ..faults.plan import FaultPlan
-
-        if isinstance(faults, FaultPlan):
-            faults = FaultInjector(faults)
-        self.injector = faults
+        self.injector = faults = FaultInjector.coerce(faults)
         self.client_communicator.install_faults(faults, retry)
         self.root_communicator.install_faults(faults, retry)
         if hasattr(self.server, "aggregate_global"):
-            from ..core.partial import pack_partial
-
             # Seed the stale-summary cache with each shard's current
             # last-known fold, so an edge unreachable on the very first
             # faulted round still contributes its (initial) state.
@@ -177,32 +177,16 @@ class HierRunner:
     # ------------------------------------------------------------------- run
     def run_round(self, round_idx: int) -> RoundResult:
         """Execute one two-tier communication round and return its metrics."""
-        timings: Dict[str, float] = {k: 0.0 for k in self.phase_seconds}
         tracer = current_tracer()
         round_start = time.perf_counter()
-
-        def end_phase(phase: str) -> None:
-            # Root-tier phase interval; edge-tier intervals are timed (and
-            # traced) inside EdgeAggregator.run_local_round on the edge lanes.
-            now = time.perf_counter()
-            timings[phase] += now - tick
-            if tracer is not None:
-                tracer.emit_span(phase, "phase", tick, now, lane="root", round=round_idx)
-        client_bytes_before = self.client_communicator.total_bytes()
-        root_bytes_before = self.root_communicator.total_bytes()
-        seconds_before = (
-            self.client_communicator.log.total_seconds()
-            + self.root_communicator.log.total_seconds()
-        )
+        injector = self.injector
+        ledger = self.ledger
+        ledger.open_round(faulty=injector is not None)
+        # Root-tier phase intervals; edge-tier intervals are timed (and
+        # traced) inside EdgeAggregator.run_local_round on the edge lanes.
+        clock = PhaseClock(ledger, "root", round_idx)
         edge_ids = [edge.edge_id for edge in self.edges]
         steps_before = sum(edge.client_steps for edge in self.edges)
-        injector = self.injector
-        faulted_before = (
-            self.client_communicator.log.failed_attempts()
-            + self.root_communicator.log.failed_attempts()
-            if injector is not None
-            else 0
-        )
         if injector is not None and injector.plan.edge_crash_rounds:
             # Round-start snapshot: the slice a mid-round edge death rolls
             # back to.  Taken before the broadcast mutates any edge, so a
@@ -217,13 +201,13 @@ class HierRunner:
         # the *decoded* global, exactly what it will be ingested against.
         # Edges whose downlink dead-lettered sit the round out with their
         # previous state intact.
-        tick = time.perf_counter()
+        clock.begin("broadcast")
         packet = self.exchange.encode_dispatch(self.server.broadcast_payload())
         received = self.root_communicator.broadcast(round_idx, packet, edge_ids)
         live_edges = [edge for edge in self.edges if edge.edge_id in received]
         for edge in live_edges:
             edge.receive_global(self.exchange.open_dispatch(received[edge.edge_id]))
-        end_phase("broadcast")
+        clock.end("broadcast")
 
         # Edges: the shard client loops (client↔edge hop), folded to
         # summaries.  Edge order is fixed but irrelevant to the result —
@@ -235,10 +219,9 @@ class HierRunner:
         # replayed releases from double-charging the budget).
         summaries: Dict[int, Dict[str, np.ndarray]] = {}
         parts_by_edge: Dict[int, Tuple[int, ...]] = {}
-        recovered: List[int] = []
         for edge in live_edges:
             (summary, part), e0, e1 = timed_call(
-                edge.run_local_round, round_idx, accountant=self.accountant, timings=timings
+                edge.run_local_round, round_idx, accountant=self.accountant, ledger=ledger
             )
             if tracer is not None:
                 tracer.emit_span(
@@ -249,12 +232,12 @@ class HierRunner:
                 injector.stats.edge_kills += 1
                 if tracer is not None:
                     tracer.event("edge_kill", "fault", lane="faults", edge=edge.edge_id, round=round_idx)
-                tick = time.perf_counter()
+                clock.begin("broadcast")
                 self._ckpt.restore_edge(edge)
                 edge.receive_global(self.exchange.open_dispatch(received[edge.edge_id]))
-                end_phase("broadcast")
+                clock.end("broadcast")
                 (summary, part), e0, e1 = timed_call(
-                    edge.run_local_round, round_idx, accountant=self.accountant, timings=timings
+                    edge.run_local_round, round_idx, accountant=self.accountant, ledger=ledger
                 )
                 if tracer is not None:
                     tracer.emit_span(
@@ -262,7 +245,7 @@ class HierRunner:
                         lane=f"edge:{edge.edge_id}", edge=edge.edge_id, round=round_idx, replay=True,
                     )
                 injector.stats.recoveries += 1
-                recovered.append(edge.edge_id)
+                ledger.recovered.append(edge.edge_id)
                 if tracer is not None:
                     tracer.event(
                         "edge_recover", "fault", lane="faults", edge=edge.edge_id, round=round_idx
@@ -271,15 +254,15 @@ class HierRunner:
             parts_by_edge[edge.edge_id] = part
 
         # Edges → root: one summary packet per live edge over the root hop.
-        tick = time.perf_counter()
+        clock.begin("gather")
         packets = {
             eid: self.exchange.pipeline.encode_state(summary) for eid, summary in summaries.items()
         }
         gathered = self.root_communicator.collect(round_idx, packets)
-        end_phase("gather")
+        clock.end("gather")
 
         # Root: decode each summary once and combine the exact partials.
-        tick = time.perf_counter()
+        clock.begin("aggregate")
         participants: List[int] = []
         if injector is None:
             participants = [cid for eid in edge_ids for cid in parts_by_edge[eid]]
@@ -307,17 +290,9 @@ class HierRunner:
             if streaming or participants:
                 self.server.combine_partials(partials, participants)
             # else: the whole cohort was lost — keep the current global.
-        end_phase("aggregate")
+        clock.end("aggregate")
 
-        accuracy = loss = None
-        tick = time.perf_counter()
-        if self.evaluator is not None:
-            self.server.sync_model()
-            accuracy, loss = self.evaluator(self.server.model)
-        end_phase("evaluate")
-
-        for phase, seconds in timings.items():
-            self.phase_seconds[phase] += seconds
+        scores = ledger.evaluate(clock)
         round_steps = sum(edge.client_steps for edge in self.edges) - steps_before
         self.client_steps += round_steps
         if tracer is not None:
@@ -325,42 +300,14 @@ class HierRunner:
                 "round", "round", round_start, time.perf_counter(),
                 lane="root", round=round_idx, edges=len(live_edges),
             )
-
-        client_bytes = self.client_communicator.total_bytes() - client_bytes_before
-        root_bytes = self.root_communicator.total_bytes() - root_bytes_before
-        result = RoundResult(
-            round=round_idx,
-            test_accuracy=accuracy,
-            test_loss=loss,
-            comm_bytes=client_bytes + root_bytes,
-            comm_seconds=(
-                self.client_communicator.log.total_seconds()
-                + self.root_communicator.log.total_seconds()
-                - seconds_before
-            ),
-            phase_seconds=timings,
-            participating_clients=tuple(sorted(participants)),
-            comm_bytes_by_tier={CLIENT_EDGE: client_bytes, EDGE_ROOT: root_bytes},
-            failed_clients=(
-                tuple(sorted(set(range(self.num_clients)) - set(participants)))
-                if injector is not None
-                else None
-            ),
-            retries=(
-                self.client_communicator.log.failed_attempts()
-                + self.root_communicator.log.failed_attempts()
-                - faulted_before
-                if injector is not None
-                else None
-            ),
-            recovered_edges=tuple(sorted(recovered)) if injector is not None else None,
+        return ledger.close_round(
+            scores,
+            sorted(participants),
+            injector,
+            round_idx=round_idx,
+            population=range(self.num_clients),
             client_steps=round_steps,
         )
-        self.history.add(result)
-        monitor = current_monitor()
-        if monitor is not None:
-            monitor.on_round(self, result)
-        return result
 
     def run(
         self,
@@ -393,26 +340,25 @@ class HierRunner:
         self.close()
 
 
-def build_hier_federation(
+def build_hier_endpoints(
     config: FLConfig,
     model_fn: Callable[[], nn.Module],
     client_datasets: Sequence[Dataset],
-    test_dataset: Optional[Dataset] = None,
     topology: Union[str, Topology, Sequence[Sequence[int]], None] = None,
     live_cap: Optional[int] = None,
     seed: Optional[int] = None,
     labels: Optional[Sequence[int]] = None,
-    root_communicator: Optional[Communicator] = None,
-    client_communicator: Optional[Communicator] = None,
     state_codec: str = "identity",
     compress: Optional[str] = None,
-) -> HierRunner:
-    """Construct a :class:`HierRunner` for a named algorithm.
+    client_link: Optional[LinkModel] = None,
+    root_link: Optional[LinkModel] = None,
+) -> Tuple[BaseServer, List[EdgeAggregator], Topology]:
+    """The ``(root, edges, topology)`` both hierarchical builders start from.
 
-    Mirrors :func:`repro.core.runner.build_federation`: same registry lookup,
+    Mirrors :func:`repro.core.runner.build_endpoints`: same registry lookup,
     same initial-state synchronisation (every endpoint starts from the root
     model's parameters), same ``seed + 1000 + cid`` client RNG streams — so
-    with identity per-hop codecs the hierarchical history is bit-for-bit the
+    with identity per-hop codecs a hierarchical history is bit-for-bit the
     flat one.
 
     ``topology`` defaults to ``config.topology`` (one of the two is
@@ -421,19 +367,22 @@ def build_hier_federation(
     edge to a :class:`~repro.scale.store.ClientStateStore` of that capacity
     (the whole run then materialises at most ``edges × live_cap`` clients).
     """
-    from ..scale.virtual import make_client_factory
     from ..scale.store import ClientStateStore
+    from ..scale.virtual import make_client_factory
 
     seed = config.seed if seed is None else seed
     topo_src = topology if topology is not None else config.topology
     if topo_src is None:
         raise ValueError("a topology is required: pass topology= or set FLConfig.topology")
-    if isinstance(topo_src, (str,)) and labels is None:
+    if isinstance(topo_src, str) and labels is None:
         if parse_topology(topo_src).mode == "by-label":
             labels = majority_labels(client_datasets)
-    topo = build_topology(topo_src, len(client_datasets), labels=labels, seed=seed)
+    topo = build_topology(
+        topo_src, len(client_datasets), labels=labels, seed=seed,
+        client_link=client_link, root_link=root_link,
+    )
 
-    server_cls, client_cls = get_algorithm(config.algorithm)
+    server_cls, _ = get_algorithm(config.algorithm)
     root_model = model_fn()
     initial_state = root_model.state_dict()
     sample_counts = [len(d) for d in client_datasets]
@@ -457,6 +406,7 @@ def build_hier_federation(
             edge_model, config, num_clients=len(client_datasets),
             client_sample_counts=sample_counts, shard=shard,
         )
+        store = clients = None
         if live_cap is not None:
             store = ClientStateStore(
                 factory,
@@ -466,19 +416,8 @@ def build_hier_federation(
                 compress=compress,
                 config=client_config,
             )
-            clients = None
         else:
-            store = None
-            clients = [
-                client_cls(
-                    cid,
-                    _synced_model(model_fn, initial_state),
-                    client_datasets[cid],
-                    client_config,
-                    rng=np.random.default_rng(seed + 1000 + cid),
-                )
-                for cid in shard
-            ]
+            clients = [factory(cid) for cid in shard]
         edges.append(
             EdgeAggregator(
                 eid,
@@ -488,6 +427,30 @@ def build_hier_federation(
                 exchange=PacketExchange(edge_codec),
             )
         )
+    return root, edges, topo
+
+
+def build_hier_federation(
+    config: FLConfig,
+    model_fn: Callable[[], nn.Module],
+    client_datasets: Sequence[Dataset],
+    test_dataset: Optional[Dataset] = None,
+    topology: Union[str, Topology, Sequence[Sequence[int]], None] = None,
+    live_cap: Optional[int] = None,
+    seed: Optional[int] = None,
+    labels: Optional[Sequence[int]] = None,
+    root_communicator: Optional[Communicator] = None,
+    client_communicator: Optional[Communicator] = None,
+    state_codec: str = "identity",
+    compress: Optional[str] = None,
+) -> HierRunner:
+    """Construct a :class:`HierRunner` for a named algorithm over the
+    endpoints of :func:`build_hier_endpoints` (which documents ``topology``,
+    ``labels`` and ``live_cap``)."""
+    root, edges, _ = build_hier_endpoints(
+        config, model_fn, client_datasets, topology=topology, live_cap=live_cap,
+        seed=seed, labels=labels, state_codec=state_codec, compress=compress,
+    )
     evaluator = Evaluator(test_dataset) if test_dataset is not None else None
     return HierRunner(
         root,
@@ -496,9 +459,3 @@ def build_hier_federation(
         root_communicator=root_communicator,
         client_communicator=client_communicator,
     )
-
-
-def _synced_model(model_fn, initial_state):
-    model = model_fn()
-    model.load_state_dict(initial_state)
-    return model

@@ -380,24 +380,16 @@ class MetricsRegistry:
         if steps and local_seconds > 0:
             self.gauge("client_steps_per_sec", tier="run").set(steps / local_seconds)
 
-        comm = getattr(runner, "communicator", None)
-        if comm is not None and getattr(comm, "log", None) is not None:
-            self.absorb_comm_log(comm.log, tier="flat")
-        client_comm = getattr(runner, "client_communicator", None)
-        if client_comm is not None and getattr(client_comm, "log", None) is not None:
-            self.absorb_comm_log(client_comm.log, tier="client_edge")
-        root_comm = getattr(runner, "root_communicator", None)
-        if root_comm is not None and getattr(root_comm, "log", None) is not None:
-            self.absorb_comm_log(root_comm.log, tier="edge_root")
-
-        # Event-loop runners account bytes directly rather than via a log.
-        if comm is None and client_comm is None:
-            if hasattr(runner, "_comm_bytes"):
-                self.counter("comm_bytes", tier="flat").inc(runner._comm_bytes)
-            if hasattr(runner, "_client_bytes"):
-                self.counter("comm_bytes", tier="client_edge").inc(runner._client_bytes)
-            if hasattr(runner, "_root_bytes"):
-                self.counter("comm_bytes", tier="edge_root").inc(runner._root_bytes)
+        # The runner's ledger names its wire tiers: a tier with a communicator
+        # reports through that log, a virtual timeline's through the bytes it
+        # charged as packets were sent.
+        ledger = getattr(runner, "ledger", None)
+        if ledger is not None:
+            for tier, comm in ledger.tiers.items():
+                if comm is not None:
+                    self.absorb_comm_log(comm.log, tier=tier)
+            for tier, nbytes in ledger.wire_bytes_by_tier().items():
+                self.counter("comm_bytes", tier=tier).inc(nbytes)
 
         injector = getattr(runner, "injector", None)
         if injector is not None:

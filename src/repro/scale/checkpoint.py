@@ -136,6 +136,24 @@ def restore_edge_slice(edge, state) -> None:
     _restore_clients(edge, state["clients"], edge.executor)
 
 
+def _runner_kind(runner) -> str:
+    """The checkpoint ``kind`` of a runner (imports are local: the runner
+    packages import this one)."""
+    from ..asyncfl.runner import AsyncRunner
+    from ..hier.runner import HierRunner
+
+    if isinstance(runner, AsyncRunner):
+        return "async"
+    if isinstance(runner, HierRunner):
+        return "hier"
+    if isinstance(runner, FederatedRunner):
+        return "sync"
+    raise TypeError(
+        f"checkpointing supports FederatedRunner, AsyncRunner, and the "
+        f"synchronous HierRunner; got {type(runner).__name__}"
+    )
+
+
 class RunCheckpoint:
     """A captured run state; see the module docstring for what it contains.
 
@@ -170,23 +188,9 @@ class RunCheckpoint:
         snapshot is serialized at capture time, so later mutation of the
         runner cannot leak into it).
         """
-        from ..asyncfl.runner import AsyncRunner  # local import: optional dep direction
-        from ..core.runner import FederatedRunner as _SyncRunner
-        from ..hier.runner import HierRunner
-
         tick = time.perf_counter()
         config = runner.server.config
-        if isinstance(runner, AsyncRunner):
-            kind = "async"
-        elif isinstance(runner, HierRunner):
-            kind = "hier"
-        elif isinstance(runner, _SyncRunner):
-            kind = "sync"
-        else:
-            raise TypeError(
-                f"checkpointing supports FederatedRunner, AsyncRunner, and the "
-                f"synchronous HierRunner; got {type(runner).__name__}"
-            )
+        kind = _runner_kind(runner)
         payload: Dict[str, object] = {
             "format": _FORMAT,
             "kind": kind,
@@ -201,7 +205,7 @@ class RunCheckpoint:
             "accountant": runner.accountant.accountant_state(),
             "phase_seconds": dict(runner.phase_seconds),
         }
-        if isinstance(runner, HierRunner):
+        if kind == "hier":
             # Safe points are between rounds (or at a hier round *start*,
             # before any shard loop ran): every edge's summary fold is then
             # empty, so shard-server state + client populations are the whole
@@ -223,35 +227,13 @@ class RunCheckpoint:
             payload["edges"] = {edge.edge_id: edge_slice_state(edge) for edge in runner.edges}
             payload["clients"] = {"mode": "hier"}
             return cls(cls._finish_capture(payload, kind, tick))
-        if isinstance(runner, AsyncRunner):
+        if kind == "async":
             runner.quiesce()
             payload["async"] = {
                 "async_server": runner.async_server.server_state(),
                 "strategy": runner.strategy.strategy_state(),
                 "sampler": runner.sampler.sampler_state(),
-                "loop": {
-                    "now": runner._clock.now,
-                    "seq": runner._clock.sequence,
-                    "events": [
-                        (
-                            ev.time,
-                            ev.seq,
-                            ev.kind,
-                            {k: v for k, v in ev.data.items() if k != "future"},
-                        )
-                        for ev in runner._clock.snapshot_events()
-                    ],
-                },
-                "in_flight": sorted(runner._in_flight),
-                "pending_slots": list(runner._pending_slots),
-                "need_cohort": runner._need_cohort,
-                "primed": runner._primed,
-                "events_processed": runner.events_processed,
-                "comm_bytes": runner._comm_bytes,
-                "comm_bytes_last": runner._comm_bytes_last,
-                "sim_comm_seconds": runner._sim_comm_seconds,
-                "sim_comm_seconds_last": runner._sim_comm_seconds_last,
-                "round_timings": dict(runner._round_timings),
+                **runner.timeline_state(),
             }
         # Clients last: the async quiesce above may advance client state.
         payload["clients"] = _clients_state(runner, None if kind == "async" else runner.executor)
@@ -279,16 +261,8 @@ class RunCheckpoint:
         sampler / device / link configuration); mismatches in the validated
         subset raise ``ValueError``.  Returns the runner.
         """
-        from ..asyncfl.runner import AsyncRunner
-        from ..hier.runner import HierRunner
-
         tick = time.perf_counter()
-        if isinstance(runner, AsyncRunner):
-            kind = "async"
-        elif isinstance(runner, HierRunner):
-            kind = "hier"
-        else:
-            kind = "sync"
+        kind = _runner_kind(runner)
         if self.payload.get("format") != _FORMAT:
             raise ValueError(f"unsupported checkpoint format {self.payload.get('format')!r}")
         if self.payload["kind"] != kind:
@@ -316,27 +290,14 @@ class RunCheckpoint:
             _restore_clients(runner, self.payload["clients"], executor)
         runner.history = _load_history(self.payload["history"])
         runner.accountant.load_accountant_state(self.payload["accountant"])
-        runner.phase_seconds = {k: float(v) for k, v in self.payload["phase_seconds"].items()}
+        runner.phase_seconds.update((k, float(v)) for k, v in self.payload["phase_seconds"].items())
 
         if kind == "async":
             state = self.payload["async"]
             runner.async_server.load_server_state(state["async_server"])
             runner.strategy.load_strategy_state(state["strategy"])
             runner.sampler.load_sampler_state(state["sampler"])
-            loop = state["loop"]
-            runner._clock.load(loop["now"], loop["seq"], loop["events"])
-            runner._in_flight = set(int(c) for c in state["in_flight"])
-            runner._pending_slots = [int(c) for c in state["pending_slots"]]
-            runner._need_cohort = bool(state["need_cohort"])
-            runner._primed = bool(state["primed"])
-            runner.events_processed = int(state["events_processed"])
-            runner._comm_bytes = int(state["comm_bytes"])
-            runner._comm_bytes_last = int(state["comm_bytes_last"])
-            runner._sim_comm_seconds = float(state["sim_comm_seconds"])
-            runner._sim_comm_seconds_last = float(state["sim_comm_seconds_last"])
-            runner._round_timings = {k: float(v) for k, v in state["round_timings"].items()}
-            runner._dispatch_cache = None
-            runner._active = {}
+            runner.load_timeline_state(state)
         tracer = current_tracer()
         if tracer is not None:
             tracer.emit_span(

@@ -7,13 +7,16 @@ federation from scratch, restore, continue — and the resulting history is
 "independent but identical" dual replicas and FedBuff's half-full buffers.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.asyncfl import FedBuffStrategy, UniformSampler, build_async_federation
 from repro.comm import TCPLinkModel
-from repro.core import FLConfig, build_federation, build_model
-from repro.data import load_dataset
+from repro.core import MLP, FLConfig, build_federation, build_model
+from repro.data import TensorDataset, load_dataset
+from repro.faults import FaultPlan
 from repro.scale import RunCheckpoint, build_virtual_async_federation, build_virtual_federation
 from repro.simulator import DEVICE_CATALOG
 
@@ -256,3 +259,59 @@ class TestAsyncCheckpoint:
         loaded = RunCheckpoint.load(path)
         assert loaded.payload["kind"] == "async"
         assert loaded.payload["meta"]["algorithm"] == "fedavg"
+
+
+# ------------------------------------------------------ format compatibility
+GOLDEN_ASYNC = Path(__file__).parent / "golden" / "async_checkpoint_pr13.bin"
+GOLDEN_EVENTS = 17
+
+
+def _golden_async_runner():
+    """The store-backed IIADMM timeline ``GOLDEN_ASYNC`` was captured from
+    (with planned client crashes, so crashed ``compute_done`` events are in
+    the blob too).  Uses only names the capturing commit already had."""
+    rng = np.random.default_rng(0)
+    clients = [TensorDataset(rng.standard_normal((6, 8)), rng.integers(0, 3, 6)) for _ in range(NUM_CLIENTS)]
+    test = TensorDataset(rng.standard_normal((12, 8)), rng.integers(0, 3, 12))
+    mix = [DEVICE_CATALOG[k] for k in ("A100", "V100", "CPU")]
+    runner = build_virtual_async_federation(
+        _config("iiadmm"),
+        lambda: MLP(8, 3, hidden_sizes=(4,), rng=np.random.default_rng(7)),
+        clients,
+        live_cap=3,
+        test_dataset=test,
+        strategy=FedBuffStrategy(2),
+        sampler=UniformSampler(NUM_CLIENTS, fraction=0.5, seed=0),
+        devices=[mix[i % len(mix)] for i in range(NUM_CLIENTS)],
+        link=TCPLinkModel(),
+        concurrency=3,
+    )
+    return runner.enable_faults(FaultPlan(seed=5, client_crash_prob=0.25))
+
+
+def test_async_blob_captured_before_the_shared_lifecycle_still_resumes():
+    """``GOLDEN_ASYNC`` holds ``RunCheckpoint.save(runner).to_bytes()`` of
+    ``_golden_async_runner()`` after ``run(ROUNDS, max_events=GOLDEN_EVENTS)``,
+    produced by the capture code of the commit *before* the runner exposed
+    ``timeline_state`` (PR 13).  The ``"async"`` payload format has not
+    changed since: the old blob restores and resumes bitwise."""
+    full = _golden_async_runner()
+    reference = full.run(ROUNDS)
+    assert any(r.failed_clients for r in reference.rounds)
+
+    resumed = _golden_async_runner()
+    checkpoint = RunCheckpoint.from_bytes(GOLDEN_ASYNC.read_bytes())
+    kinds = [(kind, bool(data.get("crashed"))) for _, _, kind, data in checkpoint.payload["async"]["loop"]["events"]]
+    assert sorted(kinds) == [("arrival", False), ("compute_done", False), ("compute_done", True)]
+    checkpoint.restore(resumed)
+    assert 0 < len(resumed.history) < ROUNDS
+    history = resumed.run(ROUNDS - len(resumed.history))
+
+    assert _key(history) == _key(reference)
+    assert [r.failed_clients for r in history.rounds] == [r.failed_clients for r in reference.rounds]
+    assert [r.comm_seconds for r in history.rounds] == [r.comm_seconds for r in reference.rounds]
+    np.testing.assert_array_equal(resumed.server.global_params, full.server.global_params)
+    # and a capture taken today carries exactly the golden payload's "async" keys
+    again = _golden_async_runner()
+    again.run(ROUNDS, max_events=GOLDEN_EVENTS)
+    assert set(RunCheckpoint.capture(again).payload["async"]) == set(checkpoint.payload["async"])

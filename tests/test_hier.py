@@ -338,6 +338,38 @@ class TestAsyncHier:
             for cid in result.participating_clients:
                 assert 0 <= cid < 12
 
+    def test_comm_seconds_cover_every_packet_on_both_hops(self):
+        """``comm_seconds`` is the simulated transfer time of every packet
+        sent since the last round closed, client↔edge and edge↔root alike
+        (it used to be hard-wired to 0.0 on this runner)."""
+        from repro.comm import TCPLinkModel
+
+        class RecordingLink:
+            def __init__(self, link):
+                self.link, self.seconds = link, []
+
+            def transfer_time(self, nbytes):
+                self.seconds.append(self.link.transfer_time(nbytes))
+                return self.seconds[-1]
+
+        client_link = RecordingLink(TCPLinkModel())
+        root_link = RecordingLink(TCPLinkModel(latency=1.0e-3))
+        clients, test = make_clients_and_test()
+        runner = build_hier_async_federation(
+            base_config("fedavg", local_steps=1), model_fn, clients, test, topology="edges:3",
+            strategy=RootFedBuff(2), client_link=client_link, root_link=root_link,
+        )
+        reported = []
+
+        def check(result):
+            reported.append(result.comm_seconds)
+            assert result.comm_seconds > 0
+            sent = sum(client_link.seconds) + sum(root_link.seconds)
+            assert sum(reported) == pytest.approx(sent, rel=1e-12)
+
+        runner.run(4, callback=check)
+        assert len(reported) == 4 and root_link.seconds and client_link.seconds
+
 
 class TestHierCheckpoint:
     @pytest.mark.parametrize("live_cap", [None, 2])

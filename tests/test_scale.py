@@ -219,11 +219,11 @@ class TestVirtualEquivalence:
         # so the gate must consult the population size, not len(clients))
         from repro.core.base import GLOBAL_KEY
 
-        client = parallel._acquire(0)
+        client = parallel.flights.acquire(0)
         future = parallel._submit(client, {GLOBAL_KEY: parallel.server.global_params.copy()})
         assert future is not None
         future.result()
-        parallel._release(0)
+        parallel.flights.release(0)
 
     def test_async_concurrency_must_fit_cap(self):
         clients, test, spec = _workload()
