@@ -55,16 +55,42 @@ class DeadLetter:
 
 @dataclass
 class CommLog:
-    """Append-only log of communication events with aggregation helpers."""
+    """Append-only log of communication events with aggregation helpers.
+
+    ``records`` is the complete list (the Figure 3/4 harnesses read it), but
+    the whole-log totals the runners and the monitor ask for every round —
+    :meth:`total_bytes`, :meth:`total_seconds`, :meth:`failed_attempts` with
+    no filter — are running sums kept by :meth:`add` / :meth:`extend`, so
+    they cost the same at round 10,000 as at round 1.  Grow the log through
+    those two methods only.  The float total adds record by record in log
+    order, which is bitwise what ``sum()`` over the records gives.
+    """
 
     records: List[CommRecord] = field(default_factory=list)
     dead_letters: List[DeadLetter] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        #: bumped by :meth:`clear`, so a reader that remembers how far into
+        #: ``records`` it got can tell its position no longer means anything
+        self.epoch = 0
+        self._bytes, self._seconds, self._faulted = 0, 0.0, 0
+        self._tally(self.records)
+
+    def _tally(self, records: Iterable[CommRecord]) -> None:
+        for r in records:
+            self._bytes += r.nbytes
+            self._seconds += r.seconds
+            if r.fault is not None:
+                self._faulted += 1
+
     def add(self, record: CommRecord) -> None:
         self.records.append(record)
+        self._tally((record,))
 
     def extend(self, records: Iterable[CommRecord]) -> None:
+        start = len(self.records)
         self.records.extend(records)
+        self._tally(self.records[start:])
 
     def add_dead_letter(self, letter: DeadLetter) -> None:
         self.dead_letters.append(letter)
@@ -75,15 +101,17 @@ class CommLog:
     def failed_attempts(self, rounds: Optional[Iterable[int]] = None) -> int:
         """Number of faulted transfer attempts (each implies a retry or a
         dead letter), optionally restricted to the given rounds."""
-        keep = None if rounds is None else set(rounds)
-        return sum(
-            1 for r in self.records if r.fault is not None and (keep is None or r.round in keep)
-        )
+        if rounds is None:
+            return self._faulted
+        keep = set(rounds)
+        return sum(1 for r in self.records if r.fault is not None and r.round in keep)
 
     # ------------------------------------------------------------ aggregation
     def total_seconds(self, endpoint: Optional[str] = None, skip_rounds: Iterable[int] = ()) -> float:
         """Total simulated communication seconds, optionally for one endpoint."""
         skip = set(skip_rounds)
+        if endpoint is None and not skip:
+            return float(self._seconds)
         return float(
             sum(
                 r.seconds
@@ -94,7 +122,9 @@ class CommLog:
 
     def total_bytes(self, endpoint: Optional[str] = None) -> int:
         """Total simulated bytes transferred, optionally for one endpoint."""
-        return int(sum(r.nbytes for r in self.records if endpoint is None or r.endpoint == endpoint))
+        if endpoint is None:
+            return int(self._bytes)
+        return int(sum(r.nbytes for r in self.records if r.endpoint == endpoint))
 
     def per_round_seconds(self, endpoint: str) -> Dict[int, float]:
         """Map round -> summed seconds for one endpoint."""
@@ -122,4 +152,8 @@ class CommLog:
         return sorted({r.endpoint for r in self.records})
 
     def clear(self) -> None:
+        """Forget every record and dead letter; totals restart from zero."""
         self.records.clear()
+        self.dead_letters.clear()
+        self.epoch += 1
+        self._bytes, self._seconds, self._faulted = 0, 0.0, 0

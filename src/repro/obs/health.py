@@ -4,20 +4,24 @@
 Runners call three context-local hooks (``current_monitor()`` mirrors
 ``current_tracer()`` — disabled costs one ``ContextVar.get``):
 
-* :meth:`RunMonitor.on_round` after each completed round — rebuild a
-  cumulative :class:`MetricsRegistry` view of the runner, stream a
-  JSONL time-series sample, publish to the live endpoint, and evaluate
-  every watchdog;
+* :meth:`RunMonitor.on_round` after each completed round — advance the
+  monitor's one live :class:`MetricsRegistry` by what the runner logged
+  since the last sample (:meth:`MetricsRegistry.absorb_runner`, the same
+  call a post-hoc absorb makes), stream a JSONL time-series sample,
+  publish to the live endpoint, and evaluate every watchdog;
 * :meth:`RunMonitor.on_wave` at virtual wave boundaries — a cheap
   memory-watermark-only check (waves can outnumber rounds by orders of
   magnitude);
 * :meth:`RunMonitor.observe_local_update` with each client update's
   wall-clock seconds, feeding the straggler detector.
 
-Watchdogs are pure functions of a :class:`HealthSample` (history +
-cumulative snapshot + per-interval delta) returning :class:`Alert`\\ s;
-they never touch the run itself, so a monitored run stays bitwise
-identical to an unmonitored one.  Alerts land in a :class:`HealthReport`
+Watchdogs read a :class:`HealthSample` (history + cumulative snapshot +
+per-interval delta) and return :class:`Alert`\\ s; what they remember
+between samples (the convergence watchdog's best / rolling-window losses)
+is only a cache of the history they were shown, so their verdicts are a
+function of the sample and a check costs the same at any run length.  They
+never touch the run itself, so a monitored run stays bitwise identical to
+an unmonitored one.  Alerts land in a :class:`HealthReport`
 (summarized by ``obsreport`` and the chaos harness) and as structured
 ``alert`` trace events when a tracer is armed.  A watchdog that raises
 is reported as its own alert rather than ever killing the run.
@@ -27,14 +31,16 @@ from __future__ import annotations
 
 import math
 import os
+import time
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from .export import MetricsServer, MetricsStream
-from .metrics import Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .trace import current_tracer
 
 __all__ = [
@@ -128,6 +134,9 @@ class HealthReport:
         self.alerts: List[Alert] = []
         self.samples = 0
         self.waves = 0
+        #: cumulative wall-clock seconds spent inside :meth:`RunMonitor.on_round`
+        #: — what watching the run cost it
+        self.sample_seconds = 0.0
         self.checks: Dict[str, int] = {}
 
     def record_check(self, monitor_name: str) -> None:
@@ -153,6 +162,7 @@ class HealthReport:
             "status": self.status,
             "samples": self.samples,
             "waves": self.waves,
+            "sample_seconds": self.sample_seconds,
             "checks": dict(self.checks),
             "alerts": [a.to_dict() for a in self.alerts],
         }
@@ -160,8 +170,8 @@ class HealthReport:
     def render(self) -> str:
         lines = [
             f"health: {self.status} "
-            f"({self.samples} samples, {self.waves} waves, "
-            f"{len(self.alerts)} alerts)"
+            f"({self.samples} samples in {self.sample_seconds:.3g}s, "
+            f"{self.waves} waves, {len(self.alerts)} alerts)"
         ]
         by_key: Dict[tuple, int] = {}
         first: Dict[tuple, Alert] = {}
@@ -243,18 +253,47 @@ class ConvergenceWatchdog(HealthMonitor):
         self.min_improvement = float(min_improvement)
         self.divergence_factor = float(divergence_factor)
         self.min_rise = float(min_rise)
+        self._follow(None)
+
+    def _follow(self, history: Any) -> None:
+        """Start reading ``history`` from its first round."""
+        self._history = history
+        self._read = 0
+        #: the last recorded loss (finite or not), how many finite ones came
+        #: before it, their minimum, the last ``window`` of them, and the
+        #: minimum of those that have left that window
+        self._latest: Optional[float] = None
+        self._finite = 0
+        self._best = math.inf
+        self._recent: Deque[float] = deque(maxlen=self.window)
+        self._prior_best = math.inf
+
+    def _advance(self, history: Any) -> None:
+        """Read the rounds ``history`` gained since the last check (all of
+        them for another history object, or one that got shorter)."""
+        rounds = getattr(history, "rounds", [])
+        if history is not self._history or len(rounds) < self._read:
+            self._follow(history)
+        for result in rounds[self._read :]:
+            loss = getattr(result, "test_loss", None)
+            if loss is None:
+                continue
+            self._latest = loss = float(loss)
+            if not math.isfinite(loss):
+                continue
+            if len(self._recent) == self.window:
+                self._prior_best = min(self._prior_best, self._recent[0])
+            self._recent.append(loss)
+            self._finite += 1
+            self._best = min(self._best, loss)
+        self._read = len(rounds)
 
     def check(self, sample: HealthSample) -> List[Alert]:
-        rounds = getattr(sample.history, "rounds", [])
-        losses = [
-            float(r.test_loss)
-            for r in rounds
-            if getattr(r, "test_loss", None) is not None
-        ]
-        if not losses:
+        self._advance(sample.history)
+        latest = self._latest
+        if latest is None:
             return []
         alerts: List[Alert] = []
-        latest = losses[-1]
         if not math.isfinite(latest):
             return [
                 Alert(
@@ -265,10 +304,9 @@ class ConvergenceWatchdog(HealthMonitor):
                     details={"loss": repr(latest)},
                 )
             ]
-        finite = [v for v in losses if math.isfinite(v)]
-        best = min(finite)
+        best = self._best
         if (
-            len(finite) >= 2
+            self._finite >= 2
             and latest > best * self.divergence_factor
             and latest > best + self.min_rise
         ):
@@ -281,9 +319,9 @@ class ConvergenceWatchdog(HealthMonitor):
                     details={"loss": latest, "best": best},
                 )
             )
-        if len(finite) >= self.window + 1:
-            prior_best = min(finite[: -self.window])
-            recent_best = min(finite[-self.window :])
+        if self._finite >= self.window + 1:
+            prior_best = self._prior_best
+            recent_best = min(self._recent)
             if recent_best > prior_best - self.min_improvement:
                 alerts.append(
                     Alert(
@@ -469,10 +507,15 @@ class RunMonitor:
     """Live monitoring harness: sample, stream, serve, and check health.
 
     Arm with :func:`use_monitor` around ``runner.run(...)``.  Strictly
-    observational: sampling rebuilds a fresh registry from the runner's
-    own accounting surfaces (plus monitor-local timings fed through
-    :meth:`observe_local_update`), so the run's RNG streams, ordering,
-    and numerics are untouched.
+    observational: the monitor owns one live :attr:`registry` that each
+    sample *advances* from the runner's own accounting surfaces with
+    :meth:`MetricsRegistry.absorb_runner` — the records and rounds appended
+    since the last sample, plus the runner's running totals — so a sample
+    costs what the interval did, not what the run has done so far, and its
+    snapshot is bitwise what absorbing the finished run into a fresh
+    registry gives.  (Monitor-local timings fed through
+    :meth:`observe_local_update` and the memory gauges ride in the same
+    registry.)  The run's RNG streams, ordering, and numerics are untouched.
     """
 
     def __init__(
@@ -497,19 +540,20 @@ class RunMonitor:
         self.interval_rounds = max(1, int(interval_rounds))
         self.tag = tag
         self.labels = labels
-        self.local_update_seconds = Histogram()
+        self.registry = MetricsRegistry(**labels)
+        self._memory_monitors = [m for m in self.monitors if isinstance(m, MemoryWatchdog)]
         self._prev_snapshot: Optional[Dict[str, Any]] = None
         self._rounds_seen = 0
 
     # ------------------------------------------------------------------ hooks
     def observe_local_update(self, seconds: float, client: Optional[int] = None) -> None:
         """Record one client update's real wall-clock duration."""
-        self.local_update_seconds.observe(seconds)
+        self.registry.histogram("local_update_seconds", tier="run").observe(seconds)
 
     def on_wave(self, owner: Any, round_index: int, wave_index: int) -> None:
         """Cheap wave-boundary check: memory watermarks only."""
         self.report.waves += 1
-        memory = [m for m in self.monitors if isinstance(m, MemoryWatchdog)]
+        memory = self._memory_monitors
         if not any(
             m.max_rss_bytes or m.max_shm_bytes or m.max_store_bytes for m in memory
         ):
@@ -536,6 +580,7 @@ class RunMonitor:
         self._rounds_seen += 1
         if (self._rounds_seen - 1) % self.interval_rounds:
             return
+        started = time.perf_counter()
         snapshot, delta = self.sample_registry(runner)
         self.report.samples += 1
         round_index = getattr(result, "round", None)
@@ -559,6 +604,7 @@ class RunMonitor:
         if self.server is not None:
             self.server.publish(snapshot, self.report.to_dict())
         self._prev_snapshot = snapshot
+        self.report.sample_seconds += time.perf_counter() - started
 
     # -------------------------------------------------------------- internals
     def _run_check(self, monitor: HealthMonitor, sample: HealthSample) -> None:
@@ -602,12 +648,7 @@ class RunMonitor:
 
     def sample_registry(self, runner: Any):
         """Cumulative snapshot + delta-vs-previous for ``runner`` now."""
-        reg = MetricsRegistry(**self.labels)
-        reg.absorb_runner(runner)
-        if self.local_update_seconds.count:
-            reg.histogram("local_update_seconds", tier="run").merge(
-                self.local_update_seconds
-            )
+        reg = self.registry.absorb_runner(runner)
         self._memory_gauges(reg)
         snapshot = reg.snapshot()
         delta = reg.diff(self._prev_snapshot)

@@ -6,6 +6,17 @@ counts, :class:`FaultStats`, :class:`StoreStats`, and the per-client ε of
 the :class:`PrivacyAccountant` — into one labelled namespace with a
 single machine-readable export.
 
+:meth:`MetricsRegistry.absorb_runner` is the one path from a runner to
+metrics, whether called once after the run or by a live
+:class:`~repro.obs.health.RunMonitor` after every round.  The registry
+remembers how far into each append-only source (a comm log's records and
+dead letters, the round history) it has read, folds in only the tail, and
+*sets* what the runner already keeps as running totals — so advancing a
+registry costs what happened since the last call, at any run length, and
+gives bitwise the snapshot a fresh registry would.  A source that was
+cleared, replaced or swapped for another runner's makes the registry clear
+itself and read from the start instead of counting anything twice.
+
 Histograms estimate streaming p50/p95/p99 with fixed-size reservoirs.
 The reservoir uses a *private* ``random.Random`` instance so observing a
 value can never perturb any run RNG stream (the same bitwise-determinism
@@ -156,6 +167,16 @@ class Histogram:
         self.merge_state(other.state_dict())
 
 
+def _records_feed(log, tier: str) -> Tuple[str, Any, int, List]:
+    """A comm log's records as a cursor feed: ``(key, source, epoch, items)``."""
+    return (f"comm_records:{tier}", log, log.epoch, log.records)
+
+
+def _history_feed(history) -> Tuple[str, Any, int, List]:
+    """A training history's rounds as a cursor feed (never cleared: epoch 0)."""
+    return ("history", history, 0, history.rounds)
+
+
 class MetricsRegistry:
     """Labelled metrics with one JSON-able :meth:`snapshot`.
 
@@ -169,6 +190,9 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: read positions in the append-only sources absorbed so far, as
+        #: ``key -> (source, its epoch, entries read)`` — see :meth:`_unread`
+        self._cursors: Dict[str, Tuple[Any, int, int]] = {}
 
     # ------------------------------------------------------------- accessors
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -281,19 +305,51 @@ class MetricsRegistry:
         }
 
     # --------------------------------------------------------------- absorbs
+    def clear(self) -> None:
+        """Drop every metric and read position (the labels stay)."""
+        self._counters.clear()
+        self._gauges.clear()
+        self._histograms.clear()
+        self._cursors.clear()
+
+    def _position(self, key: str, source: Any, epoch: int, items: List) -> Optional[int]:
+        """How many entries of ``items`` — an append-only list owned by
+        ``source`` — are already folded in under ``key``.  ``None`` when the
+        position kept there no longer points into ``items``: another
+        ``source`` object, a cleared one (``epoch``), or fewer entries than
+        were read."""
+        cursor = self._cursors.get(key)
+        if cursor is None:
+            return 0
+        kept_source, kept_epoch, read = cursor
+        if kept_source is source and kept_epoch == epoch and read <= len(items):
+            return read
+        return None
+
+    def _unread(self, key: str, source: Any, epoch: int, items: List) -> List:
+        """The entries of ``items`` not yet folded in under ``key`` — however
+        many rounds' worth that is — marking them read.  A position that no
+        longer points into ``items`` restarts at 0."""
+        start = self._position(key, source, epoch, items) or 0
+        self._cursors[key] = (source, epoch, len(items))
+        return items[start:]
+
     def absorb_phase_seconds(self, phase_seconds: Dict[str, float], tier: str) -> None:
         for phase, seconds in phase_seconds.items():
             self.gauge("phase_seconds", phase=phase, tier=tier).set(float(seconds))
 
     def absorb_comm_log(self, log, tier: str) -> None:
-        """Fold a :class:`repro.comm.records.CommLog` into per-tier series."""
+        """Fold what a :class:`repro.comm.records.CommLog` gained since this
+        registry last read it into the per-tier series, in log order (so the
+        histogram's seeded reservoir sees one sequence, however it is cut
+        into calls)."""
         bytes_c = self.counter("comm_bytes", tier=tier)
         secs_c = self.counter("comm_sim_seconds", tier=tier)
         retries = self.counter("comm_retries", tier=tier)
         backoff = self.counter("comm_backoff_seconds", tier=tier)
         faults = self.counter("comm_faulted_attempts", tier=tier)
         hist = self.histogram("comm_transfer_seconds", tier=tier)
-        for rec in log.records:
+        for rec in self._unread(*_records_feed(log, tier)):
             if rec.op == "backoff":
                 backoff.inc(rec.seconds)
                 continue
@@ -304,12 +360,14 @@ class MetricsRegistry:
                 faults.inc()
             if rec.attempt > 0 and rec.fault is None:
                 retries.inc(rec.attempt)
-        self.counter("comm_dead_letters", tier=tier).inc(len(log.dead_letters))
+        dead = self._unread(f"comm_dead_letters:{tier}", log, log.epoch, log.dead_letters)
+        self.counter("comm_dead_letters", tier=tier).inc(len(dead))
 
     def absorb_fault_stats(self, stats) -> None:
-        """Fold a :class:`repro.faults.injector.FaultStats` into counters."""
+        """Mirror a :class:`repro.faults.injector.FaultStats` (running totals
+        already) into counters."""
         for name, value in stats.as_dict().items():
-            self.counter(f"faults_{name}").inc(value)
+            self.counter(f"faults_{name}").value = value
 
     def absorb_store(self, store, tier: str) -> None:
         """Fold :class:`ClientStateStore` gauges (one store per tier/edge)."""
@@ -326,27 +384,36 @@ class MetricsRegistry:
         self.gauge("store_live_count", tier=tier).set(store.live_count)
 
     def absorb_accountant(self, accountant, tier: str = "client") -> None:
-        """Fold per-client ε from a :class:`PrivacyAccountant`."""
+        """Per-client ε from a :class:`PrivacyAccountant`: the distribution
+        over clients as it stands now (not a stream), so the histogram is
+        rebuilt from the accountant's running per-client sums."""
         summary = accountant.summary()
-        hist = self.histogram("privacy_epsilon", tier=tier)
+        hist = self._histograms[metric_key("privacy_epsilon", {"tier": tier})] = Histogram()
         for entry in summary.values():
             hist.observe(entry["epsilon"])
         self.gauge("privacy_max_epsilon", tier=tier).set(accountant.max_epsilon_spent())
         self.gauge("privacy_clients_charged", tier=tier).set(len(summary))
 
-    def absorb_worker_telemetry(self, executor) -> None:
-        """Fold the process-backend worker metrics a runner's or edge's
-        :class:`~repro.core.executor.LocalExecutor` holds: deltas banked when
-        pools retired, then the live pool's parent-merged registry."""
-        for registry in executor.worker_telemetry():
-            self.merge(registry)
+    def absorb_worker_telemetry(self, executors) -> None:
+        """The process-backend worker metrics that the runner's and edges'
+        :class:`~repro.core.executor.LocalExecutor` objects hold — per executor
+        the deltas banked when pools retired, then the live pool's
+        parent-merged registry.  Those registries are cumulative, so their
+        merge *replaces* the ``worker_*`` series here."""
+        workers = MetricsRegistry()
+        for executor in executors:
+            for registry in executor.worker_telemetry():
+                workers.merge(registry)
+        self._counters.update(workers._counters)
+        self._gauges.update(workers._gauges)
+        self._histograms.update(workers._histograms)
 
     def absorb_history(self, history) -> None:
-        """Fold per-round :class:`RoundResult` aggregates."""
-        rounds = getattr(history, "rounds", [])
-        self.gauge("rounds_completed").set(len(rounds))
+        """Fold the :class:`RoundResult` entries recorded since this registry last
+        read ``history`` into the per-round aggregates."""
+        self.gauge("rounds_completed").set(len(history.rounds))
         wall = self.histogram("round_wall_clock_seconds")
-        for result in rounds:
+        for result in self._unread(*_history_feed(history)):
             self.counter("history_comm_bytes").inc(result.comm_bytes)
             if result.wall_clock_seconds is not None:
                 wall.observe(result.wall_clock_seconds)
@@ -360,14 +427,34 @@ class MetricsRegistry:
                 for tier, nbytes in result.comm_bytes_by_tier.items():
                     self.counter("history_comm_bytes", tier=tier).inc(nbytes)
 
-    def absorb_runner(self, runner) -> None:
-        """One-call absorb for any of the four runner types.
+    def absorb_runner(self, runner) -> "MetricsRegistry":
+        """Bring this registry up to date with any of the four runner types.
+
+        The one path from a runner's accounting to metrics, live or after
+        the fact: a fresh registry reads everything, a registry that has
+        absorbed this runner before reads only what was appended since — the
+        comm-log records and round results past its read positions, in
+        order — and *sets* everything the runner already keeps as a running
+        total, so a call costs what happened since the last one and the
+        result is bitwise a fresh registry's.  Should a position no longer
+        resume — another runner, a cleared log, a history restored from a
+        checkpoint — the registry clears itself and reads from 0 rather than
+        count anything twice.
 
         Duck-types the runner: whatever accounting surfaces exist
         (``phase_seconds``, communicators with logs, a fault injector, a
         client store — flat or per edge —, a privacy accountant, and the
         training history) are folded in; missing surfaces are skipped.
         """
+        ledger = getattr(runner, "ledger", None)
+        tiers = ledger.tiers if ledger is not None else {}
+        history = getattr(runner, "history", None)
+        feeds = [_records_feed(comm.log, tier) for tier, comm in tiers.items() if comm is not None]
+        if history is not None:
+            feeds.append(_history_feed(history))
+        if any(self._position(*feed) is None for feed in feeds):
+            self.clear()
+
         phases = getattr(runner, "phase_seconds", None)
         if phases:
             self.absorb_phase_seconds(phases, tier="run")
@@ -383,13 +470,12 @@ class MetricsRegistry:
         # The runner's ledger names its wire tiers: a tier with a communicator
         # reports through that log, a virtual timeline's through the bytes it
         # charged as packets were sent.
-        ledger = getattr(runner, "ledger", None)
+        for tier, comm in tiers.items():
+            if comm is not None:
+                self.absorb_comm_log(comm.log, tier=tier)
         if ledger is not None:
-            for tier, comm in ledger.tiers.items():
-                if comm is not None:
-                    self.absorb_comm_log(comm.log, tier=tier)
             for tier, nbytes in ledger.wire_bytes_by_tier().items():
-                self.counter("comm_bytes", tier=tier).inc(nbytes)
+                self.counter("comm_bytes", tier=tier).value = nbytes
 
         injector = getattr(runner, "injector", None)
         if injector is not None:
@@ -405,15 +491,15 @@ class MetricsRegistry:
 
         # Worker-side telemetry from the process backend (the event-driven
         # runners have no pooled executor).
-        for owner in (runner, *getattr(runner, "edges", ())):
-            executor = getattr(owner, "executor", None)
-            if executor is not None:
-                self.absorb_worker_telemetry(executor)
+        owners = (runner, *getattr(runner, "edges", ()))
+        self.absorb_worker_telemetry(
+            owner.executor for owner in owners if getattr(owner, "executor", None) is not None
+        )
 
         accountant = getattr(runner, "accountant", None)
         if accountant is not None:
             self.absorb_accountant(accountant)
 
-        history = getattr(runner, "history", None)
         if history is not None:
             self.absorb_history(history)
+        return self

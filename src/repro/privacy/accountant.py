@@ -45,6 +45,9 @@ class PrivacyAccountant:
 
     def __init__(self) -> None:
         self._spend: Dict[int, List[Tuple[float, float]]] = defaultdict(list)
+        #: per-client (ε, δ) totals of ``_spend``, added release by release —
+        #: bitwise the left-to-right ``sum()`` over the list, without the walk
+        self._totals: Dict[int, Tuple[float, float]] = {}
         #: (client_id, *key) tuples already charged — the dedupe ledger
         self._seen: set = set()
 
@@ -72,8 +75,13 @@ class PrivacyAccountant:
             if seen_key in self._seen:
                 return False
             self._seen.add(seen_key)
-        self._spend[client_id].append((float(epsilon), float(delta)))
+        self._charge(client_id, float(epsilon), float(delta))
         return True
+
+    def _charge(self, client_id: int, epsilon: float, delta: float) -> None:
+        self._spend[client_id].append((epsilon, delta))
+        spent_e, spent_d = self._totals.get(client_id, (0.0, 0.0))
+        self._totals[client_id] = (spent_e + epsilon, spent_d + delta)
 
     def releases(self, client_id: int) -> int:
         """Number of private releases recorded for a client."""
@@ -81,17 +89,15 @@ class PrivacyAccountant:
 
     def epsilon_spent(self, client_id: int) -> float:
         """Total ε consumed by a client (basic composition: sum over releases)."""
-        return float(sum(e for e, _ in self._spend.get(client_id, [])))
+        return self._totals.get(client_id, (0.0, 0.0))[0]
 
     def delta_spent(self, client_id: int) -> float:
         """Total δ consumed by a client (basic composition)."""
-        return float(sum(d for _, d in self._spend.get(client_id, [])))
+        return self._totals.get(client_id, (0.0, 0.0))[1]
 
     def max_epsilon_spent(self) -> float:
         """Worst-case ε across clients (0.0 when nothing recorded)."""
-        if not self._spend:
-            return 0.0
-        return max(self.epsilon_spent(cid) for cid in self._spend)
+        return max((e for e, _ in self._totals.values()), default=0.0)
 
     # ------------------------------------------------------- persistent state
     def accountant_state(self) -> Dict[str, object]:
@@ -110,8 +116,11 @@ class PrivacyAccountant:
             # Old flat format: every top-level key is a client id.
             spend, seen = state, []
         self._spend = defaultdict(list)
+        self._totals = {}
         for cid, spends in spend.items():
-            self._spend[int(cid)] = [(float(e), float(d)) for e, d in spends]
+            self._spend[int(cid)] = []
+            for e, d in spends:
+                self._charge(int(cid), float(e), float(d))
         self._seen = {tuple(int(x) for x in k) for k in seen}
 
     def summary(self) -> Dict[int, Dict[str, float]]:

@@ -1,5 +1,8 @@
 """Tests for serialization, latency models, communication logs, and communicators."""
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from repro.comm import (
     CommLog,
     CommRecord,
     Communicator,
+    DeadLetter,
     GRPCChannelModel,
     GRPCSimCommunicator,
     JitterModel,
@@ -170,6 +174,31 @@ class TestLatencyModels:
         assert rt == pytest.approx(2 * grpc.request_time(1000))
 
 
+#: clean, faulted and backoff records over a few rounds and endpoints
+comm_records = st.builds(
+    CommRecord,
+    round=st.integers(0, 4),
+    endpoint=st.sampled_from(["server", "client:0", "client:1"]),
+    op=st.sampled_from(["send_local", "recv_global", "backoff"]),
+    nbytes=st.integers(0, 1 << 20),
+    seconds=st.floats(0.0, 10.0, allow_nan=False),
+    attempt=st.integers(0, 3),
+    fault=st.sampled_from([None, None, "drop", "timeout", "corrupt"]),
+)
+
+
+def scan_totals(log):
+    """(bytes, seconds, faulted attempts) by walking ``log.records`` — what
+    the no-argument totals computed before they became running sums.  The
+    seconds add left to right from 0, as ``sum()`` did up to Python 3.11
+    (3.12's compensates, so there it can differ in the last bit)."""
+    return (
+        int(sum(r.nbytes for r in log.records)),
+        float(reduce(add, (r.seconds for r in log.records), 0)),
+        sum(1 for r in log.records if r.fault is not None),
+    )
+
+
 class TestCommLog:
     def make_log(self):
         log = CommLog()
@@ -211,6 +240,56 @@ class TestCommLog:
 
     def test_empty_cumulative(self):
         assert CommLog().cumulative_seconds("client:9").size == 0
+
+    def test_clear_drops_dead_letters_and_totals(self):
+        log = self.make_log()
+        log.add(CommRecord(3, "client:0", "send_local", 7, 0.25, fault="drop"))
+        log.add_dead_letter(DeadLetter(3, "client:0", "send_local", 7, 1, "max_attempts"))
+        epoch = log.epoch
+        log.clear()
+        assert (len(log), log.dead_letters) == (0, [])
+        assert (log.total_bytes(), log.total_seconds(), log.failed_attempts()) == (0, 0.0, 0)
+        assert log.epoch == epoch + 1, "a reader's position into the old records must read as stale"
+        log.add(CommRecord(0, "client:0", "send_local", 5, 0.5))
+        assert (log.total_bytes(), log.total_seconds()) == (5, 0.5)
+
+    def test_totals_of_a_log_built_from_records(self):
+        records = self.make_log().records + [CommRecord(3, "server", "gather", 9, 0.125, 1, "timeout")]
+        log = CommLog(records=list(records))
+        assert log.total_bytes() == 609
+        assert log.total_seconds() == scan_totals(log)[1] == 6.125
+        assert log.failed_attempts() == 1
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just("clear"),
+                st.tuples(st.just("add"), comm_records),
+                st.tuples(st.just("extend"), st.lists(comm_records, max_size=6)),
+            ),
+            max_size=30,
+        ),
+        st.lists(comm_records, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_running_totals_equal_the_scans(self, steps, initial):
+        """However the log was built — constructed from records, ``add``,
+        ``extend`` (a list or a one-shot iterator), ``clear`` — the O(1) totals
+        are bitwise the full scans they replaced."""
+        log = CommLog(records=list(initial))
+        assert (log.total_bytes(), log.total_seconds(), log.failed_attempts()) == scan_totals(log)
+        for step in steps:
+            if step == "clear":
+                log.clear()
+            elif step[0] == "add":
+                log.add(step[1])
+            else:
+                log.extend(iter(step[1]))
+            assert (log.total_bytes(), log.total_seconds(), log.failed_attempts()) == scan_totals(log)
+        rounds = {r.round for r in log.records[::2]}
+        assert log.failed_attempts(rounds) == sum(
+            1 for r in log.records if r.fault is not None and r.round in rounds
+        )
 
 
 class TestCommunicators:

@@ -15,6 +15,11 @@ suite:
 * **Bitwise determinism** — arming a :class:`repro.obs.RunMonitor` (with
   streaming + watchdogs) never changes a run, across runners, algorithms,
   and execution backends.
+* **One absorb path** — the monitor's live, cursor-fed registry equals a
+  fresh ``MetricsRegistry().absorb_runner(runner)`` at every round, for all
+  four runner types, however the log and history grew between samples; and
+  a round's bookkeeping does the same amount of work at round 60 as at
+  round 10 (counted, not timed).
 * **Worker telemetry** — process-backend workers ship registry deltas
   that merge deterministically in the parent, and opt-in phase profiling
   produces collapsed stacks rooted per worker.
@@ -27,6 +32,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FLConfig, MLP, build_federation
 from repro.data import TensorDataset
@@ -270,6 +277,42 @@ def _history(losses):
     return SimpleNamespace(rounds=[SimpleNamespace(test_loss=v) for v in losses])
 
 
+def _convergence_by_rescan(dog, rounds, round_index=3):
+    """``ConvergenceWatchdog.check`` as a pure function of the whole history."""
+    import math
+
+    from repro.obs.health import Alert
+
+    losses = [float(r.test_loss) for r in rounds if r.test_loss is not None]
+    if not losses:
+        return []
+    latest = losses[-1]
+    if not math.isfinite(latest):
+        return [Alert(dog.name, "critical", "test loss is non-finite", round_index, {"loss": repr(latest)})]
+    alerts = []
+    finite = [v for v in losses if math.isfinite(v)]
+    best = min(finite)
+    if len(finite) >= 2 and latest > best * dog.divergence_factor and latest > best + dog.min_rise:
+        alerts.append(
+            Alert(
+                dog.name, "critical", f"loss diverging: {latest:.4g} vs best {best:.4g}",
+                round_index, {"loss": latest, "best": best},
+            )
+        )
+    if len(finite) >= dog.window + 1:
+        prior_best, recent_best = min(finite[: -dog.window]), min(finite[-dog.window :])
+        if recent_best > prior_best - dog.min_improvement:
+            alerts.append(
+                Alert(
+                    dog.name, "warning",
+                    f"no loss improvement in last {dog.window} rounds "
+                    f"(best {recent_best:.4g} vs prior {prior_best:.4g})",
+                    round_index, {"recent_best": recent_best, "prior_best": prior_best},
+                )
+            )
+    return alerts
+
+
 class TestWatchdogs:
     def test_convergence_divergence_fires(self):
         dog = ConvergenceWatchdog()
@@ -296,6 +339,33 @@ class TestWatchdogs:
         assert dog.check(_sample(history=_history(improving))) == []
         # near-zero best loss + tiny absolute wobble must not trip divergence
         assert dog.check(_sample(history=_history([1e-4, 1e-3]))) == []
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.sampled_from([float("nan"), float("inf")]),
+                st.floats(0.0, 5.0, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_convergence_incremental_state_matches_a_full_rescan(self, losses, window):
+        """The watchdog reads each round once and keeps best / rolling-window
+        state; after every round its alerts are what re-deriving everything
+        from the whole loss history (the reference below) gives."""
+        dog = ConvergenceWatchdog(window=window)
+        history = _history([])
+        for loss in losses:
+            history.rounds.append(SimpleNamespace(test_loss=loss))
+            got = dog.check(_sample(history=history))
+            assert got == _convergence_by_rescan(dog, history.rounds)
+            assert dog.check(_sample(history=history)) == got, "a re-check re-read rounds"
+        # shown a shorter history it starts over
+        short = _history([1.0, 0.5, 4.2])
+        assert dog.check(_sample(history=short)) == _convergence_by_rescan(dog, short.rounds)
 
     def test_straggler_fires_on_skew_and_respects_floors(self):
         dog = StragglerWatchdog(ratio=16.0, min_samples=64, min_p99_seconds=0.25)
@@ -443,6 +513,233 @@ class TestMonitoredRuns:
         assert all(a["monitor"] == "memory" for a in alerts)
 
 
+# ------------------------------------------------------------ one absorb path
+#: what only a monitor puts in its registry: memory gauges, its own timings
+MONITOR_ONLY = ("process_rss_bytes", "shm_live_bytes", "shm_live_segments", "local_update_seconds")
+LIVE_ROUNDS = 4
+
+
+def _runner_metrics(snapshot):
+    """``snapshot`` without the series a post-hoc absorb cannot have."""
+    return {
+        kind: {k: v for k, v in series.items() if not k.startswith(MONITOR_ONLY)}
+        for kind, series in snapshot.items()
+        if kind != "labels"
+    }
+
+
+def _post_hoc(runner):
+    return _runner_metrics(MetricsRegistry().absorb_runner(runner).snapshot())
+
+
+def _dp(**overrides):
+    from repro.core import PrivacyConfig
+
+    return dict(privacy=PrivacyConfig(epsilon=5.0, clip_norm=1.0), **overrides)
+
+
+def _build_live(kind):
+    """One runner per absorb surface: comm logs with retries, backoff waits
+    and dead letters, ε accounting, a client store, banked + live worker
+    telemetry, virtual-timeline wire totals, per-tier history counters."""
+    from repro.faults import FaultPlan
+
+    lossy = FaultPlan(seed=5, drop_prob=0.25, timeout_prob=0.1)
+    if kind == "eager":
+        runner = _build("sync", "iceadmm", **_dp())
+        runner.communicator.install_faults(lossy)
+    elif kind == "store":
+        from repro.scale import build_virtual_federation
+
+        datasets, test = _make_data()
+        runner = build_virtual_federation(
+            _config("iiadmm", **_dp()), _model_fn(), datasets, live_cap=2, test_dataset=test
+        )
+    elif kind == "process":
+        runner = _build("sync", "fedavg", execution_backend="process", parallel_clients=2)
+    elif kind == "async":
+        from repro.asyncfl import FedBuffStrategy, build_async_federation
+
+        datasets, test = _make_data()
+        runner = build_async_federation(
+            _config("fedavg", **_dp()), _model_fn(), datasets, test,
+            strategy=FedBuffStrategy(buffer_size=3),
+        )
+        runner.enable_faults(FaultPlan(seed=2, client_crash_prob=0.3))
+    elif kind == "hier":
+        runner = _build("hier", "iceadmm", **_dp())
+        runner.enable_faults(lossy)
+    else:
+        runner = _build("hier_async", "fedavg", **_dp())
+    return runner
+
+
+class TestOneAbsorbPath:
+    @pytest.mark.parametrize("kind", ("eager", "store", "process", "async", "hier", "hier_async"))
+    def test_live_registry_equals_post_hoc_absorb(self, kind, tmp_path):
+        runner = _build_live(kind)
+        monitor = RunMonitor(monitors=default_monitors(), stream=str(tmp_path / "s.jsonl"))
+        checked = []
+
+        def compare(result):
+            done = len(runner.history)
+            if kind == "process" and done == 2:
+                runner.executor.retire_pool()  # rounds 3-4: banked telemetry + a new pool's
+            if done in (1, 3, LIVE_ROUNDS):
+                live = _runner_metrics(monitor.sample_registry(runner)[0])
+                assert live == _post_hoc(runner), f"live != post-hoc at round {done}"
+                checked.append(done)
+
+        with use_monitor(monitor):
+            runner.run(LIVE_ROUNDS, callback=compare)
+        runner.close()
+        monitor.close()
+        assert checked == [1, 3, LIVE_ROUNDS]
+        assert monitor.report.samples == LIVE_ROUNDS
+
+        series = load_series(tmp_path / "s.jsonl")
+        final = series[-1]["metrics"]["counters"]
+        assert final, "nothing was counted"
+        for key, value in final.items():
+            assert sum(s["delta"]["counters"].get(key, 0) for s in series) == pytest.approx(value)
+        if kind in ("eager", "hier"):
+            assert sum(v for k, v in final.items() if k.startswith("comm_retries")) > 0
+            assert sum(v for k, v in final.items() if k.startswith("comm_backoff_seconds")) > 0
+        if kind == "process":
+            assert any(k.startswith("worker_client_updates") for k in final)
+
+    def test_sampling_every_third_round(self):
+        """``interval_rounds > 1``: each sample reads several rounds' records
+        and results at once."""
+        runner = _build_live("eager")
+        monitor = RunMonitor(monitors=default_monitors(), interval_rounds=3)
+        with use_monitor(monitor):
+            runner.run(7)
+        monitor.close()
+        assert monitor.report.samples == 3  # rounds 1, 4, 7
+        assert _runner_metrics(monitor.registry.snapshot()) == _post_hoc(runner)
+
+    def test_log_and_history_grown_through_their_public_methods(self):
+        """What ``perf/micro.py`` does between its two sampling timings."""
+        runner = _build_live("eager")
+        runner.run(2)
+        monitor = RunMonitor(monitors=default_monitors())
+        first = _runner_metrics(monitor.sample_registry(runner)[0])
+        assert first == _post_hoc(runner)
+        assert _runner_metrics(monitor.sample_registry(runner)[0]) == first, "re-sampling re-counted"
+        records, results = list(runner.communicator.log.records), list(runner.history.rounds)
+        for _ in range(9):
+            runner.communicator.log.extend(records)
+            for result in results:
+                runner.history.add(result)
+        grown = _runner_metrics(monitor.sample_registry(runner)[0])
+        assert grown == _post_hoc(runner)
+        assert grown["counters"]["history_comm_bytes"] == 10 * first["counters"]["history_comm_bytes"]
+        monitor.close()
+
+    def test_cleared_log_and_other_runner_rebuild_instead_of_double_counting(self):
+        runner = _build_live("eager")
+        runner.run(2)
+        monitor = RunMonitor(monitors=default_monitors())
+        before = monitor.sample_registry(runner)[0]["counters"]["comm_bytes{tier=flat}"]
+        # cleared, then regrown past where the monitor had read to
+        log = runner.communicator.log
+        records = list(log.records)
+        log.clear()
+        log.extend(records + records[:5])
+        after = monitor.sample_registry(runner)[0]
+        assert _runner_metrics(after) == _post_hoc(runner)
+        assert after["counters"]["comm_bytes{tier=flat}"] < 2 * before
+        # a different runner under the same monitor
+        other = _build_live("hier")
+        other.run(1)
+        assert _runner_metrics(monitor.sample_registry(other)[0]) == _post_hoc(other)
+        # a history restored from a checkpoint is a new object
+        from repro.core.phases import TrainingHistory
+
+        other.history = TrainingHistory(rounds=list(other.history.rounds))
+        assert _runner_metrics(monitor.sample_registry(other)[0]) == _post_hoc(other)
+        monitor.close()
+
+    def test_bookkeeping_work_is_flat_in_run_length(self, monkeypatch):
+        """Count, per round, every ``Histogram.observe``, every ``CommRecord``
+        and ``RoundResult`` read out of the log / history, and every
+        accountant query: round 60 does no more of them than round 10.  (With
+        per-sample rebuilds and full-log scans all but the last grew linearly.)"""
+        from repro.privacy import PrivacyAccountant
+
+        tally = {"observe": 0, "entries": 0, "accountant": 0}
+
+        def counted(cls, name, key):
+            inner = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                tally[key] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(Histogram, "observe", "observe")
+        for name in ("epsilon_spent", "delta_spent", "releases", "max_epsilon_spent"):
+            counted(PrivacyAccountant, name, "accountant")
+
+        class CountingList(list):
+            """A list that tallies the entries read out of it."""
+
+            def __iter__(self):
+                for item in super().__iter__():
+                    tally["entries"] += 1
+                    yield item
+
+            def __getitem__(self, index):
+                got = super().__getitem__(index)
+                tally["entries"] += len(got) if isinstance(index, slice) else 1
+                return got
+
+        _, test = _make_data()
+        rng = np.random.default_rng(0)
+        datasets = [
+            TensorDataset(rng.standard_normal((4, INPUT_DIM)), rng.integers(0, NUM_CLASSES, 4))
+            for _ in range(16)
+        ]
+        runner = build_federation(
+            _config("iceadmm", batch_size=4, local_steps=1, **_dp()), _model_fn(), datasets, test
+        )
+        runner.communicator.log.records = CountingList()
+        runner.history.rounds = CountingList()
+
+        per_round = []
+
+        class Watching(RunMonitor):
+            def on_round(self, runner, result=None):
+                super().on_round(runner, result)
+                per_round.append(dict(tally))  # cumulative, at each round's end
+
+        monitor = Watching(monitors=default_monitors())
+        with use_monitor(monitor):
+            runner.run(60)
+        monitor.close()
+
+        def work(round_number):  # everything between two round ends
+            now, before = per_round[round_number - 1], per_round[round_number - 2]
+            return {key: now[key] - before[key] for key in tally}
+
+        assert all(count > 0 for count in work(10).values()), work(10)
+        assert work(60) == work(10)
+        assert work(35) == work(10)
+
+    def test_report_carries_what_sampling_cost(self):
+        monitor = RunMonitor(monitors=default_monitors())
+        _run("sync", "fedavg", monitor)
+        monitor.close()
+        report = monitor.report
+        assert 0.0 < report.sample_seconds < 60.0
+        assert report.to_dict()["sample_seconds"] == report.sample_seconds
+        assert f"{ROUNDS} samples in " in report.render()
+        # kept out of the registry, so live and post-hoc snapshots stay equal
+        assert not any("sample_seconds" in k for kind in monitor.registry.snapshot().values() for k in kind)
+
+
 # ------------------------------------------------------------------- endpoint
 class TestMetricsServer:
     def test_metrics_and_healthz(self):
@@ -470,6 +767,7 @@ class TestMetricsServer:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(server.url + "/healthz", timeout=5)
             assert err.value.code == 503
+            err.value.close()  # the error *is* the open response
         finally:
             server.close()
 

@@ -233,3 +233,24 @@ class TestAccountant:
         summary = acc.summary()
         assert summary[2]["epsilon"] == pytest.approx(1.5)
         assert summary[2]["releases"] == 1
+
+    def test_running_sums_equal_the_ledger_across_a_restore(self):
+        """The per-client totals the accountant keeps beside its release lists
+        are the lists' left-to-right sums, for records and for a restored
+        checkpoint alike (ε values chosen so that float addition order shows)."""
+        acc = PrivacyAccountant()
+        for i in range(40):
+            acc.record(i % 3, 0.1 * (i + 1), delta=1e-7 * i, key=(i, 0))
+            acc.record(i % 3, 0.1 * (i + 1), key=(i, 0))  # a replay: not charged
+        restored = PrivacyAccountant()
+        restored.load_accountant_state(acc.accountant_state())
+        for who in (acc, restored):
+            spend = who.accountant_state()["spend"]
+            for cid, releases in spend.items():
+                eps = delta = 0.0
+                for e, d in releases:
+                    eps, delta = eps + e, delta + d
+                assert (who.epsilon_spent(cid), who.delta_spent(cid)) == (eps, delta)
+            assert who.max_epsilon_spent() == max(who.epsilon_spent(cid) for cid in spend)
+            assert who.summary() == acc.summary()
+        assert restored.record(0, 1.0, key=(0, 0)) is False, "dedupe ledger restored too"
