@@ -31,6 +31,9 @@ python -m pytest -x -q
 echo "== perf/: API surface + quick run (exact counts, digests) =="
 python3 -m pytest perf/tests/test_perf_api_surface.py -q
 python3 perf/run.py --quick --no-micro
+# A FedBuff(16) flush over 256 clients replaces 16 terms of the server's running
+# sum (<= 2*16 adds + the merge); 263 means it fell back to re-summing everyone.
+python3 -c "import json; n = json.load(open('perf/out/result.json'))['workloads']['async_fedbuff']['per_layer']['core.partial.add_calls']; assert n <= 2 * 16 + 16, f'async_fedbuff: {n} ExactPartial.add calls per aggregation (bound 48) - the flush re-sums the whole population again'"
 echo "src/ LOC: $(find src -name '*.py' | xargs wc -l | tail -1)"
 # ROADMAP "one round engine" bar: the five runner/edge files stay <= 2,437.
 echo "runner/edge LOC: $(wc -l src/repro/core/runner.py src/repro/hier/edge.py \

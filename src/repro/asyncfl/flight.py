@@ -165,7 +165,10 @@ class ClientFlights:
         compute = self.cost_model.local_update_time(self.devices[cid], client.num_samples)
         if self.slowdown is not None:
             compute = self.slowdown(cid) * compute
-        if self.injector is not None and self.injector.client_crashed(cid, version):
+        # A re-dispatch at a standing version draws again: attempt = crashes this round.
+        if self.injector is not None and self.injector.client_crashed(
+            cid, version, self.ledger.failed.count(cid)
+        ):
             # The client dies on-device mid-update: its in-memory progress is
             # lost and the failure surfaces when the upload would have been due.
             self.loop.schedule_after(

@@ -127,15 +127,7 @@ class AsyncRunner:
             raise ValueError(
                 f"buffer_size ({buffer_size}) cannot exceed the number of clients ({num_clients})"
             )
-        if config.adaptive_rho and hasattr(server, "duals"):
-            # Clients grow rho once per *their own* update while the server
-            # grows it once per aggregation; under partial participation or
-            # staleness the schedules diverge and the dual replicas (IIADMM)
-            # or aggregation penalties (ICEADMM) silently drift apart.
-            raise ValueError(
-                "adaptive_rho is not supported by asyncfl for ADMM-family algorithms: "
-                "per-client rho schedules diverge under partial participation/staleness"
-            )
+        server.require_fixed_rho("asyncfl")
         self.sampler = (
             sampler if sampler is not None else FullParticipationSampler(num_clients, seed=config.seed)
         )
@@ -416,6 +408,9 @@ class AsyncRunner:
             "sim_comm_seconds": ledger.wire_seconds[FLAT],
             "sim_comm_seconds_last": ledger.seconds_mark[FLAT],
             "round_timings": dict(ledger.timings),
+            # The open round's crashes number the next crash draws.  Absent
+            # when there are none — which is every blob older than the key.
+            **({"round_failed": list(ledger.failed)} if ledger.failed else {}),
         }
 
     def load_timeline_state(self, state: Dict[str, Any]) -> None:
@@ -435,6 +430,7 @@ class AsyncRunner:
         ledger.wire_seconds[FLAT] = float(state["sim_comm_seconds"])
         ledger.seconds_mark[FLAT] = float(state["sim_comm_seconds_last"])
         ledger.timings = {k: float(v) for k, v in state["round_timings"].items()}
+        ledger.failed = [int(c) for c in state.get("round_failed", ())]
         self._dispatch_cache = None
         self.flights.pinned.clear()
 

@@ -99,12 +99,20 @@ def apply_partial_update(server: BaseServer, items: Sequence[Item]) -> None:
         raise ValueError("no client uploads to aggregate")
     items = sorted(items, key=lambda it: it[0])
     payloads = {cid: payload for cid, payload, _ in items}
-    if server.uses_legacy_update and not hasattr(server, "aggregate_global"):
+    if server.uses_legacy_update and not server.absorbs_uploads:
         # A plug-and-play server that customised only the legacy update():
         # drive it directly (pre-codec async contract) so the override runs.
         server.update(payloads)
     else:
         server.finalize_round(payloads)
+
+
+def _load_buffer(state: Mapping[str, object]) -> Dict[int, Item]:
+    """The ``"buffer"`` entry of a checkpointed strategy state, re-typed."""
+    return {
+        int(cid): (int(item[0]), dict(item[1]), np.asarray(item[2]))
+        for cid, item in state["buffer"].items()  # type: ignore[union-attr]
+    }
 
 
 def _async_candidate(server: BaseServer, cid: int, payload: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -113,10 +121,9 @@ def _async_candidate(server: BaseServer, cid: int, payload: Mapping[str, np.ndar
     FedAvg: the uploaded primal.  ADMM family (state already ingested at
     arrival): ``z_p − λ_p/ρ``, the per-client term of the ADMM global update.
     """
-    z = np.asarray(payload[PRIMAL_KEY])
-    if hasattr(server, "duals"):
-        return z - server.duals[cid] / float(server.rho)
-    return z
+    if server.absorbs_uploads:
+        return server.partial_term(cid).copy()  # out of the server's scratch
+    return np.asarray(payload[PRIMAL_KEY])
 
 
 class AsyncStrategy(ABC):
@@ -186,10 +193,7 @@ class SyncRoundStrategy(AsyncStrategy):
     def load_strategy_state(self, state: Mapping[str, object]) -> None:
         expected = state["expected"]
         self._expected = None if expected is None else tuple(int(c) for c in expected)  # type: ignore[union-attr]
-        self._buffer = {
-            int(cid): (int(item[0]), dict(item[1]), np.asarray(item[2]))
-            for cid, item in state["buffer"].items()  # type: ignore[union-attr]
-        }
+        self._buffer = _load_buffer(state)
 
 
 class FedBuffStrategy(AsyncStrategy):
@@ -220,10 +224,7 @@ class FedBuffStrategy(AsyncStrategy):
         return {"buffer": dict(self._buffer)}
 
     def load_strategy_state(self, state: Mapping[str, object]) -> None:
-        self._buffer = {
-            int(cid): (int(item[0]), dict(item[1]), np.asarray(item[2]))
-            for cid, item in state["buffer"].items()  # type: ignore[union-attr]
-        }
+        self._buffer = _load_buffer(state)
 
 
 class FedAsyncStrategy(AsyncStrategy):

@@ -160,9 +160,10 @@ class Int8QuantCodec(Codec):
             return arr, {"applied": False}
         amax = float(np.max(np.abs(arr))) if arr.size else 0.0
         scale = amax / 127.0
-        if scale == 0.0:  # all zeros, or max|x| so small the division underflows
+        wide = np.promote_types(arr.dtype, np.float32)  # float16 (after fp16) divides in float32
+        if wide.type(scale) == 0.0:  # all zeros, or max|x| so small the scale underflows there
             scale = 1.0
-        q = np.clip(np.rint(arr / scale), -127, 127).astype(np.int8)
+        q = np.clip(np.rint(arr.astype(wide, copy=False) / scale), -127, 127).astype(np.int8)
         return q, {"applied": True, "dtype": str(arr.dtype), "scale": scale, "zero_point": 0}
 
     def decode(self, arr, meta, ref):

@@ -1,6 +1,6 @@
 """Core federated-learning framework (servers, clients, algorithms, runners)."""
 
-from .base import BaseClient, BaseServer, ModelVectorizer
+from .base import ADMMServer, BaseClient, BaseServer, ModelVectorizer
 from .config import FLConfig, PrivacyConfig
 from .exchange import PacketExchange
 from .fedavg import FedAvgClient, FedAvgServer
@@ -15,6 +15,7 @@ __all__ = [
     "FLConfig",
     "PrivacyConfig",
     "BaseServer",
+    "ADMMServer",
     "BaseClient",
     "ModelVectorizer",
     "PacketExchange",

@@ -48,6 +48,7 @@ into model memory.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,12 +61,16 @@ from ..privacy import Mechanism, NoPrivacy, clip_by_norm, make_mechanism
 from .config import FLConfig
 from .partial import ExactPartial
 
-__all__ = ["ModelVectorizer", "BaseClient", "BaseServer"]
+__all__ = ["ModelVectorizer", "BaseClient", "BaseServer", "ADMMClient", "ADMMServer"]
 
 GLOBAL_KEY = "global"
 PRIMAL_KEY = "primal"
 DUAL_KEY = "dual"
 SAMPLES_KEY = "num_samples"
+_NO_PARTIALS = (
+    "{} does not implement associative partial aggregation "
+    "(partial_term/combine_partials), required for hierarchical federation"
+)
 
 
 class ModelVectorizer:
@@ -376,6 +381,13 @@ class BaseServer:
     server would.  ``None`` (the default) tracks everyone.
     """
 
+    #: True when :meth:`ingest` absorbs every upload into per-client state that
+    #: aggregation then spans (:class:`ADMMServer`): runners stream uploads in, collecting none.
+    absorbs_uploads = False
+
+    def require_fixed_rho(self, where: str) -> None:
+        """Raise if the penalty schedule cannot survive ``where`` (:class:`ADMMServer`)."""
+
     def __init__(
         self,
         model: nn.Module,
@@ -487,11 +499,7 @@ class BaseServer:
         consume (or let :class:`~repro.core.partial.ExactPartial` copy) it
         before the next call.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement associative partial "
-            f"aggregation (partial_term/combine_partials), required for "
-            f"hierarchical federation"
-        )
+        raise NotImplementedError(_NO_PARTIALS.format(type(self).__name__))
 
     def partial_sum(
         self, payloads: Optional[Mapping[int, Mapping[str, np.ndarray]]] = None
@@ -523,11 +531,14 @@ class BaseServer:
         Merging is exact, so any grouping of the same client terms yields a
         bit-identical global model.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement associative partial "
-            f"aggregation (partial_term/combine_partials), required for "
-            f"hierarchical federation"
-        )
+        raise NotImplementedError(_NO_PARTIALS.format(type(self).__name__))
+
+    def merge_partials(self, partials: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+        """The exact sum of ``partials``' components, correctly rounded."""
+        acc = ExactPartial(self.vectorizer.dim, self.vectorizer.dtype)
+        for components in partials:
+            acc.merge(components)
+        return acc.round()
 
     @property
     def supports_partials(self) -> bool:
@@ -567,3 +578,162 @@ class BaseServer:
     def sync_model(self) -> None:
         """Write the current global parameter vector into the server's model."""
         self.vectorizer.load_vector(self.global_params)
+
+
+class ADMMClient(BaseClient):
+    """Client state shared by the IADMM family: the dual ``λ_p`` (zero at first, like
+    the server's replica — Algorithm 1 line 1), the last sent primal ``z_p``, and ``ρ_t``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dual = np.zeros(self.vectorizer.dim, dtype=self.vectorizer.dtype)
+        self.primal = self.vectorizer.to_vector()
+        self._rho = self.config.rho
+
+    @property
+    def rho(self) -> float:
+        """Current penalty parameter ρ_t (may grow when adaptive_rho is set)."""
+        return self._rho
+
+    def client_state(self) -> Dict[str, object]:
+        return {**super().client_state(), "dual": self.dual, "primal": self.primal, "rho": self._rho}
+
+    def load_client_state(self, state: Mapping[str, object]) -> None:
+        super().load_client_state(state)
+        np.copyto(self.dual, np.asarray(state["dual"]))
+        self.primal = np.array(state["primal"], copy=True)
+        self._rho = float(state["rho"])  # type: ignore[arg-type]
+
+
+class ADMMServer(BaseServer):
+    """Server half shared by the IADMM family (ICEADMM, IIADMM): a last-known
+    primal/dual replica per tracked client and the global update
+    ``w = (1/P) Σ_p (z_p − λ_p/ρ)`` over *every* replica (the
+    partial-participation form).  Subclasses say how one upload changes a
+    replica — :meth:`_absorb`.
+
+    **A flat aggregation costs O(arrivals), not O(population).**
+    :meth:`aggregate_global` keeps the sum in one running
+    :class:`~repro.core.partial.ExactPartial`: :meth:`ingest` adds the negated
+    term of a client about to change, the fold its new term — two ``add``s per
+    client heard from and, the expansion being exact, the same real number, so
+    ``round()`` returns the re-sum's bits.  The server picks the path from its
+    own traffic: a window that touched fewer than half the shard updates in
+    place; any other re-sums as it always did (``add`` for ``add``) and keeps
+    nothing alive across the next client phase — the accumulator is dropped
+    the moment a window turns majority and kept only from the first minority
+    window on.  It is *derived* state: never in :meth:`server_state`, and
+    dropped (the next fold re-sums) by :meth:`load_server_state` and whenever
+    ρ changes (``adaptive_rho``: every round).  Only its *value* is
+    history-free, so it never leaves the server: :meth:`partial_sum` — what a
+    hier edge puts on the wire — stays the fresh re-sum, a function of the
+    replicas alone.  Change :attr:`primals` / :attr:`duals` only through
+    ``ingest`` and ``load_server_state``.
+    """
+
+    absorbs_uploads = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Replicas of the tracked ids only: everyone (flat) or one edge's shard.
+        dim, dtype = self.vectorizer.dim, self.vectorizer.dtype
+        self.duals = {cid: np.zeros(dim, dtype=dtype) for cid in self.shard}
+        self.primals = {cid: self.vectorizer.to_vector() for cid in self.shard}
+        self._rho = self.config.rho
+        #: the kept sum, short of the terms of the clients heard from since the last fold
+        self._running: Optional[ExactPartial] = None
+        self._touched: set = set()
+        self._stale_reason: Optional[str] = None
+        #: folds per ("incremental" | "rebuild", reason); the latest one's component count
+        self.aggregate_counts: Counter = Counter()
+        self.partial_components = 0
+
+    @property
+    def rho(self) -> float:
+        """Current penalty parameter ρ_t (grows when ``adaptive_rho`` is set)."""
+        return self._rho
+
+    def require_fixed_rho(self, where: str) -> None:
+        """Clients grow ρ per *their own* update, each server per aggregation of its
+        own: under partial participation or a root/edge split the duals drift apart."""
+        if self.config.adaptive_rho:
+            raise ValueError(
+                f"adaptive_rho is not supported by {where} for ADMM-family "
+                f"algorithms: the per-client and per-server rho schedules diverge"
+            )
+
+    def _absorb(self, cid: int, payload: Mapping[str, np.ndarray], dispatched_global: np.ndarray) -> None:
+        """Apply one decoded upload to client ``cid``'s replica."""
+        raise NotImplementedError
+
+    def ingest(self, cid: int, payload, dispatched_global: np.ndarray) -> Dict[str, np.ndarray]:
+        """Decode one upload (``super().ingest``, the single decode point) and
+        absorb it into the client's replica; call exactly once per upload."""
+        if cid not in self.duals:
+            raise KeyError(f"client {cid} is not tracked by this server (shard={self.shard[:8]}…)")
+        if cid not in self._touched:  # a repeat arrival's stale term is already out
+            self._touched.add(cid)
+            if self._running is not None:
+                if 2 * len(self._touched) >= len(self.shard):
+                    self._running = None  # a majority window: re-summing is cheaper — free it now
+                else:
+                    stale = self.partial_term(cid)
+                    self._running.add(np.negative(stale, out=stale))
+        payload = super().ingest(cid, payload, dispatched_global)
+        self._absorb(cid, payload, dispatched_global)
+        return payload
+
+    def _forget_running(self, reason: str) -> None:
+        self._running, self._touched, self._stale_reason = None, set(), reason
+
+    def partial_term(self, cid: int, payload: Optional[Mapping[str, np.ndarray]] = None) -> np.ndarray:
+        """``z_p − λ_p/ρ`` from the last-known replica (returns scratch memory)."""
+        s = self._scratch
+        np.divide(self.duals[cid], self._rho, out=s)
+        np.subtract(self.primals[cid], s, out=s)
+        return s
+
+    def combine_partials(self, partials: Sequence[Sequence[np.ndarray]], participants: Sequence[int] = ()) -> None:
+        """The global update over exactly merged shard partials.  ``participants``
+        is unused: every client contributes its last-known state, so the
+        normaliser is always the full population ``P``."""
+        self.global_params = self.merge_partials(partials) / self.num_clients
+        if self.config.adaptive_rho:
+            self._rho *= self.config.rho_growth
+            self._forget_running("adaptive_rho")
+        self.round += 1
+        self.sync_model()
+
+    def aggregate_global(self) -> None:
+        """The global update over all tracked clients' last-known state: the kept sum
+        brought up to date, or :meth:`partial_sum`'s re-sum (kept after a minority window)."""
+        touched, self._touched = self._touched, set()
+        acc = self._running
+        if acc is not None:
+            for cid in touched:
+                acc.add(self.partial_term(cid))
+            key = ("incremental", "minority_window")
+        else:
+            acc = self.partial_sum()
+            minority = 2 * len(touched) < len(self.shard)
+            if minority:
+                self._running = acc
+            key = ("rebuild", self._stale_reason or ("first" if minority else "majority_window"))
+            self._stale_reason = None
+        self.aggregate_counts[key] += 1
+        self.partial_components = len(acc)
+        self.combine_partials([acc.components])
+
+    def finalize_round(self, payloads: Mapping[int, Mapping[str, np.ndarray]]) -> None:
+        """Per-upload state was absorbed by :meth:`ingest`; only the global update remains."""
+        self.aggregate_global()
+
+    def server_state(self) -> Dict[str, object]:
+        return {**super().server_state(), "duals": self.duals, "primals": self.primals, "rho": self._rho}
+
+    def load_server_state(self, state: Mapping[str, object]) -> None:
+        super().load_server_state(state)
+        self.duals = {int(c): np.array(v, copy=True) for c, v in state["duals"].items()}  # type: ignore[union-attr]
+        self.primals = {int(c): np.array(v, copy=True) for c, v in state["primals"].items()}  # type: ignore[union-attr]
+        self._rho = float(state["rho"])  # type: ignore[arg-type]
+        self._forget_running("restore")

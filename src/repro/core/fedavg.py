@@ -20,7 +20,6 @@ import numpy as np
 
 from ..privacy import FedAvgSensitivity
 from .base import GLOBAL_KEY, PRIMAL_KEY, BaseClient, BaseServer
-from .partial import ExactPartial
 
 __all__ = ["FedAvgClient", "FedAvgServer"]
 
@@ -104,10 +103,7 @@ class FedAvgServer(BaseServer):
         total_weight = math.fsum(float(self._agg_weights[c]) for c in sorted(participants))
         if total_weight <= 0:
             raise ValueError("aggregation weights sum to zero")
-        acc = ExactPartial(self.vectorizer.dim, self.vectorizer.dtype)
-        for components in partials:
-            acc.merge(components)
-        self.global_params = acc.round() / total_weight
+        self.global_params = self.merge_partials(partials) / total_weight
         self.round += 1
         self.sync_model()
 

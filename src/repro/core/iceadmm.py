@@ -21,29 +21,18 @@ noise calibrated to the IADMM sensitivity ``Δ = 2C/(ρ+ζ)``.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping
 
 import numpy as np
 
 from ..privacy import IADMMSensitivity
-from .base import DUAL_KEY, GLOBAL_KEY, PRIMAL_KEY, BaseClient, BaseServer
-from .partial import ExactPartial
+from .base import DUAL_KEY, GLOBAL_KEY, PRIMAL_KEY, ADMMClient, ADMMServer
 
 __all__ = ["ICEADMMClient", "ICEADMMServer"]
 
 
-class ICEADMMClient(BaseClient):
+class ICEADMMClient(ADMMClient):
     """ICEADMM client: L full-gradient primal+dual updates per round."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.dual = np.zeros(self.vectorizer.dim, dtype=self.vectorizer.dtype)
-        self.primal = self.vectorizer.to_vector()
-        self._rho = self.config.rho
-
-    @property
-    def rho(self) -> float:
-        return self._rho
 
     def update(self, global_payload: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         cfg = self.config
@@ -86,104 +75,20 @@ class ICEADMMClient(BaseClient):
         # Both primal and dual travel to the server (2x IIADMM's payload).
         return {PRIMAL_KEY: upload_z, DUAL_KEY: upload_lam}
 
-    def client_state(self) -> Dict[str, object]:
-        state = super().client_state()
-        state.update(dual=self.dual, primal=self.primal, rho=self._rho)
-        return state
 
-    def load_client_state(self, state: Mapping[str, object]) -> None:
-        super().load_client_state(state)
-        np.copyto(self.dual, np.asarray(state["dual"]))
-        self.primal = np.array(state["primal"], copy=True)
-        self._rho = float(state["rho"])  # type: ignore[arg-type]
+class ICEADMMServer(ADMMServer):
+    """ICEADMM server: global update from the transmitted primal and dual pairs
+    (aggregation, state and the running exact sum: :class:`~repro.core.base.ADMMServer`)."""
 
-
-class ICEADMMServer(BaseServer):
-    """ICEADMM server: global update from the transmitted primal and dual pairs."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # Per-client replicas only for the ids this server tracks: the whole
-        # population for the flat server, one shard for an edge aggregator.
-        self.primals = {cid: self.vectorizer.to_vector() for cid in self.shard}
-        self.duals = {
-            cid: np.zeros(self.vectorizer.dim, dtype=self.vectorizer.dtype)
-            for cid in self.shard
-        }
-        self._rho = self.config.rho
-
-    @property
-    def rho(self) -> float:
-        return self._rho
-
-    def ingest(self, cid: int, payload, dispatched_global: np.ndarray) -> Dict[str, np.ndarray]:
+    def _absorb(self, cid: int, payload: Mapping[str, np.ndarray], dispatched_global: np.ndarray) -> None:
         """Store one client's transmitted primal/dual pair.
 
-        Accepts an :class:`~repro.comm.codecs.UpdatePacket` (decoded exactly
-        once by ``super().ingest``; under a ``delta`` codec the primal is
-        reconstructed against ``dispatched_global``, the dual travels
-        standalone) or an already-decoded mapping.  Unlike IIADMM's
-        incremental dual replay, the ICEADMM dual travels as *absolute*
-        state, so re-ingesting a fresher upload from the same client simply
-        replaces the pair, and a lossy wire merely means the server
-        aggregates a quantized view of the client's state — no cross-replica
-        invariant to maintain.
+        Under a ``delta`` codec the primal was reconstructed against
+        ``dispatched_global``; the dual travels standalone, as *absolute*
+        state (unlike IIADMM's incremental replay): a fresher upload from the
+        same client simply replaces the pair, and a lossy wire merely means
+        the server aggregates a quantized view of the client's state — no
+        cross-replica invariant to maintain.
         """
-        if cid not in self.duals:
-            raise KeyError(f"client {cid} is not tracked by this server (shard={self.shard[:8]}…)")
-        payload = super().ingest(cid, payload, dispatched_global)
         self.primals[cid] = np.asarray(payload[PRIMAL_KEY])
         self.duals[cid] = np.asarray(payload[DUAL_KEY])
-        return payload
-
-    def partial_term(
-        self, cid: int, payload: Optional[Mapping[str, np.ndarray]] = None
-    ) -> np.ndarray:
-        """``z_p − λ_p/ρ`` from the last-known pair (returns scratch memory)."""
-        s = self._scratch
-        np.divide(self.duals[cid], self._rho, out=s)
-        np.subtract(self.primals[cid], s, out=s)
-        return s
-
-    def combine_partials(
-        self,
-        partials: "Sequence[Sequence[np.ndarray]]",
-        participants: Sequence[int] = (),
-    ) -> None:
-        """``w = (1/P) Σ_p (z_p − λ_p/ρ)`` from exactly merged shard partials.
-
-        ``participants`` is unused: every client contributes its last-known
-        pair, so the normaliser is always the full population ``P``.
-        """
-        acc = ExactPartial(self.vectorizer.dim, self.vectorizer.dtype)
-        for components in partials:
-            acc.merge(components)
-        self.global_params = acc.round() / self.num_clients
-
-        if self.config.adaptive_rho:
-            self._rho *= self.config.rho_growth
-        self.round += 1
-        self.sync_model()
-
-    def aggregate_global(self) -> None:
-        """Recompute ``w = (1/P) Σ_p (z_p − λ_p/ρ)`` over all tracked clients.
-
-        Clients not heard from since the last aggregation contribute their
-        last-known pair (the partial-participation form).
-        """
-        self.combine_partials([self.partial_sum().components])
-
-    def finalize_round(self, payloads: Mapping[int, Mapping[str, np.ndarray]]) -> None:
-        """Per-upload pairs were stored by :meth:`ingest`; only the global update remains."""
-        self.aggregate_global()
-
-    def server_state(self) -> Dict[str, object]:
-        state = super().server_state()
-        state.update(duals=self.duals, primals=self.primals, rho=self._rho)
-        return state
-
-    def load_server_state(self, state: Mapping[str, object]) -> None:
-        super().load_server_state(state)
-        self.duals = {int(c): np.array(v, copy=True) for c, v in state["duals"].items()}  # type: ignore[union-attr]
-        self.primals = {int(c): np.array(v, copy=True) for c, v in state["primals"].items()}  # type: ignore[union-attr]
-        self._rho = float(state["rho"])  # type: ignore[arg-type]

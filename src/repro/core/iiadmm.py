@@ -20,19 +20,18 @@ sensitivity ``Δ = 2C / (ρ + ζ)``.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping
 
 import numpy as np
 
 from ..comm.codecs import resolve_codec
 from ..privacy import IADMMSensitivity
-from .base import GLOBAL_KEY, PRIMAL_KEY, BaseClient, BaseServer
-from .partial import ExactPartial
+from .base import GLOBAL_KEY, PRIMAL_KEY, ADMMClient, ADMMServer
 
 __all__ = ["IIADMMClient", "IIADMMServer"]
 
 
-class IIADMMClient(BaseClient):
+class IIADMMClient(ADMMClient):
     """IIADMM client: batched inexact primal updates + local dual update.
 
     Under a lossy wire codec the server decodes a primal ẑ that differs from
@@ -44,11 +43,6 @@ class IIADMMClient(BaseClient):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # λ_p^1 = 0: the initial primal/dual pair is implicitly shared with the
-        # server (Algorithm 1 line 1), which also starts its copy at zero.
-        self.dual = np.zeros(self.vectorizer.dim, dtype=self.vectorizer.dtype)
-        self.primal = self.vectorizer.to_vector()
-        self._rho = self.config.rho
         # Lossy-codec bookkeeping for reconcile_upload: the pre-update dual,
         # the dispatched global, and the rho the round's dual update used.
         self._lossy_wire = resolve_codec(self.config.codec).lossy
@@ -57,11 +51,6 @@ class IIADMMClient(BaseClient):
         )
         self._sent_global: np.ndarray = None
         self._sent_rho = self._rho
-
-    @property
-    def rho(self) -> float:
-        """Current penalty parameter ρ_t (may grow when adaptive_rho is set)."""
-        return self._rho
 
     def update(self, global_payload: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         cfg = self.config
@@ -129,7 +118,6 @@ class IIADMMClient(BaseClient):
 
     def client_state(self) -> Dict[str, object]:
         state = super().client_state()
-        state.update(dual=self.dual, primal=self.primal, rho=self._rho)
         if self._lossy_wire:
             # The reconcile stash is live between update() and the exchange
             # layer's reconcile call — an async checkpoint can land there.
@@ -142,9 +130,6 @@ class IIADMMClient(BaseClient):
 
     def load_client_state(self, state: Mapping[str, object]) -> None:
         super().load_client_state(state)
-        np.copyto(self.dual, np.asarray(state["dual"]))
-        self.primal = np.array(state["primal"], copy=True)
-        self._rho = float(state["rho"])  # type: ignore[arg-type]
         if self._lossy_wire and "dual_base" in state:
             np.copyto(self._dual_base, np.asarray(state["dual_base"]))
             sent = state["sent_global"]
@@ -152,99 +137,26 @@ class IIADMMClient(BaseClient):
             self._sent_rho = float(state["sent_rho"])  # type: ignore[arg-type]
 
 
-class IIADMMServer(BaseServer):
-    """IIADMM server: global update from primals and *locally maintained* duals."""
+class IIADMMServer(ADMMServer):
+    """IIADMM server: global update from primals and *locally maintained* duals
+    (aggregation, state and the running exact sum: :class:`~repro.core.base.ADMMServer`)."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # Server-side replicas of each client's dual variable (line 6); they
-        # stay synchronised with the clients' copies without any
-        # communication.  Only the ids this server tracks — the whole
-        # population for the flat server, one shard for an edge aggregator.
-        self.duals = {
-            cid: np.zeros(self.vectorizer.dim, dtype=self.vectorizer.dtype)
-            for cid in self.shard
-        }
-        self.primals = {cid: self.vectorizer.to_vector() for cid in self.shard}
-        self._rho = self.config.rho
-
-    @property
-    def rho(self) -> float:
-        return self._rho
-
-    def ingest(self, cid: int, payload, dispatched_global: np.ndarray) -> Dict[str, np.ndarray]:
+    def _absorb(self, cid: int, payload: Mapping[str, np.ndarray], dispatched_global: np.ndarray) -> None:
         """Line 6 for one client: replay its dual update from the received primal.
 
-        Accepts an :class:`~repro.comm.codecs.UpdatePacket` (decoded exactly
-        once by ``super().ingest``) or an already-decoded mapping.
         ``dispatched_global`` must be the global model the client computed
-        against — for the synchronous loop that is the current one, but under
-        staleness (repro.asyncfl) it is the snapshot the client downloaded;
-        using anything else desynchronises the "independent but identical"
-        dual replicas.  Must be called exactly once per client upload: the
+        against — the current one in the synchronous loop, the snapshot it
+        downloaded under staleness (repro.asyncfl); anything else
+        desynchronises the "independent but identical" dual replicas.  The
         replay is an *increment*, mirroring the client's own line-21 update
-        (the reconcile_upload form when the wire codec is lossy).
+        (its reconcile_upload form on a lossy wire): one ``ingest`` per upload.
         """
-        if cid not in self.duals:
-            raise KeyError(f"client {cid} is not tracked by this server (shard={self.shard[:8]}…)")
-        payload = super().ingest(cid, payload, dispatched_global)
         z = np.asarray(payload[PRIMAL_KEY])
         self.primals[cid] = z
         s = self._scratch
         np.subtract(dispatched_global, z, out=s)
         s *= self._rho
         self.duals[cid] += s
-        return payload
-
-    def partial_term(
-        self, cid: int, payload: Optional[Mapping[str, np.ndarray]] = None
-    ) -> np.ndarray:
-        """``z_p − λ_p/ρ`` from the last-known replica (returns scratch memory)."""
-        s = self._scratch
-        np.divide(self.duals[cid], self._rho, out=s)
-        np.subtract(self.primals[cid], s, out=s)
-        return s
-
-    def combine_partials(
-        self,
-        partials: "Sequence[Sequence[np.ndarray]]",
-        participants: Sequence[int] = (),
-    ) -> None:
-        """Line 3 over exactly merged shard partials (normalised by the full
-        population ``P`` — every client contributes its last-known state)."""
-        acc = ExactPartial(self.vectorizer.dim, self.vectorizer.dtype)
-        for components in partials:
-            acc.merge(components)
-        self.global_params = acc.round() / self.num_clients
-
-        if self.config.adaptive_rho:
-            self._rho *= self.config.rho_growth
-        self.round += 1
-        self.sync_model()
-
-    def aggregate_global(self) -> None:
-        """Line 3: recompute ``w = (1/P) Σ_p (z_p − λ_p/ρ)`` over all tracked clients.
-
-        Clients whose uploads were not ingested since the last aggregation
-        contribute their last-known primal/dual — the partial-participation
-        form of the global update.
-        """
-        self.combine_partials([self.partial_sum().components])
-
-    def finalize_round(self, payloads: Mapping[int, Mapping[str, np.ndarray]]) -> None:
-        """Per-upload state was absorbed by :meth:`ingest`; only line 3 remains."""
-        self.aggregate_global()
-
-    def server_state(self) -> Dict[str, object]:
-        state = super().server_state()
-        state.update(duals=self.duals, primals=self.primals, rho=self._rho)
-        return state
-
-    def load_server_state(self, state: Mapping[str, object]) -> None:
-        super().load_server_state(state)
-        self.duals = {int(c): np.array(v, copy=True) for c, v in state["duals"].items()}  # type: ignore[union-attr]
-        self.primals = {int(c): np.array(v, copy=True) for c, v in state["primals"].items()}  # type: ignore[union-attr]
-        self._rho = float(state["rho"])  # type: ignore[arg-type]
 
     def consensus_residual(self) -> float:
         """L2 norm of the primal consensus residual ``max_p ||w − z_p||`` (diagnostic)."""

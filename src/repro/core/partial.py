@@ -29,7 +29,20 @@ are plain arrays, so a partial travels the wire as a handful of
 :func:`unpack_partial`).  For similar-magnitude per-client terms the
 expansion stays 2-5 components long, so an edge's shard summary costs
 O(components · dim) bytes instead of O(shard · dim) — the fan-in reduction
-measured by ``benchmarks/bench_hotpath.py::test_hier_root_fanin``.
+``perf/`` reports as ``hier.root.bytes_per_round`` on ``hier_int8``.
+
+Running use
+-----------
+IEEE negation is exact, so *removing* a term is adding its negation: after
+``add(t_old)`` … ``add(-t_old)``, ``add(t_new)`` the expansion represents the
+current multiset, not the history, and :meth:`round` returns the bits a fresh
+accumulator over it would (:class:`~repro.core.base.ADMMServer` replaces a
+client's term this way instead of re-summing everyone).  Cancellation leaves
+zeros, which the invariants allow; ``add`` drops all-zero components and
+compaction bounds the rest, so the length tracks the widest lane, not the
+number of replacements.  Only the *representation* depends on history (equal
+values may differ in component count): read a running sum through ``round()``
+and never pack it onto a wire.
 """
 
 from __future__ import annotations
@@ -149,12 +162,13 @@ class ExactPartial:
         appears, then nudge by one ulp when that residue is exactly half an
         ulp and the remaining tail pushes the exact value past the halfway
         point.  The result depends only on the exact real sum — not on the
-        expansion that happens to represent it.
+        expansion that happens to represent it (an exactly zero lane is
+        ``+0.0``, whatever signed zeros the additions left).
         """
         comps = self._comps
         if not comps:
             return np.zeros(self.dim, dtype=self.dtype)
-        hi = comps[-1].copy()
+        hi = comps[-1] + self.dtype.type(0)  # a copy; -0.0 → +0.0, and no sum below can undo it
         if len(comps) == 1:
             return hi
         lo = np.zeros_like(hi)

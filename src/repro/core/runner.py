@@ -154,12 +154,12 @@ class FederatedRunner:
         # plug-and-play server whose only customisation is the legacy
         # update() keeps the seed contract instead: it is handed the raw
         # uploads and decodes via ingest internally, so the override is never
-        # bypassed.  Servers exposing aggregate_global() absorb every upload
-        # inside ingest() and ignore finalize_round's payload dict — those
-        # stream, everyone else's uploads are collected for the finish.
+        # bypassed.  Servers that absorb every upload inside ingest() ignore
+        # finalize_round's payload dict — those stream, everyone else's
+        # uploads are collected for the finish.
         server = self.server
         legacy = server.uses_legacy_update
-        streaming = not legacy and hasattr(server, "aggregate_global")
+        streaming = not legacy and server.absorbs_uploads
         finish = server.update if legacy else server.finalize_round
         collected: Dict[int, object] = {}
 

@@ -102,8 +102,8 @@ class FaultInjector:
             tracer.event("fault_injected", "fault", lane="faults", kind=fault)
 
     # ---------------------------------------------------------- crash queries
-    def client_crashed(self, cid: int, round_idx: int) -> bool:
-        return self.plan.client_crashed(cid, round_idx)
+    def client_crashed(self, cid: int, round_idx: int, attempt: int = 0) -> bool:
+        return self.plan.client_crashed(cid, round_idx, attempt)
 
     def edge_crashed(self, edge_id: int, round_idx: int) -> bool:
         return self.plan.edge_crashed(edge_id, round_idx)

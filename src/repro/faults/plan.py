@@ -155,16 +155,22 @@ class FaultPlan:
             return "corrupt"
         return None
 
-    def client_crashed(self, cid: int, round_idx: int) -> bool:
-        """Whether client ``cid`` dies during round/version ``round_idx``."""
+    def client_crashed(self, cid: int, round_idx: int, attempt: int = 0) -> bool:
+        """Whether client ``cid`` dies during round/version ``round_idx``.
+
+        ``attempt`` counts the client's earlier crashes in that round: a
+        timeline re-dispatches a crashed client while the version stands
+        still, and keyed on ``(cid, version)`` alone it would die every time
+        (a full-population buffer then never fills).  Attempts draw
+        independently; the explicit schedule kills only the first.
+        """
         cid, round_idx = int(cid), int(round_idx)
-        if cid in self.client_crashes.get(round_idx, ()):
+        if not attempt and cid in self.client_crashes.get(round_idx, ()):
             return True
         if self.client_crash_prob <= 0.0:
             return False
-        return bool(
-            keyed_rng(self.seed, "crash", cid, round_idx).random() < self.client_crash_prob
-        )
+        key = (cid, round_idx, int(attempt)) if attempt else (cid, round_idx)
+        return bool(keyed_rng(self.seed, "crash", *key).random() < self.client_crash_prob)
 
     def edge_crashed(self, edge_id: int, round_idx: int) -> bool:
         """Whether edge ``edge_id`` crashes during synchronous round ``round_idx``."""

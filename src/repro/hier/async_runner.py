@@ -57,7 +57,7 @@ from ..core.base import GLOBAL_KEY, BaseServer
 from ..core.config import FLConfig
 from ..core.exchange import PacketExchange
 from ..core.metrics import Evaluator
-from ..core.partial import ExactPartial, unpack_partial
+from ..core.partial import unpack_partial
 from ..core.phases import PhaseClock, RoundLedger, RoundResult, TrainingHistory
 from ..data import Dataset
 from ..faults.injector import FaultInjector
@@ -132,20 +132,18 @@ class RootFedAsync(RootStrategy):
 
     def on_summary(self, runner, edge_id, partial, participants, staleness):
         server = runner.server
-        if hasattr(server, "duals"):
+        if server.absorbs_uploads:
             raise ValueError(
                 "RootFedAsync mixes shard averages and is FedAvg-family only; "
                 "use RootFedBuff for ADMM algorithms"
             )
         if not participants:
             return None
-        acc = ExactPartial(server.vectorizer.dim, server.vectorizer.dtype)
-        acc.merge(partial)
         weights = getattr(server, "_agg_weights", None)
         if weights is None:
             weights = server.client_weights()
         weight_sum = math.fsum(float(weights[c]) for c in sorted(participants))
-        candidate = acc.round() / weight_sum
+        candidate = server.merge_partials([partial]) / weight_sum
         mix = self.alpha * staleness_weight(staleness, self.staleness, a=self.a, b=self.b)
         server.global_params = (1.0 - mix) * server.global_params + mix * candidate
         server.round += 1
@@ -430,7 +428,7 @@ class HierAsyncRunner:
         self.events_processed = 0
         #: last-known decoded summary partial + participants per edge
         self._last_summary: Dict[int, Tuple[List[np.ndarray], Tuple[int, ...]]] = {}
-        if hasattr(root, "duals"):
+        if root.absorbs_uploads:
             # ADMM: every edge contributes from round 0 — seed the initial
             # (z¹, λ=0) shard folds so early combines span the population.
             for edge in self.edges:
@@ -499,14 +497,12 @@ class HierAsyncRunner:
         """Combine every edge's last-known summary into a new global model."""
         if not self._last_summary:
             return None
-        partials = [self._last_summary[eid][0] for eid in sorted(self._last_summary)]
-        participants: List[int] = []
-        for eid in sorted(self._last_summary):
-            participants.extend(self._last_summary[eid][1])
-        if not participants and not hasattr(self.server, "duals"):
+        known = [self._last_summary[eid] for eid in sorted(self._last_summary)]
+        participants = sorted({cid for _, cohort in known for cid in cohort})
+        if not participants and not self.server.absorbs_uploads:
             return None
-        self.server.combine_partials(partials, sorted(set(participants)))
-        return tuple(sorted(set(participants)))
+        self.server.combine_partials([partial for partial, _ in known], participants)
+        return tuple(participants)
 
     def _broadcast_global(self) -> None:
         """Ship the new global to every edge over the root links."""

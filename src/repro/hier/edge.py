@@ -111,7 +111,7 @@ class EdgeAggregator:
         #: ADMM-family servers absorb uploads in ingest(); FedAvg-style ones
         #: contribute per-upload terms, folded incrementally so a store-backed
         #: shard never holds more than a wave of decoded payloads.
-        self._streaming = hasattr(server, "aggregate_global")
+        self._streaming = server.absorbs_uploads
         self._fold: Optional[ExactPartial] = None
         self._participants: List[int] = []
         self.begin_collect()

@@ -68,14 +68,7 @@ def _check_hier_server(server: BaseServer) -> None:
             f"algorithm server {type(server).__name__} does not implement the "
             f"partial_term/combine_partials split required for hierarchical runs"
         )
-    if server.config.adaptive_rho and hasattr(server, "duals"):
-        # Root and edges would each grow rho on their own schedule and the
-        # per-client dual replays would silently desynchronise — same
-        # restriction repro.asyncfl enforces.
-        raise ValueError(
-            "adaptive_rho is not supported by hierarchical runs for "
-            "ADMM-family algorithms: root and edge rho schedules diverge"
-        )
+    server.require_fixed_rho("hierarchical runs")
 
 
 class HierRunner:
@@ -166,7 +159,7 @@ class HierRunner:
         self.injector = faults = FaultInjector.coerce(faults)
         self.client_communicator.install_faults(faults, retry)
         self.root_communicator.install_faults(faults, retry)
-        if hasattr(self.server, "aggregate_global"):
+        if self.server.absorbs_uploads:
             # Seed the stale-summary cache with each shard's current
             # last-known fold, so an edge unreachable on the very first
             # faulted round still contributes its (initial) state.
@@ -219,15 +212,20 @@ class HierRunner:
         # replayed releases from double-charging the budget).
         summaries: Dict[int, Dict[str, np.ndarray]] = {}
         parts_by_edge: Dict[int, Tuple[int, ...]] = {}
-        for edge in live_edges:
-            (summary, part), e0, e1 = timed_call(
+
+        def shard_round(edge, **labels):
+            result, e0, e1 = timed_call(
                 edge.run_local_round, round_idx, accountant=self.accountant, ledger=ledger
             )
             if tracer is not None:
                 tracer.emit_span(
                     "edge_round", "edge", e0, e1,
-                    lane=f"edge:{edge.edge_id}", edge=edge.edge_id, round=round_idx,
+                    lane=f"edge:{edge.edge_id}", edge=edge.edge_id, round=round_idx, **labels,
                 )
+            return result
+
+        for edge in live_edges:
+            summary, part = shard_round(edge)
             if injector is not None and injector.edge_crashed(edge.edge_id, round_idx):
                 injector.stats.edge_kills += 1
                 if tracer is not None:
@@ -236,14 +234,7 @@ class HierRunner:
                 self._ckpt.restore_edge(edge)
                 edge.receive_global(self.exchange.open_dispatch(received[edge.edge_id]))
                 clock.end("broadcast")
-                (summary, part), e0, e1 = timed_call(
-                    edge.run_local_round, round_idx, accountant=self.accountant, ledger=ledger
-                )
-                if tracer is not None:
-                    tracer.emit_span(
-                        "edge_round", "edge", e0, e1,
-                        lane=f"edge:{edge.edge_id}", edge=edge.edge_id, round=round_idx, replay=True,
-                    )
+                summary, part = shard_round(edge, replay=True)
                 injector.stats.recoveries += 1
                 ledger.recovered.append(edge.edge_id)
                 if tracer is not None:
@@ -277,7 +268,7 @@ class HierRunner:
             # last-known state — the partial-participation form those
             # algorithms already define); FedAvg omits the missing shard and
             # renormalises over who actually reported.
-            streaming = hasattr(self.server, "aggregate_global")
+            streaming = self.server.absorbs_uploads
             partials = []
             for eid in edge_ids:
                 if eid in gathered:

@@ -500,6 +500,14 @@ class MetricsRegistry:
         if accountant is not None:
             self.absorb_accountant(accountant)
 
+        # Which path each ADMMServer.aggregate_global took and why (flat runs only).
+        server = getattr(runner, "server", None)
+        folds = getattr(server, "aggregate_counts", {})
+        for (mode, reason), count in folds.items():
+            self.counter("server_aggregate_total", mode=mode, reason=reason).value = count
+        if folds:
+            self.gauge("server_partial_components").set(server.partial_components)
+
         if history is not None:
             self.absorb_history(history)
         return self

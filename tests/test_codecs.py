@@ -438,3 +438,17 @@ class TestLossyInvariants:
             return runner.now
 
         assert clock("int8") < clock("identity")
+
+
+def test_int8_after_fp16_survives_a_scale_below_float16_range():
+    """Regression (found by Hypothesis under ``-W error``): max|x| ≈ 1e-7 gives a
+    float scale of ~9e-10, which cast to 0 in the float16 division and raised
+    a divide-by-zero warning; the quantization now divides in float32."""
+    state = {"t": np.array([1.1920929e-07, -5e-8, 0.0], dtype=np.float32)}
+    pipeline = resolve_codec("fp16|int8")
+    decoded = pipeline.decode_state(pipeline.encode_state(state))
+    assert decoded["t"].dtype == np.float32 and np.all(np.isfinite(decoded["t"]))
+    assert np.max(np.abs(decoded["t"] - state["t"])) <= 1.2e-7
+    # same underflow one format up: a float32 subnormal's scale is 0 in float32
+    tiny = {"t": np.array([1e-45], dtype=np.float32)}
+    assert resolve_codec("int8").decode_state(resolve_codec("int8").encode_state(tiny))["t"][0] == 0.0

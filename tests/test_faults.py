@@ -101,6 +101,21 @@ class TestFaultPlan:
         assert any(draws) and not all(draws)
         assert draws == [probabilistic.client_crashed(c, 0) for c in range(40)]
 
+    def test_each_crash_attempt_draws_independently(self):
+        """Attempt 0 is the (client, round) verdict every runner always used;
+        a re-dispatch after ``n`` crashes in the same round is attempt ``n``."""
+        plan = FaultPlan(seed=0, client_crash_prob=0.5, client_crashes={2: (5,)})
+        first = [plan.client_crashed(c, 0) for c in range(40)]
+        assert first == [plan.client_crashed(c, 0, 0) for c in range(40)]
+        retries = [[plan.client_crashed(c, 0, attempt) for c in range(40)] for attempt in (1, 2)]
+        assert retries[0] != first and retries[1] != retries[0]
+        assert retries[0] == [plan.client_crashed(c, 0, 1) for c in range(40)]
+        # no client is doomed: some attempt lets each one through
+        assert all(not all(plan.client_crashed(c, 0, a) for a in range(12)) for c in range(40))
+        # the explicit schedule kills the first flight only
+        explicit = FaultPlan(seed=0, client_crashes={2: (5,)})
+        assert explicit.client_crashed(5, 2) and not explicit.client_crashed(5, 2, 1)
+
     def test_chaos_schedule_is_reproducible_and_in_range(self):
         plan = FaultPlan.chaos(9, num_edges=4, kills=3, max_event_count=100, min_event_count=10)
         again = FaultPlan.chaos(9, num_edges=4, kills=3, max_event_count=100, min_event_count=10)
@@ -286,6 +301,51 @@ class TestDegradedRounds:
         assert runner.injector.stats.client_crashes > 0
         assert all(r.failed_clients is not None and r.retries is not None for r in history.rounds)
         assert any(r.failed_clients for r in history.rounds)
+
+    def _crashy_default_fedbuff(self):
+        """16 IIADMM clients under the default strategy — FedBuff(num_clients),
+        which needs *every* client to report at each model version."""
+        from repro.asyncfl import build_async_federation
+
+        clients, test = make_clients_and_test(num_clients=16)
+        runner = build_async_federation(base_config("iiadmm"), model_fn, clients, test)
+        return runner.enable_faults(FaultPlan(seed=1, client_crash_prob=0.2))
+
+    def test_crashed_client_is_not_doomed_for_the_whole_model_version(self):
+        """Regression: the crash verdict was a pure function of (seed, client,
+        version), so a client that crashed once crashed on every re-dispatch
+        at that version, the buffer never filled and the version never
+        moved — 0 rounds in 20,000 events.  Re-dispatches now draw again."""
+        runner = self._crashy_default_fedbuff()
+        history = runner.run(5, max_events=5000)
+        assert len(history) == 5 and runner.events_processed <= 5000
+        assert runner.injector.stats.client_crashes > 0
+        assert all(len(r.participating_clients) == 16 for r in history.rounds)
+        # every client did crash at some version, and flew again at that version
+        assert any(len(r.failed_clients) > 2 for r in history.rounds)
+
+    def test_crash_draws_resume_bitwise_from_any_mid_run_checkpoint(self):
+        """The attempt number of a crash draw is the client's crash count in
+        the open round, which now travels in the checkpoint (it used to be
+        dropped: a resumed run under-reported ``failed_clients``)."""
+        from repro.scale import RunCheckpoint
+
+        full = self._crashy_default_fedbuff()
+        reference = full.run(4)
+        saw_open_crashes = False
+        for events in range(40, full.events_processed, 37):
+            first = self._crashy_default_fedbuff()
+            first.run(4, max_events=events)
+            saw_open_crashes |= bool(first.ledger.failed)
+            blob = RunCheckpoint.capture(first).to_bytes()
+            resumed = self._crashy_default_fedbuff()
+            RunCheckpoint.from_bytes(blob).restore(resumed)
+            history = resumed.run(4 - len(resumed.history))
+            assert history_key(history) == history_key(reference)
+            assert [r.failed_clients for r in history.rounds] == [r.failed_clients for r in reference.rounds]
+            assert resumed.events_processed == full.events_processed
+            assert np.array_equal(resumed.server.global_params, full.server.global_params)
+        assert saw_open_crashes
 
     def test_async_round_based_rejects_client_crashes(self):
         from repro.asyncfl import SyncRoundStrategy, build_async_federation

@@ -153,6 +153,25 @@ def test_planned_crash_never_runs_update(mode, algorithm, monkeypatch):
 
 
 @pytest.mark.parametrize("mode,algorithm", MATRIX)
+def test_redispatch_at_the_same_version_draws_the_crash_again(mode, algorithm, monkeypatch):
+    """A flight's crash verdict is keyed on (client, version, the client's
+    crashes since the last round close) — so for both event-driven runners a
+    client that died at a version is not dead for as long as it stands."""
+    h = Harness(mode, algorithm, monkeypatch)
+    plan = FaultPlan(seed=3, client_crash_prob=0.5)
+    doomed = next(c for c in range(NUM_CLIENTS) if plan.client_crashed(c, 0))
+    h.flights.injector = FaultInjector(plan)
+    flights = 0
+    while not h.updated:  # same client, same version, until one flight lives
+        h.dispatch(doomed)
+        h.drain()
+        flights += 1
+        assert flights < 20
+    assert flights > 1 and h.ledger.failed == [doomed] * (flights - 1)
+    assert [plan.client_crashed(doomed, 0, n) for n in range(flights)] == [True] * (flights - 1) + [False]
+
+
+@pytest.mark.parametrize("mode,algorithm", MATRIX)
 def test_compute_done_carrying_upload_skips_update(mode, algorithm, monkeypatch):
     """The quiesced/checkpointed event form: the update already ran, its
     result travels with the event — and a resumed run has lost the pin."""
