@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # One-command regression gate: tier-1 unit suite (golden traces included),
-# the perf/ benchmark's API-surface + bitwise-digest smoke, and the
-# BENCH_hotpath.json perf-regression benches.
+# the perf/ benchmark's API-surface + bitwise-digest smoke with three
+# read-only gates on its result (async_fedbuff's adds per flush, hier_int8's
+# cohort share and root-hop bytes), and the BENCH_hotpath.json
+# perf-regression benches.
 #
 #   scripts/check.sh            # tier-1 + bench gates (the pre-merge check)
 #   scripts/check.sh --slow     # additionally run the slow sweep tier
@@ -34,6 +36,10 @@ python3 perf/run.py --quick --no-micro
 # A FedBuff(16) flush over 256 clients replaces 16 terms of the server's running
 # sum (<= 2*16 adds + the merge); 263 means it fell back to re-summing everyone.
 python3 -c "import json; n = json.load(open('perf/out/result.json'))['workloads']['async_fedbuff']['per_layer']['core.partial.add_calls']; assert n <= 2 * 16 + 16, f'async_fedbuff: {n} ExactPartial.add calls per aggregation (bound 48) - the flush re-sums the whole population again'"
+# hier_int8's 512 IIADMM clients run as cohorts although their wire is lossy, and
+# each of its 16 edges answers the root's one global with a block-built summary
+# of 2-3 components (<= 4 gated): 16 * (1 + 4) vectors of 11,018 float64.
+python3 -c "import json; row = json.load(open('perf/out/result.json'))['workloads']['hier_int8']['per_layer']; share, nbytes = row['core.batched.cohort_share'], row['hier.root.bytes_per_round']; assert share == 1, f'hier_int8: cohort_share {share} - lossy-wire clients fell back to per-client updates'; assert nbytes <= 16 * (1 + 4) * 11018 * 8, f'hier_int8: {nbytes} root-hop bytes per round (bound 7051520) - edge summaries grew past 4 components'"
 echo "src/ LOC: $(find src -name '*.py' | xargs wc -l | tail -1)"
 # ROADMAP "one round engine" bar: the five runner/edge files stay <= 2,437.
 echo "runner/edge LOC: $(wc -l src/repro/core/runner.py src/repro/hier/edge.py \

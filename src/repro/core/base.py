@@ -489,15 +489,19 @@ class BaseServer:
 
     # ------------------------------------------- associative partial aggregation
     def partial_term(
-        self, cid: int, payload: Optional[Mapping[str, np.ndarray]] = None
+        self,
+        cid: int,
+        payload: Optional[Mapping[str, np.ndarray]] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Client ``cid``'s additive contribution to the global update.
 
         FedAvg derives it from the round's decoded ``payload``; the ADMM
         family from the per-client state :meth:`ingest` already absorbed
-        (``payload`` unused).  The returned vector may alias scratch memory —
-        consume (or let :class:`~repro.core.partial.ExactPartial` copy) it
-        before the next call.
+        (``payload`` unused).  Written into ``out`` when given (a row of an
+        :class:`~repro.core.partial.ExactPartial` block — how
+        :meth:`partial_sum` sums); otherwise the returned vector may alias
+        scratch memory — consume it before the next call.
         """
         raise NotImplementedError(_NO_PARTIALS.format(type(self).__name__))
 
@@ -511,10 +515,10 @@ class BaseServer:
         (:attr:`shard`).  Exactness makes the result independent of both the
         fold order and how clients are grouped across servers.
         """
-        ids = sorted(payloads) if payloads is not None else list(self.shard)
+        ids = sorted(payloads) if payloads is not None else self.shard
         acc = ExactPartial(self.vectorizer.dim, self.vectorizer.dtype)
         for cid in ids:
-            acc.add(self.partial_term(cid, None if payloads is None else payloads[cid]))
+            self.partial_term(cid, None if payloads is None else payloads[cid], out=acc.row())
         return acc
 
     def combine_partials(
@@ -525,7 +529,8 @@ class BaseServer:
         """Produce the next global model from merged exact partials.
 
         ``partials`` are component sequences from :attr:`ExactPartial.
-        components` (one per shard; a single-element list for the flat run);
+        components` (one per shard), or the flat run's one local
+        :class:`~repro.core.partial.ExactPartial` itself;
         ``participants`` are the client ids behind them, for algorithms whose
         normaliser depends on who reported (FedAvg's weight renormalisation).
         Merging is exact, so any grouping of the same client terms yields a
@@ -533,8 +538,12 @@ class BaseServer:
         """
         raise NotImplementedError(_NO_PARTIALS.format(type(self).__name__))
 
-    def merge_partials(self, partials: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-        """The exact sum of ``partials``' components, correctly rounded."""
+    def merge_partials(self, partials: "Sequence[Sequence[np.ndarray] | ExactPartial]") -> np.ndarray:
+        """The exact sum of ``partials``' components, correctly rounded.  A
+        lone local accumulator is rounded as it stands; components that
+        crossed a wire are merged (by the block) first."""
+        if len(partials) == 1 and isinstance(partials[0], ExactPartial):
+            return partials[0].round()
         acc = ExactPartial(self.vectorizer.dim, self.vectorizer.dtype)
         for components in partials:
             acc.merge(components)
@@ -615,11 +624,12 @@ class ADMMServer(BaseServer):
     **A flat aggregation costs O(arrivals), not O(population).**
     :meth:`aggregate_global` keeps the sum in one running
     :class:`~repro.core.partial.ExactPartial`: :meth:`ingest` adds the negated
-    term of a client about to change, the fold its new term — two ``add``s per
-    client heard from and, the expansion being exact, the same real number, so
-    ``round()`` returns the re-sum's bits.  The server picks the path from its
-    own traffic: a window that touched fewer than half the shard updates in
-    place; any other re-sums as it always did (``add`` for ``add``) and keeps
+    term of a client about to change (there and then, so nothing is stashed),
+    the fold the new terms of everyone heard from as one block — two term
+    evaluations per client heard from and, the expansion being exact, the same
+    real number, so ``round()`` returns the re-sum's bits.  The server picks
+    the path from its own traffic: a window that touched fewer than half the
+    shard updates in place; any other re-sums (:meth:`partial_sum`) and keeps
     nothing alive across the next client phase — the accumulator is dropped
     the moment a window turns majority and kept only from the first minority
     window on.  It is *derived* state: never in :meth:`server_state`, and
@@ -686,9 +696,11 @@ class ADMMServer(BaseServer):
     def _forget_running(self, reason: str) -> None:
         self._running, self._touched, self._stale_reason = None, set(), reason
 
-    def partial_term(self, cid: int, payload: Optional[Mapping[str, np.ndarray]] = None) -> np.ndarray:
-        """``z_p − λ_p/ρ`` from the last-known replica (returns scratch memory)."""
-        s = self._scratch
+    def partial_term(
+        self, cid: int, payload: Optional[Mapping[str, np.ndarray]] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``z_p − λ_p/ρ`` from the last-known replica (into ``out``, else scratch memory)."""
+        s = self._scratch if out is None else out
         np.divide(self.duals[cid], self._rho, out=s)
         np.subtract(self.primals[cid], s, out=s)
         return s
@@ -710,8 +722,8 @@ class ADMMServer(BaseServer):
         touched, self._touched = self._touched, set()
         acc = self._running
         if acc is not None:
-            for cid in touched:
-                acc.add(self.partial_term(cid))
+            for cid in touched:  # the new terms, as one block
+                self.partial_term(cid, out=acc.row())
             key = ("incremental", "minority_window")
         else:
             acc = self.partial_sum()
@@ -722,7 +734,7 @@ class ADMMServer(BaseServer):
             self._stale_reason = None
         self.aggregate_counts[key] += 1
         self.partial_components = len(acc)
-        self.combine_partials([acc.components])
+        self.combine_partials([acc])
 
     def finalize_round(self, payloads: Mapping[int, Mapping[str, np.ndarray]]) -> None:
         """Per-upload state was absorbed by :meth:`ingest`; only the global update remains."""

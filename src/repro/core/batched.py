@@ -33,11 +33,15 @@ Eligibility & fallback
 ----------------------
 Only exact instances of the three built-in clients (``FedAvgClient``,
 ``IIADMMClient``, ``ICEADMMClient``) with a compilable model (``MLP`` /
-``LogisticRegression`` — a pure Linear/ReLU chain), the flat engine, privacy
-disabled, and a lossless wire qualify; everything else (CNN models,
-DP-enabled runs, lossy codecs, user subclasses) falls back to the per-client
-path, as do leftover singleton groups.  The gate lives in
-:meth:`repro.core.executor.LocalExecutor.update`, keyed on
+``LogisticRegression`` — a pure Linear/ReLU chain on the flat engine) and
+privacy disabled qualify; everything else (user subclasses, DP-enabled runs,
+CNN models) falls back to the per-client path, as do leftover singleton
+groups — :func:`fallback_reason` names which, and
+:class:`~repro.core.executor.LocalExecutor` counts them.  The wire does not
+matter: encode and ``reconcile`` stay per client after the cohort, and the one
+client with reconcile state, IIADMM, has its stash (pre-update dual,
+dispatched global, ρ) written per lane before the stacked line-21 update.
+The gate lives in :meth:`repro.core.executor.LocalExecutor.update`, keyed on
 ``FLConfig.client_batch``; ``client_batch=1`` never enters this module.
 """
 
@@ -61,6 +65,7 @@ from .models import MLP, LogisticRegression
 __all__ = [
     "compile_model_spec",
     "supports_batched",
+    "fallback_reason",
     "run_batched_updates",
     "count_client_steps",
 ]
@@ -143,6 +148,19 @@ def supports_batched(client: BaseClient) -> bool:
         and client.vectorizer.mode == "flat"
         and not client.config.privacy.enabled
     )
+
+
+def fallback_reason(client: BaseClient) -> str:
+    """Why ``client`` ran per client although cohorts were requested:
+    ``"client_type"`` | ``"privacy"`` | ``"model"``, else ``"singleton"`` (it
+    qualifies, but no second lane shared its cohort key)."""
+    if type(client) not in _BATCHABLE:
+        return "client_type"
+    if client.config.privacy.enabled:
+        return "privacy"
+    if compile_model_spec(client) is None:
+        return "model"
+    return "singleton"
 
 
 def count_client_steps(client: BaseClient) -> int:
@@ -297,6 +315,7 @@ def _iiadmm_cohort(clients, w, Z, G, S, spec, loader) -> Dict[int, Dict[str, np.
         client.primal = upload
         np.copyto(client.vectorizer.flat_params, Zc[b])
         uploads[client.client_id] = {PRIMAL_KEY: upload}
+        client.stash_for_reconcile(D[b], w, rho)
     # Line 21, stacked: λ_p += ρ (w − z_p) with the transmitted primals.
     np.subtract(w, Z, out=S)
     S *= rho

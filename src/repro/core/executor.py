@@ -13,7 +13,8 @@ running ``client.update``:
   spawn-context workers that own the client state between rounds;
 * **cohort** — as stacked ``(B, dim)`` kernels via
   :func:`~repro.core.batched.run_batched_updates`, with per-client fallback
-  for members without a batched kernel.
+  for members without a batched kernel (counted by reason in
+  :attr:`LocalExecutor.cohort_fallbacks`).
 
 The executor also owns what those paths share: the process pool's lifecycle
 (lazy build, retire-on-fallback, state traffic for checkpoints, telemetry
@@ -25,12 +26,13 @@ update`; nothing else in the runners knows how updates execute.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..obs import MetricsRegistry, current_monitor, current_tracer, timed_call
 from .base import BaseClient
-from .batched import count_client_steps, run_batched_updates
+from .batched import count_client_steps, fallback_reason, run_batched_updates
 from .config import FLConfig
 from .exchange import PacketExchange
 
@@ -92,9 +94,8 @@ class LocalExecutor:
         Supplies ``execution_backend``, ``parallel_clients`` and
         ``client_batch``.
     exchange:
-        The hop the uploads will cross: a lossy stack disables cohorts and
-        is rejected on the process backend (its reconcile step needs
-        parent-side client state).
+        The hop the uploads will cross: a lossy stack is rejected on the
+        process backend (its reconcile step needs parent-side client state).
     clients / store / ids:
         The population a process pool is built over — eager instances, or a
         :class:`~repro.scale.store.ClientStateStore` (``ids`` narrows a
@@ -137,7 +138,6 @@ class LocalExecutor:
         #: workers (the config the store's factory builds them with)
         store_config = getattr(store, "config", None)
         self.pooled_privacy = (store_config if store_config is not None else config).privacy
-        self._lossy = exchange.lossy
         self._clients = clients
         self._store = store
         self._ids = ids
@@ -151,6 +151,9 @@ class LocalExecutor:
         #: cumulative client optimizer steps whose upload was gathered — with
         #: ``phase_seconds["local_update"]`` the client_steps_per_sec metric.
         self.client_steps = 0
+        #: updates that ran per client although ``client_batch`` asked for
+        #: cohorts, by :func:`~repro.core.batched.fallback_reason`
+        self.cohort_fallbacks: Counter = Counter()
 
     # ---------------------------------------------------------------- updates
     def update(
@@ -160,8 +163,8 @@ class LocalExecutor:
         order whatever path (or thread completion order) produced them.
 
         Eager populations on the process backend go to the pool.  Otherwise,
-        with ``client_batch > 1`` and a lossless wire, groups of same-shaped
-        batchable clients run as stacked cohorts and the rest per client.
+        with ``client_batch > 1``, groups of same-shaped batchable clients
+        run as stacked cohorts and the rest per client.
         """
         self._pending = {}
         if self.backend == "process" and self._store is None and len(clients) > 1:
@@ -169,12 +172,16 @@ class LocalExecutor:
             if uploads is not None:
                 return uploads
         uploads = None
-        if self.client_batch > 1 and len(clients) > 1 and not self._lossy:
-            batched = run_batched_updates(
-                clients, payloads, self.client_batch, tracer=current_tracer()
-            )
+        if self.client_batch > 1:
+            batched = None
+            if len(clients) > 1:
+                batched = run_batched_updates(
+                    clients, payloads, self.client_batch, tracer=current_tracer()
+                )
+            leftover = clients if batched is None else batched[1]
+            self.cohort_fallbacks.update(fallback_reason(c) for c in leftover)
             if batched is not None:
-                cohort_uploads, leftover, _steps = batched
+                cohort_uploads = batched[0]
                 if leftover:
                     cohort_uploads.update(self._update_each(leftover, payloads))
                 uploads = {c.client_id: cohort_uploads[c.client_id] for c in clients}

@@ -84,11 +84,14 @@ class FedAvgServer(BaseServer):
         self._agg_weights = self.client_weights()
 
     def partial_term(
-        self, cid: int, payload: Optional[Mapping[str, np.ndarray]] = None
+        self,
+        cid: int,
+        payload: Optional[Mapping[str, np.ndarray]] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         if payload is None:
             raise ValueError("FedAvg partial terms come from the round's decoded uploads")
-        return float(self._agg_weights[cid]) * np.asarray(payload[PRIMAL_KEY])
+        return np.multiply(float(self._agg_weights[cid]), np.asarray(payload[PRIMAL_KEY]), out=out)
 
     def combine_partials(
         self,
@@ -110,4 +113,4 @@ class FedAvgServer(BaseServer):
     def finalize_round(self, payloads: Mapping[int, Mapping[str, np.ndarray]]) -> None:
         if not payloads:
             raise ValueError("no client payloads to aggregate")
-        self.combine_partials([self.partial_sum(payloads).components], tuple(payloads))
+        self.combine_partials([self.partial_sum(payloads)], tuple(payloads))

@@ -87,10 +87,7 @@ class IIADMMClient(ADMMClient):
         # "independent but identical" as Algorithm 1 requires.  Under a lossy
         # codec the server sees the *decoded* primal instead; stash what
         # reconcile_upload needs to replay this update from the echo.
-        if self._lossy_wire:
-            np.copyto(self._dual_base, self.dual)
-            self._sent_global = w
-            self._sent_rho = rho
+        self.stash_for_reconcile(self.dual, w, rho)
         np.subtract(w, upload, out=s)
         s *= rho
         self.dual += s
@@ -100,6 +97,15 @@ class IIADMMClient(ADMMClient):
         self.round += 1
         # Line 22 / line 5: only the primal is communicated.
         return {PRIMAL_KEY: upload}
+
+    def stash_for_reconcile(self, dual: np.ndarray, w: np.ndarray, rho: float) -> None:
+        """Keep what :meth:`reconcile_upload` replays line 21 from — the
+        pre-update dual, the dispatched global and ρ (lossy wire only; the
+        stacked cohort loop calls this per lane)."""
+        if self._lossy_wire:
+            np.copyto(self._dual_base, dual)
+            self._sent_global = w
+            self._sent_rho = rho
 
     def reconcile_upload(self, sent: Mapping[str, np.ndarray], echo: Mapping[str, np.ndarray]) -> None:
         """Replay the line-21 dual update from the server-decoded primal.

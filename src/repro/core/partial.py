@@ -26,10 +26,44 @@ All operations are vectorised over the flat parameter dimension; components
 are plain arrays, so a partial travels the wire as a handful of
 ``psum:<i>``-keyed tensors inside an ordinary
 :class:`~repro.comm.codecs.UpdatePacket` (see :func:`pack_partial` /
-:func:`unpack_partial`).  For similar-magnitude per-client terms the
-expansion stays 2-5 components long, so an edge's shard summary costs
+:func:`unpack_partial`).  A sum built by the block (below) of
+similar-magnitude per-client terms is 2-3 components long *by construction*
+(one per extraction level), so an edge's shard summary costs
 O(components · dim) bytes instead of O(shard · dim) — the fan-in reduction
-``perf/`` reports as ``hier.root.bytes_per_round`` on ``hier_int8``.
+``perf/`` reports as ``hier.root.bytes_per_round`` on ``hier_int8``.  (The
+per-term cascade alone did not deliver that: it drops a component array only
+when all ``dim`` lanes of it are zero, and shipped 6.7 per summary there.)
+
+Block use
+---------
+More than a couple of vectors are summed by the block: write each term into
+:meth:`ExactPartial.row` and read the accumulator as usual.  A full block of
+``K`` rows is folded per lane by Rump, Ogita & Oishi's ExtractVector (SIAM J.
+Sci. Comput. 31(1), 2008 — the pre-rounding step of AccSum and of
+reproducible BLAS): with ``σ`` a power of two ``≥ 2(K+2)·max|p|``, split every
+row as ``q = (p + σ) − σ``, ``p −= q``.  Both steps are exact; every ``q`` is
+a multiple of ``ulp(σ)/2`` and every partial sum of them stays below ``σ``,
+so the column sum ``Σ q`` is **exact in any order** — numpy's pairwise / SIMD
+reduction included.  The remainders are at most ``σ·2⁻ᵖ`` (``p`` the
+format's precision), so the next level's ``σ`` is known without looking, and
+the levels repeat until the remainders are all zero: 2 for similar-magnitude
+terms, 5-6 for 60-decade exponent spreads.  The level sums of a block that
+filled up are carried into the next one as its first rows, and the last 2-4
+go through the cascade :meth:`~ExactPartial.add` — the one-vector primitive
+the block path *ends in*.  ``round()`` returns the same bits whichever way a
+sum was built, because it is a function of the exact real total alone; the
+*expansion* of a block-built sum is a function of the terms and their order
+alone, which is what lets it travel a wire.
+
+Three things are decided from the data, never by a caller: scratch is bounded
+(rows are handed out under one fixed byte budget, at most ``_MAX_BLOCK_ROWS``
+of them, and the ``(K, tile)`` temporary is column-tiled; a vector too long
+for a block of ``_MIN_BLOCK_ROWS`` rows takes the cascade one term at a time,
+through a one-row scratch); a block never holds more than ``2^(p/2−2)`` rows
+(1,024 at float32 — it binds only in narrower formats), so each level retires
+at least half the mantissa; and a block whose ``σ`` would overflow, or that
+holds a non-finite value, is added row by row through the cascade, so those
+lanes get exactly the cascade's result.
 
 Running use
 -----------
@@ -47,7 +81,7 @@ and never pack it onto a wire.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +89,13 @@ __all__ = ["ExactPartial", "PSUM_PREFIX", "pack_partial", "unpack_partial"]
 
 #: payload-key prefix of a packed partial's component tensors
 PSUM_PREFIX = "psum"
+
+#: the block's byte budget, and that of the ``(K, tile)`` temporary beside it
+_BLOCK_BYTES = 1 << 20
+_TILE_BYTES = 1 << 18
+#: rows per block: fewer are not worth their carried level sums, and past the
+#: upper end those are already under 5% of a block — more rows only cost memory
+_MIN_BLOCK_ROWS, _MAX_BLOCK_ROWS = 8, 64
 
 
 class ExactPartial:
@@ -77,6 +118,15 @@ class ExactPartial:
             raise ValueError(f"ExactPartial needs a float dtype, got {self.dtype}")
         self._comps: List[np.ndarray] = []
         self._compact_at = 8
+        precision = np.finfo(self.dtype).nmant + 1
+        rows = min(
+            _BLOCK_BYTES // max(1, self.dim * self.dtype.itemsize), _MAX_BLOCK_ROWS, 2 ** (precision // 2 - 2)
+        )
+        #: rows per block; 1 = a vector too long to block, summed through the cascade
+        self._block_rows = rows if rows >= _MIN_BLOCK_ROWS else 1
+        #: rows handed out by :meth:`row` and not yet in ``_comps`` (the first ``_used``)
+        self._block: Optional[np.ndarray] = None
+        self._used = 0
 
     # ------------------------------------------------------------ inspection
     @property
@@ -86,9 +136,11 @@ class ExactPartial:
         Together they represent the exact accumulated sum; they are live
         references — copy before mutating.
         """
+        self._settle()
         return tuple(self._comps)
 
     def __len__(self) -> int:
+        self._settle()
         return len(self._comps)
 
     @classmethod
@@ -99,11 +151,86 @@ class ExactPartial:
         return acc
 
     # ---------------------------------------------------------- accumulation
+    def row(self) -> np.ndarray:
+        """Scratch for the next term: write the vector into the returned row
+        and it is part of the sum (see "Block use").  The row is the
+        accumulator's; it is folded — and the memory reused — by the next
+        ``row()`` past a full block and by any read."""
+        if self._block is None:
+            self._block = np.empty((self._block_rows, self.dim), dtype=self.dtype)
+        elif self._used == len(self._block):
+            self._settle(carry=True)
+        self._used += 1
+        return self._block[self._used - 1]
+
+    def _settle(self, carry: bool = False) -> None:
+        """Fold the rows handed out so far: a block down to its level sums —
+        kept as the block's first rows when more terms are coming (``carry``),
+        else added to the expansion — and anything a block cannot or need not
+        take (three rows or fewer, a one-row scratch, overflow, non-finite
+        values) row by row through the cascade."""
+        block, used = self._block, self._used
+        if not used:  # nothing handed out (or a read from inside the adds below)
+            return
+        self._used = 0
+        if not carry:
+            self._block = None
+        terms = self._extract(block[:used]) if used > 3 else None
+        if terms is None:
+            terms = block[:used]
+        elif carry and 2 * len(terms) <= len(block):
+            for level in terms:
+                np.copyto(self.row(), level)
+            return
+        for term in terms:
+            self.add(term)
+
+    def _extract(self, block: np.ndarray) -> Optional[List[np.ndarray]]:
+        """The level sums of ``block``'s rows (see "Block use"), largest
+        first; the rows are left zero.  ``None``, with the block untouched,
+        when a ``σ`` would overflow or a value is not finite."""
+        rows, dim = block.shape
+        info = np.finfo(self.dtype)
+        shift = (2 * (rows + 2) - 1).bit_length()  # 2**shift >= 2(K + 2)
+        step = shift - info.nmant - 1  # a level leaves |p| <= sigma * 2**-precision
+        peak = np.maximum(block.max(axis=0), -block.min(axis=0))
+        if not np.isfinite(peak).all():
+            return None
+        exponent = np.frexp(peak)[1] + shift  # peak < 2**frexp's exponent
+        if exponent.max() >= info.maxexp:
+            return None
+        width = max(1, _TILE_BYTES // (rows * self.dtype.itemsize))
+        spare = np.empty((rows, min(width, dim)), dtype=self.dtype)
+        one = self.dtype.type(1)
+        levels: List[np.ndarray] = []
+        for lo in range(0, dim, width):
+            p = block[:, lo : lo + width]
+            q = spare[:, : p.shape[1]]
+            e = exponent[lo : lo + width]
+            depth, live = 0, peak[lo : lo + width].any()
+            while live:
+                sigma = np.ldexp(one, e)
+                np.add(p, sigma, out=q)
+                q -= sigma  # q: the rows' high parts, p: what is left of them
+                p -= q
+                if depth == len(levels):
+                    levels.append(np.zeros(dim, dtype=self.dtype))
+                q.sum(axis=0, out=levels[depth][lo : lo + width])
+                depth += 1
+                e = e + step
+                live = p.any()
+        return levels
+
+    def _vector(self, term: np.ndarray) -> np.ndarray:
+        flat = np.asarray(term).reshape(-1)
+        if flat.shape != (self.dim,):
+            raise ValueError(f"expected a vector of length {self.dim}, got shape {np.shape(term)}")
+        return flat
+
     def add(self, term: np.ndarray) -> None:
         """Add one vector to the exact running sum (error-free)."""
-        q = np.array(term, dtype=self.dtype, copy=True).reshape(-1)
-        if q.shape != (self.dim,):
-            raise ValueError(f"expected a vector of length {self.dim}, got shape {term.shape}")
+        self._settle()
+        q = self._vector(term).astype(self.dtype)
         comps: List[np.ndarray] = []
         for e in self._comps:
             # Knuth TwoSum: s + err == q + e exactly, no magnitude ordering
@@ -145,13 +272,13 @@ class ExactPartial:
     def merge(self, other: "ExactPartial | Sequence[np.ndarray]") -> None:
         """Fold another partial (or its shipped components) into this one.
 
-        Exact: a component is just a float vector, so adding each through
-        :meth:`add` preserves the combined exact value — this is what makes
+        Exact: a component is just a float vector, so adding each (as a
+        block row) preserves the combined exact value — this is what makes
         the accumulator associative across arbitrary shard groupings.
         """
         comps = other.components if isinstance(other, ExactPartial) else other
         for comp in comps:
-            self.add(comp)
+            self.row()[...] = self._vector(comp)
 
     # -------------------------------------------------------------- rounding
     def round(self) -> np.ndarray:
@@ -165,6 +292,7 @@ class ExactPartial:
         expansion that happens to represent it (an exactly zero lane is
         ``+0.0``, whatever signed zeros the additions left).
         """
+        self._settle()
         comps = self._comps
         if not comps:
             return np.zeros(self.dim, dtype=self.dtype)

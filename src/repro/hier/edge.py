@@ -15,7 +15,10 @@ shard's decoded uploads it emits one **shard summary** — the packed
 :meth:`~repro.core.base.BaseServer.partial_term` contributions — and the
 root combines the E summaries.  Because the partials are exact, the
 two-tier fold is bit-for-bit the flat aggregation, while root traffic drops
-from O(clients) to O(edges) packets per round.
+from O(clients) to O(edges) packets per round.  The summary is built by the
+block (:meth:`~repro.core.partial.ExactPartial.row`), so its components — 2-3
+for similar-magnitude terms — are a function of the shard's terms and their
+order alone: a restored or replayed edge ships the same bytes.
 
 Clients attach either eagerly (a list of :class:`~repro.core.base.
 BaseClient`) or virtually (a per-edge :class:`~repro.scale.store.
@@ -109,11 +112,14 @@ class EdgeAggregator:
         #: the latest global model received from the root (decoded)
         self._global: np.ndarray = server.global_params.copy()
         #: ADMM-family servers absorb uploads in ingest(); FedAvg-style ones
-        #: contribute per-upload terms, folded incrementally so a store-backed
-        #: shard never holds more than a wave of decoded payloads.
+        #: contribute per-upload terms, written into the fold's block as they
+        #: arrive so a store-backed shard never holds more than a wave of
+        #: decoded payloads.
         self._streaming = server.absorbs_uploads
         self._fold: Optional[ExactPartial] = None
         self._participants: List[int] = []
+        #: component count of the latest summary (what sets the root hop's bytes)
+        self.summary_components = 0
         self.begin_collect()
 
     @property
@@ -151,7 +157,7 @@ class EdgeAggregator:
         decoded = self.server.ingest(cid, payload, dispatched_global)
         self._participants.append(int(cid))
         if not self._streaming:
-            self._fold.add(self.server.partial_term(cid, decoded))
+            self.server.partial_term(cid, decoded, out=self._fold.row())
         tracer = current_tracer()
         if tracer is not None:
             tracer.event(
@@ -171,6 +177,7 @@ class EdgeAggregator:
         participants = tuple(sorted(self._participants))
         partial = self.server.partial_sum() if self._streaming else self._fold
         summary = pack_partial(partial)
+        self.summary_components = len(summary)
         self.server.round += 1
         self.begin_collect()
         tracer = current_tracer()

@@ -107,22 +107,27 @@ class Histogram:
         Exact whenever ``count <= _RESERVOIR_SIZE`` (the reservoir then
         holds every observation); a uniform-sample estimate beyond that.
         """
+        return self._percentiles(p)[0]
+
+    def _percentiles(self, *ps: float) -> List[Optional[float]]:
+        """Several percentiles off one sort of the reservoir."""
         if not self._samples:
-            return None
+            return [None] * len(ps)
         ordered = sorted(self._samples)
-        idx = min(len(ordered) - 1, max(0, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[idx]
+        last = len(ordered) - 1
+        return [ordered[min(last, max(0, round(p / 100.0 * last)))] for p in ps]
 
     def summary(self) -> Dict[str, Optional[float]]:
+        p50, p95, p99 = self._percentiles(50, 95, 99)
         return {
             "count": self.count,
             "sum": self.total,
             "min": self.min,
             "max": self.max,
             "samples": len(self._samples),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
         }
 
     # ------------------------------------------------------------- merge/state
@@ -490,23 +495,38 @@ class MetricsRegistry:
                 self.absorb_store(edge_store, tier=f"edge:{edge.edge_id}")
 
         # Worker-side telemetry from the process backend (the event-driven
-        # runners have no pooled executor).
+        # runners have no pooled executor), and the updates that ran per client
+        # although cohorts were requested, by reason.
         owners = (runner, *getattr(runner, "edges", ()))
-        self.absorb_worker_telemetry(
+        executors = [
             owner.executor for owner in owners if getattr(owner, "executor", None) is not None
-        )
+        ]
+        self.absorb_worker_telemetry(executors)
+        fallbacks: Dict[str, int] = {}
+        for executor in executors:
+            for reason, count in executor.cohort_fallbacks.items():
+                fallbacks[reason] = fallbacks.get(reason, 0) + count
+        for reason, count in fallbacks.items():
+            self.counter("cohort_fallback_total", reason=reason).value = count
 
         accountant = getattr(runner, "accountant", None)
         if accountant is not None:
             self.absorb_accountant(accountant)
 
-        # Which path each ADMMServer.aggregate_global took and why (flat runs only).
+        # Which path each ADMMServer.aggregate_global took and why (flat runs
+        # only), and how long the exact sum it rounded was — on a hier run, each
+        # edge's latest summary (what sets the root hop's bytes).
         server = getattr(runner, "server", None)
         folds = getattr(server, "aggregate_counts", {})
         for (mode, reason), count in folds.items():
             self.counter("server_aggregate_total", mode=mode, reason=reason).value = count
         if folds:
             self.gauge("server_partial_components").set(server.partial_components)
+        for edge in getattr(runner, "edges", ()):
+            if getattr(edge, "summary_components", 0):
+                self.gauge("server_partial_components", tier=f"edge:{edge.edge_id}").set(
+                    edge.summary_components
+                )
 
         if history is not None:
             self.absorb_history(history)

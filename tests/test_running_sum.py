@@ -11,8 +11,10 @@ tracked client.  Three layers of evidence that nothing moves:
 * the servers: random op sequences on IIADMM / ICEADMM servers (flat and
   sharded, ``adaptive_rho`` on and off, state save/load mid-window) against a
   twin that always re-sums;
-* the cost: a minority window costs ``2·arrivals`` adds plus the merge, a
-  full-participation window exactly what a re-sum costs;
+* the cost: a minority window evaluates ``2·arrivals`` client terms (ISSUE 20:
+  O(arrivals) is counted in ``partial_term`` evaluations now that terms are
+  summed by the block, with ``add`` calls bounded by what the per-term cascade
+  made), a full-participation window exactly what a re-sum evaluates;
 
 and end to end: an async FedBuff run against the always-re-sum twin, and a
 hier-async run whose edges hear from a minority per flush — there the running
@@ -217,6 +219,19 @@ def add_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def term_calls(monkeypatch):
+    calls = []
+    original = ADMMServer.partial_term
+
+    def counted(self, cid, payload=None, out=None):
+        calls.append(cid)
+        return original(self, cid, payload, out=out)
+
+    monkeypatch.setattr(ADMMServer, "partial_term", counted)
+    return calls
+
+
 def _window(server, cids, seed):
     rng = np.random.default_rng(seed)
     dim, dtype = server.vectorizer.dim, server.vectorizer.dtype
@@ -226,37 +241,46 @@ def _window(server, cids, seed):
 
 
 @pytest.mark.parametrize("algorithm", sorted(SERVERS))
-def test_a_minority_window_costs_two_adds_per_arrival(algorithm, add_calls):
+def test_a_minority_window_costs_two_adds_per_arrival(algorithm, add_calls, term_calls):
+    """Per client heard from: its stale term out (one cascade ``add`` at its
+    first arrival), its new term in (one row of the catch-up block).  The
+    parent commit made one ``add`` per term and per merged component; the
+    block path may only make fewer."""
     population, arrivals = 40, 5
     server = _server(SERVERS[algorithm], population, None, "float64", False)
     _window(server, range(arrivals), seed=0)
     server.aggregate_global()  # the first minority window re-sums, and keeps the sum
-    assert len(add_calls) == population + server.partial_components
+    assert sorted(term_calls) == list(range(population))
+    assert len(add_calls) <= population + server.partial_components
     assert server.aggregate_counts == {("rebuild", "first"): 1}
     for window in range(1, 6):
-        del add_calls[:]
+        del add_calls[:], term_calls[:]
         cids = [(7 * window + i) % population for i in range(arrivals)]
         _window(server, cids + cids[:2], seed=window)  # two clients report twice
+        assert len(add_calls) == arrivals and term_calls == cids  # nothing is stashed
         server.aggregate_global()
-        # two per client heard from, plus the merge of the expansion itself
-        assert len(add_calls) == 2 * arrivals + server.partial_components
+        # two evaluations per client heard from, whatever the population
+        assert len(term_calls) == 2 * arrivals and sorted(term_calls[arrivals:]) == sorted(cids)
+        assert arrivals < len(add_calls) <= 2 * arrivals + server.partial_components
         assert server.partial_components <= 12
     assert server.aggregate_counts[("incremental", "minority_window")] == 5
 
 
 @pytest.mark.parametrize("algorithm", sorted(SERVERS))
-def test_a_full_participation_round_costs_exactly_a_resum(algorithm, add_calls):
+def test_a_full_participation_round_costs_exactly_a_resum(algorithm, add_calls, term_calls):
     population = 12
     server = _server(SERVERS[algorithm], population, None, "float32", False)
     twin = _server(_resumming(SERVERS[algorithm]), population, None, "float32", False)
     for round_idx in range(4):
-        counts = []
+        adds = []
         for s in (server, twin):
-            del add_calls[:]
+            del add_calls[:], term_calls[:]
             _window(s, range(population), seed=round_idx)
             s.aggregate_global()
-            counts.append(len(add_calls))
-        assert counts[0] == counts[1] == population + server.partial_components
+            assert term_calls == list(range(population))  # one evaluation each: no stale term was removed
+            adds.append(len(add_calls))
+        # the re-sum's few level sums, and no second cascade to round a local sum
+        assert adds[0] == server.partial_components <= adds[1] <= population + server.partial_components
         assert server._running is None  # nothing is kept alive across the next client phase
     assert server.aggregate_counts == {("rebuild", "majority_window"): 4}
 
