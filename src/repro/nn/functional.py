@@ -1,8 +1,9 @@
 """Functional neural-network operations built on :class:`repro.nn.tensor.Tensor`.
 
-The convolution and pooling kernels use an im2col/col2im strategy so the hot
-loop is a single large matrix multiplication (per the HPC guide: vectorise,
-avoid per-element Python loops).
+The convolution uses an im2col/col2im strategy so the hot loop is a single
+large matrix multiplication (per the HPC guide: vectorise, avoid per-element
+Python loops).  Max pooling folds the strided tap views of the input with no
+window copy; the seed's im2col pool is kept only as the legacy reference.
 
 Scratch-buffer reuse: the im2col column matrix and the zero-padded input are
 by far the largest allocations on the training hot path (tens of MB per conv
@@ -48,9 +49,10 @@ class legacy_kernels:
 
     Inside the context, ``conv2d`` uses the original per-image einsum
     contractions with freshly allocated N-major columns and ``max_pool2d``
-    skips the aligned fast path.  Only used as the measured *baseline* in
-    ``benchmarks/bench_hotpath.py``; results are numerically identical to the
-    optimised kernels.  Process-wide (unlike ``no_grad``) so a baseline with
+    the im2col + ``argmax`` + ``col2im`` pool: the *baseline* of
+    ``benchmarks/bench_hotpath.py`` and the tests' bitwise reference (the
+    einsum conv differs in the last bits at float32, the pool at no dtype).
+    Process-wide (unlike ``no_grad``) so a baseline with
     ``parallel_clients > 1`` still runs the legacy kernels on the runner's
     worker threads; do not enter it concurrently with an optimised run.
     """
@@ -417,73 +419,77 @@ def _conv2d_legacy(x: Tensor, weight: Tensor, bias, stride, padding) -> Tensor:
 
 
 def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
-    """2-D max pooling over ``(N, C, H, W)`` inputs.
+    """2-D max pooling over ``(N, C, H, W)`` inputs (zero padding).
 
-    Non-overlapping pools that tile the input exactly (``stride == kernel``,
-    no padding — the common CNN case) take a reshape-based fast path whose
-    argmax runs over a small contiguous trailing axis; the general case falls
-    back to im2col/col2im.  Both pick the same (first) element on ties, so
-    results are identical.
+    Forward: copy tap ``windows[:, :, 0, 0]`` and ``np.maximum`` the other
+    taps into it.  Backward: a window's gradient goes to its first tap, in
+    row-major order, equal to the max (the first NaN if the max is NaN) —
+    ``argmax``'s rule.  Where taps tile the input (``stride == kernel``, no
+    padding) they assign ``where(hit, grad, 0)``, so a -0 gradient stays -0;
+    elsewhere they accumulate it into zeros in tap order, like :func:`col2im`.
+    Bitwise the im2col reference's, bar the sign of a max over ±0.
     """
     _count_kernel("max_pool2d")
     kernel = _pair(kernel_size)
     stride = _pair(stride if stride is not None else kernel_size)
     padding = _pair(padding)
-    n, c, h, w = x.shape
+    if _legacy_enabled():
+        return _max_pool2d_legacy(x, kernel, stride, padding)
+    h, w = x.shape[2:]
     kh, kw = kernel
-    if stride == kernel and padding == (0, 0) and h % kh == 0 and w % kw == 0 and not _legacy_enabled():
-        return _max_pool2d_aligned(x, kernel)
-
-    cols_key = ("pool", x.data.shape, kernel, stride, padding, x.data.dtype)
-    out_h = (h + 2 * padding[0] - kh) // stride[0] + 1
-    out_w = (w + 2 * padding[1] - kw) // stride[1] + 1
-    cols = _pool.acquire(cols_key, (n, c * kh * kw, out_h * out_w), x.data.dtype)
-    im2col(x.data, kernel, stride, padding, out=cols)
-    # cols: (N, C*kh*kw, P) -> (N, C, kh*kw, P)
-    cols = cols.reshape(n, c, kh * kw, out_h * out_w)
-    arg = cols.argmax(axis=2)  # (N, C, P)
-    out = cols.max(axis=2).reshape(n, c, out_h, out_w)
-    # The backward pass only needs the argmax indices, not the columns.
-    _pool.release(cols_key, cols.reshape(n, c * kh * kw, out_h * out_w))
-
-    x_shape = x.shape
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    windows, pad_key, padded, _ = _sliding_windows(x.data, kernel, stride, padding)
+    out = windows[:, :, 0, 0].copy()
+    for i, j in taps[1:]:
+        np.maximum(out, windows[:, :, i, j], out=out)
+    if pad_key is not None:
+        _pool.release(pad_key, padded)
+    aligned = stride == kernel and padding == (0, 0) and h % kh == 0 and w % kw == 0
 
     def backward(grad: np.ndarray):
-        grad_flat = grad.reshape(n, c, out_h * out_w)
-        dcols = np.zeros((n, c, kh * kw, out_h * out_w), dtype=grad.dtype)
-        np.put_along_axis(dcols, arg[:, :, None, :], grad_flat[:, :, None, :], axis=2)
-        dcols = dcols.reshape(n, c * kh * kw, out_h * out_w)
-        return (col2im(dcols, x_shape, kernel, stride, padding),)
+        # Re-padding here keeps no pooled buffer alive between the passes.
+        windows, pad_key, padded, _ = _sliding_windows(x.data, kernel, stride, padding)
+        dx = (np.empty if aligned else np.zeros)(padded.shape, dtype=grad.dtype)
+        dx_taps = _sliding_windows(dx, kernel, stride, (0, 0))[0]
+        # grad's bits times the 0/1 hit is where(hit, grad, +0), branch-free.
+        grad_bits = grad.view(f"u{grad.itemsize}")
+        nan = np.isnan(out).any()
+        remaining = np.ones(out.shape, dtype=bool)
+        for i, j in taps:
+            tap = windows[:, :, i, j]
+            if (i, j) == taps[-1]:
+                hit = remaining
+            else:
+                hit = tap == out
+                if nan:
+                    hit |= np.isnan(tap)
+                hit &= remaining
+                remaining ^= hit
+            if aligned:
+                np.multiply(grad_bits, hit, out=dx_taps[:, :, i, j].view(grad_bits.dtype))
+            else:
+                dx_taps[:, :, i, j] += np.multiply(grad_bits, hit).view(grad.dtype)
+        if pad_key is not None:
+            _pool.release(pad_key, padded)
+        return (dx[:, :, padding[0] : padding[0] + h, padding[1] : padding[1] + w],)
 
     return Tensor._make(out, (x,), backward, "max_pool2d")
 
 
-def _max_pool2d_aligned(x: Tensor, kernel: Tuple[int, int]) -> Tensor:
-    """Fast path for non-overlapping, exactly tiling max pooling.
-
-    Rearranges each ``kh x kw`` window onto a small contiguous trailing axis
-    (one layout copy) so the argmax/max scan is sequential in memory, and the
-    backward pass is a single ``put_along_axis`` plus the inverse layout copy
-    — no im2col or col2im.  Window elements keep im2col's row-major order, so
-    argmax tie-breaking matches the general path exactly.
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    out_h, out_w = h // kh, w // kw
-    # (N, C, out_h, kh, out_w, kw) -> (N, C, out_h, out_w, kh*kw), contiguous.
-    windows = np.ascontiguousarray(
-        x.data.reshape(n, c, out_h, kh, out_w, kw).transpose(0, 1, 2, 4, 3, 5)
-    ).reshape(n, c, out_h, out_w, kh * kw)
-    arg = windows.argmax(axis=-1)
-    out = windows.max(axis=-1)
+def _max_pool2d_legacy(x: Tensor, kernel, stride, padding) -> Tensor:
+    """The seed implementation's max_pool2d (im2col columns, argmax, col2im)."""
+    n, c = x.shape[:2]
+    cols, (out_h, out_w) = im2col(x.data, kernel, stride, padding)
+    # cols: (N, C*kh*kw, P) -> (N, C, kh*kw, P)
+    cols = cols.reshape(n, c, -1, out_h * out_w)
+    arg = cols.argmax(axis=2)  # (N, C, P)
+    out = cols.max(axis=2).reshape(n, c, out_h, out_w)
+    cols_shape = cols.shape
 
     def backward(grad: np.ndarray):
-        dwin = np.zeros((n, c, out_h, out_w, kh * kw), dtype=grad.dtype)
-        np.put_along_axis(dwin, arg[..., None], grad[..., None], axis=-1)
-        dx = np.ascontiguousarray(
-            dwin.reshape(n, c, out_h, out_w, kh, kw).transpose(0, 1, 2, 4, 3, 5)
-        ).reshape(n, c, h, w)
-        return (dx,)
+        dcols = np.zeros(cols_shape, dtype=grad.dtype)
+        np.put_along_axis(dcols, arg[:, :, None, :], grad.reshape(n, c, 1, -1), axis=2)
+        return (col2im(dcols.reshape(n, -1, out_h * out_w), x.shape, kernel, stride, padding),)
 
     return Tensor._make(out, (x,), backward, "max_pool2d")
 

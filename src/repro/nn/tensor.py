@@ -375,12 +375,13 @@ class Tensor:
         return Tensor._make(np.log(self.data), (self,), backward, "log")
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
+        out = np.maximum(self.data, 0)
 
         def backward(grad: np.ndarray):
-            return (grad * mask,)
+            # out > 0 exactly where data > 0 (-0 and NaN included): no mask kept.
+            return (grad * (out > 0),)
 
-        return Tensor._make(np.maximum(self.data, 0), (self,), backward, "relu")
+        return Tensor._make(out, (self,), backward, "relu")
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)

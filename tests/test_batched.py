@@ -223,13 +223,16 @@ class TestFallback:
         runner.run(1)
         assert np.array_equal(base.server.global_params, runner.server.global_params)
 
-    def test_lossy_codec_disables_batching(self):
+    def test_lossy_codec_cohorts_match_per_client(self):
+        """An fp16 wire does not stop cohorts: the cohort round runs (no
+        fallback) and equals the per-client round."""
         datasets = _datasets(4)
         cfg = replace(_config("iiadmm", codec="fp16"), client_batch=4)
         base = build_federation(_config("iiadmm", codec="fp16"), _model_fn(), datasets)
         base.run(1)
         runner = build_federation(cfg, _model_fn(), datasets)
         runner.run(1)
+        assert not runner.executor.cohort_fallbacks
         assert np.array_equal(base.server.global_params, runner.server.global_params)
 
     def test_mixed_population_splits_cohort_and_leftover(self):
