@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# One-command regression gate: tier-1 unit suite (golden traces included, and
-# the max-pool kernel's bitwise-vs-im2col and allocation guard in
-# tests/test_pool_kernel.py, which fails if a window-sized copy comes back),
+# One-command regression gate: tier-1 unit suite (golden traces included, the
+# max-pool kernel's bitwise-vs-im2col and allocation guard in
+# tests/test_pool_kernel.py, which fails if a window-sized copy comes back,
+# and the client store's shell-equivalence and exact-construction tests in
+# tests/test_store_shells.py: a re-pointed shell + blob is bitwise a fresh
+# factory(cid) + blob, and a virtual run builds each client id once),
 # the perf/ benchmark's API-surface + bitwise-digest smoke with three
 # read-only gates on its result (async_fedbuff's adds per flush, hier_int8's
 # cohort share and root-hop bytes), and the BENCH_hotpath.json

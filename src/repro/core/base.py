@@ -206,25 +206,14 @@ class BaseClient:
         config: FLConfig,
         rng: Optional[np.random.Generator] = None,
     ):
-        self.client_id = int(client_id)
         self.model = model
-        self.dataset = dataset
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed + 1000 + client_id)
         self.vectorizer = ModelVectorizer(model, dtype=config.np_dtype, mode=config.engine)
-        engine = config.engine
         self._dtype = self.vectorizer.dtype
         # Round-local scratch vector for the algorithms' fused in-place updates.
         self._scratch = np.empty(self.vectorizer.dim, dtype=self._dtype)
-        self.loader = DataLoader(
-            dataset,
-            batch_size=config.batch_size,
-            shuffle=True,
-            rng=self.rng,
-            # Cast batches once at materialisation so the forward pass never
-            # converts per batch (the copy engine keeps the seed behaviour).
-            dtype=self._dtype if engine == "flat" else None,
-        )
+        self.bind_data(client_id, dataset)
         self.loss_fn = nn.CrossEntropyLoss()
         self.mechanism: Mechanism = make_mechanism(
             config.privacy.epsilon,
@@ -233,6 +222,20 @@ class BaseClient:
             **({"delta": config.privacy.delta} if config.privacy.mechanism == "gaussian" else {}),
         )
         self.round = 0
+
+    def bind_data(self, client_id: int, dataset: Dataset) -> None:
+        """Take ``client_id``'s id and data, with a shuffling loader drawing from :attr:`rng`."""
+        self.client_id = int(client_id)
+        self.dataset = dataset
+        self.loader = DataLoader(
+            dataset,
+            batch_size=self.config.batch_size,
+            shuffle=True,
+            rng=self.rng,
+            # Cast batches once at materialisation so the forward pass never
+            # converts per batch (the copy engine keeps the seed behaviour).
+            dtype=self._dtype if self.config.engine == "flat" else None,
+        )
 
     # ------------------------------------------------------------------ hooks
     def update(self, global_payload: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:

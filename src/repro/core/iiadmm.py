@@ -45,9 +45,10 @@ class IIADMMClient(ADMMClient):
         super().__init__(*args, **kwargs)
         # Lossy-codec bookkeeping for reconcile_upload: the pre-update dual,
         # the dispatched global, and the rho the round's dual update used.
+        # Zeroed, not empty: client_state() ships it before the first update.
         self._lossy_wire = resolve_codec(self.config.codec).lossy
         self._dual_base = (
-            np.empty(self.vectorizer.dim, dtype=self.vectorizer.dtype) if self._lossy_wire else None
+            np.zeros(self.vectorizer.dim, dtype=self.vectorizer.dtype) if self._lossy_wire else None
         )
         self._sent_global: np.ndarray = None
         self._sent_rho = self._rho

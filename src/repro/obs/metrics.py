@@ -383,9 +383,7 @@ class MetricsRegistry:
         self.gauge("store_materialize_us", tier=tier).set(stats.materialize_us)
         self.gauge("store_evict_us", tier=tier).set(stats.evict_us)
         self.gauge("store_nbytes", tier=tier).set(store.store_nbytes)
-        self.gauge("store_peak_nbytes", tier=tier).set(
-            getattr(stats, "peak_store_bytes", 0)
-        )
+        self.gauge("store_peak_nbytes", tier=tier).set(stats.peak_store_bytes)
         self.gauge("store_live_count", tier=tier).set(store.live_count)
 
     def absorb_accountant(self, accountant, tier: str = "client") -> None:

@@ -13,13 +13,15 @@ The store makes population size a virtual quantity:
   vectors, round counter, RNG bit-generator state — see
   :meth:`~repro.core.base.BaseClient.client_state`) lives as one compact
   serialized blob;
-* at most ``live_cap`` full ``BaseClient`` instances exist at any moment, in
-  an LRU of *live* clients;
+* at most ``live_cap`` full ``BaseClient`` instances exist at any moment —
+  *live* clients in an LRU plus the *shells* spilled clients leave behind;
 * :meth:`checkout` lazily materialises a client when the runner/sampler picks
-  it — building a fresh instance via the user factory and restoring its blob
-  (bit-exactly) — and pins it against eviction while the runner holds it;
+  it — an id with a blob re-points a shell (``factory.rebind``) and restores
+  the blob into it (bit-exactly), a new id is built by the factory — and pins
+  it against eviction while the runner holds it;
 * :meth:`release` unpins; a later checkout that needs the slot spills the
-  least-recently-used unpinned client back to its blob.
+  least-recently-used unpinned client back to its blob (O(1): blob bytes are
+  a running total).
 
 Blobs reuse the wire machinery of PR 3: the state's arrays are encoded into
 one :class:`~repro.comm.codecs.UpdatePacket` through a configurable codec
@@ -42,7 +44,7 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -50,6 +52,9 @@ from ..comm.codecs import UpdatePacket, resolve_codec
 from ..comm.serialization import decode_state_blob, encode_state_blob
 from ..core.base import BaseClient
 from ..obs import current_tracer
+
+if TYPE_CHECKING:
+    from .virtual import ClientFactory
 
 __all__ = ["StoreStats", "ClientStateStore"]
 
@@ -61,7 +66,7 @@ _ZLIB = b"Z"
 class StoreStats:
     """Counters the memory-bound assertions and benches read."""
 
-    #: factory constructions (fresh or blob-restored)
+    #: checkouts that were not hits: fresh constructions + re-pointed shells
     materializations: int = 0
     #: materialisations that restored a previously spilled blob
     restores: int = 0
@@ -86,11 +91,11 @@ class ClientStateStore:
     Parameters
     ----------
     factory:
-        ``factory(cid) -> BaseClient`` building client ``cid`` in its *initial*
-        (round-0) state.  It must be deterministic per call — the builders in
-        :mod:`repro.scale.virtual` construct the model from the same seeded
-        ``model_fn`` and load the shared initial state dict, exactly as
-        :func:`repro.core.runner.build_endpoints` does eagerly.
+        A :class:`~repro.scale.virtual.ClientFactory`: ``factory(cid)`` builds
+        client ``cid`` in its *initial* (round-0) state, deterministically per
+        call, exactly as :func:`repro.core.runner.build_endpoints` does
+        eagerly; ``factory.rebind(shell, cid)`` re-points a client it built
+        at ``cid`` for a blob restore.
     num_clients:
         Population size (client ids are ``0..num_clients-1``).
     live_cap:
@@ -107,7 +112,7 @@ class ClientStateStore:
 
     def __init__(
         self,
-        factory: Callable[[int], BaseClient],
+        factory: "ClientFactory",
         num_clients: int,
         live_cap: int,
         state_codec: str = "identity",
@@ -129,8 +134,10 @@ class ClientStateStore:
         #: for the shared-codec-stack check); optional.
         self.config = config
         self._live: "OrderedDict[int, BaseClient]" = OrderedDict()
+        self._spares: List[BaseClient] = []  # spilled clients' objects; live + spare <= live_cap
         self._pins: Dict[int, int] = {}
         self._blobs: Dict[int, bytes] = {}
+        self._blob_bytes = 0  # running sum(len(b) for b in _blobs.values())
         self.stats = StoreStats()
 
     # ------------------------------------------------------------ blob codec
@@ -162,18 +169,17 @@ class ClientStateStore:
         """Serialise one (unpinned) live client back to its blob."""
         tick = time.perf_counter()
         client = self._live.pop(cid)
-        self._blobs[cid] = self._encode_state(client.client_state())
+        blob = self._blobs[cid] = self._encode_state(client.client_state())
+        self._spares.append(client)
         now = time.perf_counter()
         self.stats.evictions += 1
         self.stats.evict_us += (now - tick) * 1e6
-        self.stats.peak_store_bytes = max(
-            self.stats.peak_store_bytes, self.store_nbytes
-        )
+        self._blob_bytes += len(blob)
+        self.stats.peak_store_bytes = max(self.stats.peak_store_bytes, self._blob_bytes)
         tracer = current_tracer()
         if tracer is not None:
             tracer.emit_span(
-                "evict", "store", tick, now, lane="store",
-                client=cid, nbytes=len(self._blobs[cid]),
+                "evict", "store", tick, now, lane="store", client=cid, nbytes=len(blob),
             )
 
     def _evict_one(self) -> None:
@@ -194,6 +200,9 @@ class ClientStateStore:
         :meth:`release`; a pinned client is never evicted, so the instance —
         including its flat model buffers — stays valid across the runner's
         update/encode/reconcile sequence.
+
+        The reference is valid only until that release: afterwards the store
+        may re-point the same object at another id — read it while pinned.
         """
         cid = self._check_cid(cid)
         client = self._live.get(cid)
@@ -205,12 +214,19 @@ class ClientStateStore:
         while len(self._live) >= self.live_cap:
             self._evict_one()
         tick = time.perf_counter()
-        client = self.factory(cid)
-        if client.client_id != cid:
-            raise ValueError(f"factory built client {client.client_id} for id {cid}")
-        blob = self._blobs.pop(cid, None)
+        blob = self._blobs.get(cid)
+        if blob is not None and self._spares:
+            client = self.factory.rebind(self._spares.pop(), cid)
+        else:
+            if len(self._live) + len(self._spares) >= self.live_cap:
+                self._spares.pop()  # make room: live + spare stays <= live_cap
+            client = self.factory(cid)
+            if client.client_id != cid:
+                raise ValueError(f"factory built client {client.client_id} for id {cid}")
         if blob is not None:
             client.load_client_state(self._decode_state(blob))
+            del self._blobs[cid]
+            self._blob_bytes -= len(blob)
             self.stats.restores += 1
         self.stats.materializations += 1
         now = time.perf_counter()
@@ -253,8 +269,8 @@ class ClientStateStore:
 
     @property
     def store_nbytes(self) -> int:
-        """Total bytes of all spilled state blobs currently held."""
-        return sum(len(b) for b in self._blobs.values())
+        """Total bytes of all spilled state blobs currently held (running)."""
+        return self._blob_bytes
 
     def blob_nbytes(self, cid: int) -> Optional[int]:
         """Size of one client's spilled blob (``None`` while live / untouched)."""
@@ -286,3 +302,5 @@ class ClientStateStore:
             raise RuntimeError("cannot restore a ClientStateStore with pinned clients")
         self._live.clear()
         self._blobs = {int(c): bytes(b) for c, b in snapshot["blobs"].items()}  # type: ignore[union-attr]
+        self._blob_bytes = sum(len(b) for b in self._blobs.values())
+        self.stats.peak_store_bytes = max(self.stats.peak_store_bytes, self._blob_bytes)

@@ -59,6 +59,13 @@ class ClientFactory:
     process execution backend ships the factory to its worker processes
     (``model_fn`` must pickle too; see
     :class:`repro.core.models.SeededModelFn`).
+
+    :meth:`rebind` re-points a client this factory built (a spilled shell) at
+    another id — id, data shard, initial parameters — so that ``rebind(shell,
+    cid)`` + ``load_client_state(s)`` is bitwise ``self(cid)`` + the same
+    load: the rest of a client is scratch written before it is read, or
+    ``client_state()``, which the load overwrites (the shared RNG in place).
+    Client classes must keep all cross-round state in ``client_state()``.
     """
 
     def __init__(
@@ -74,18 +81,29 @@ class ClientFactory:
         self.client_datasets = list(client_datasets)
         self.initial_state = initial_state
         self.seed = config.seed if seed is None else seed
+        self._initial_vector: Optional[np.ndarray] = None  # any fresh client's, set on first build
 
     def __call__(self, cid: int) -> BaseClient:
         _, client_cls = get_algorithm(self.config.algorithm)
         model = self.model_fn()
         model.load_state_dict(self.initial_state)
-        return client_cls(
+        client = client_cls(
             cid,
             model,
             self.client_datasets[cid],
             self.config,
             rng=np.random.default_rng(self.seed + 1000 + cid),
         )
+        if self._initial_vector is None:
+            self._initial_vector = client.vectorizer.to_vector()
+        return client
+
+    def rebind(self, client: BaseClient, cid: int) -> BaseClient:
+        """Re-point ``client`` (built by this factory) at ``cid``, ready for
+        ``load_client_state`` of ``cid``'s state (see the class docstring)."""
+        client.bind_data(cid, self.client_datasets[cid])
+        client.vectorizer.load_vector(self._initial_vector)
+        return client
 
 
 def make_client_factory(

@@ -63,7 +63,9 @@ def _make_store(algorithm="iiadmm", num_clients=NUM_CLIENTS, live_cap=2, **store
 class TestClientStateStore:
     def test_checkout_materialises_and_pins(self):
         store, _ = _make_store(live_cap=2)
-        a = store.checkout(0)
+        # A reference is valid only until its release (the store may re-point
+        # the object at another id afterwards): read ids while pinned.
+        assert store.checkout(0).client_id == 0
         b = store.checkout(1)
         assert store.live_count == 2 and store.pinned_count == 2
         # cap reached and everyone pinned: a third checkout must fail loudly
@@ -73,7 +75,7 @@ class TestClientStateStore:
         c = store.checkout(2)  # evicts client 0
         assert store.live_count == 2
         assert not store.is_live(0) and store.blob_nbytes(0) > 0
-        assert a.client_id == 0 and b.client_id == 1 and c.client_id == 2
+        assert b.client_id == 1 and c.client_id == 2
 
     def test_checkout_of_live_client_is_a_hit(self):
         store, _ = _make_store()
