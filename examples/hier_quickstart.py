@@ -60,7 +60,7 @@ def main() -> None:
         client_link=TCPLinkModel(), root_link=TCPLinkModel(),
     )
     history = runner.run(2)
-    live = sum(edge._store.live_count for edge in runner.edges)
+    live = sum(edge.population.live_count for edge in runner.edges)
     print(f"100k clients / {EDGES} edges: {len(history)} rounds "
           f"in {time.perf_counter() - start:.1f}s real time")
     print(f"  live clients        : {live} (bound {EDGES} x {LIVE_CAP} = {EDGES * LIVE_CAP})")

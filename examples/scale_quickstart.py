@@ -48,12 +48,12 @@ def main() -> None:
     runner = build_virtual_federation(config, model_fn, datasets, live_cap=LIVE_CAP)
     start = time.perf_counter()
     runner.run(1)
-    stats = runner._store.stats
+    stats = runner.population.stats
     print(f"sync FedAvg: {POPULATION} clients in {time.perf_counter() - start:.1f}s")
     print(f"  peak live clients : {stats.peak_live} (cap {LIVE_CAP})")
     print(f"  materialisations  : {stats.materializations}, evictions: {stats.evictions}")
-    print(f"  spilled store     : {runner._store.store_nbytes / 1e6:.1f} MB "
-          f"(~{runner._store.store_nbytes // POPULATION} B/client)")
+    print(f"  spilled store     : {runner.population.store_nbytes / 1e6:.1f} MB "
+          f"(~{runner.population.store_nbytes // POPULATION} B/client)")
 
     # ---- 2. async IIADMM: clients materialise only when sampled ----------
     config = FLConfig(algorithm="iiadmm", num_rounds=1, local_steps=1, batch_size=4,
@@ -66,7 +66,7 @@ def main() -> None:
     )
     runner.run(4)
     print(f"\nasync IIADMM (FedBuff/32, 0.5% sampled): "
-          f"{runner._store.stats.materializations} of {POPULATION} clients ever materialised")
+          f"{runner.population.stats.materializations} of {POPULATION} clients ever materialised")
 
     # ---- 3. checkpoint mid-run, rebuild from scratch, resume -------------
     blob = RunCheckpoint.save(runner).to_bytes()

@@ -4,7 +4,11 @@
 # tests/test_pool_kernel.py, which fails if a window-sized copy comes back,
 # and the client store's shell-equivalence and exact-construction tests in
 # tests/test_store_shells.py: a re-pointed shell + blob is bitwise a fresh
-# factory(cid) + blob, and a virtual run builds each client id once),
+# factory(cid) + blob, and a virtual run builds each client id once, and the
+# population contract in tests/test_population.py: eager and store-backed
+# populations pin, snapshot/restore and hand worker shards to a real process
+# pool and back bitwise, and an eager process round checks nothing out
+# parent-side),
 # the perf/ benchmark's API-surface + bitwise-digest smoke with three
 # read-only gates on its result (async_fedbuff's adds per flush, hier_int8's
 # cohort share and root-hop bytes), and the BENCH_hotpath.json
@@ -49,6 +53,8 @@ echo "src/ LOC: $(find src -name '*.py' | xargs wc -l | tail -1)"
 # ROADMAP "one round engine" bar: the five runner/edge files stay <= 2,437.
 echo "runner/edge LOC: $(wc -l src/repro/core/runner.py src/repro/hier/edge.py \
   src/repro/hier/runner.py src/repro/asyncfl/runner.py src/repro/hier/async_runner.py | tail -1)"
+# ROADMAP "a process worker is an edge" bar: mp/ + core/executor.py, 1,223 -> <= 800.
+echo "mp/ + executor LOC: $(wc -l src/repro/mp/*.py src/repro/core/executor.py | tail -1)"
 
 if [ "$run_slow" -eq 1 ]; then
   echo "== slow tier: heavyweight sweeps =="

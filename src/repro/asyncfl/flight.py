@@ -23,11 +23,12 @@ what happens to a client between dispatch and ingest lives here once:
 To add a timeline event to a client's trip, add it here.  The owners keep
 only what is theirs: which client flies next, and what a freed slot means.
 
-Store-backed populations hold exactly one
-:class:`~repro.scale.store.ClientStateStore` pin per flight, taken at
-dispatch and dropped when the upload is encoded, the flight crashes, or the
-owner :meth:`~ClientFlights.abort`\\ s (an edge kill).  A ``compute_done``
-popped after a checkpoint resume re-takes the pin its save did not carry.
+A flight holds exactly one pin on its owner's population
+(:mod:`repro.core.population` — eager or a
+:class:`~repro.scale.store.ClientStateStore`), taken at dispatch and dropped
+when the upload is encoded, the flight crashes, or the owner
+:meth:`~ClientFlights.abort`\\ s (an edge kill).  A ``compute_done`` popped
+after a checkpoint resume re-takes the pin its save did not carry.
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ class ClientFlights:
     ``clock`` is the timeline's :class:`~repro.core.phases.PhaseClock`: its
     ``loop`` is the :class:`~repro.asyncfl.events.EventLoop` flights are
     scheduled on, its ``lane`` the trace lane, its ledger where wire
-    bytes/seconds (under ``tier``) and crashed clients are tallied.  The
-    population is ``clients`` (``client id → client``) or a ``store`` to pin
-    clients from; ``devices`` / ``links`` map client ids to their
-    :class:`DeviceSpec` / :class:`LinkModel`, ``slowdown`` to an optional
+    bytes/seconds (under ``tier``) and crashed clients are tallied.  Clients
+    are pinned from ``population``; ``devices`` / ``links`` map client ids to
+    their :class:`DeviceSpec` / :class:`LinkModel`, ``slowdown`` to an optional
     compute-time multiplier (sampler-injected stragglers).  The owner plugs in:
 
     * ``sink(cid, packet, version, dispatched_global)`` — the single decode
@@ -103,8 +103,7 @@ class ClientFlights:
         sink: Callable[[int, UpdatePacket, int, np.ndarray], Any],
         on_done: Callable[[int, Any], None],
         trace_labels: Callable[[int], Dict[str, Any]],
-        clients: Optional[Mapping[int, BaseClient]] = None,
-        store=None,
+        population,
         slowdown: Optional[Callable[[int], float]] = None,
         submit: Optional[Callable[[BaseClient, Dict[str, np.ndarray]], Optional[Future]]] = None,
     ):
@@ -120,31 +119,27 @@ class ClientFlights:
         self.sink = sink
         self.on_done = on_done
         self.trace_labels = trace_labels
-        self.clients = clients
-        self.store = store
+        self.population = population
         self.slowdown = slowdown
         self.submit = submit
         #: fault layer deciding which dispatches crash (set by the owner's
         #: ``enable_faults``)
         self.injector = None
-        #: store-backed clients currently checked out: one pin per flight
+        #: clients currently checked out: one pin per flight
         self.pinned: Dict[int, BaseClient] = {}
 
     # ------------------------------------------------------------------ pins
     def acquire(self, cid: int) -> BaseClient:
-        """The live client ``cid`` — a lookup for an eager population; from a
-        store, the flight's pinned instance (checked out on first use)."""
-        if self.store is None:
-            return self.clients[cid]
+        """The flight's pinned instance of ``cid`` (checked out on first use)."""
         client = self.pinned.get(cid)
         if client is None:
-            client = self.pinned[cid] = self.store.checkout(cid)
+            client = self.pinned[cid] = self.population.checkout(cid)
         return client
 
     def release(self, cid: int) -> None:
-        """Drop ``cid``'s pin, if it holds one (the client becomes spillable)."""
+        """Drop ``cid``'s pin, if it holds one (a store may then spill it)."""
         if self.pinned.pop(cid, None) is not None:
-            self.store.release(cid)
+            self.population.release(cid)
 
     def abort(self) -> None:
         """The owner lost its volatile state: unpin every flight still

@@ -45,11 +45,12 @@ closed by the shared :class:`~repro.core.phases.RoundLedger` as one
 Virtual populations and checkpointing
 -------------------------------------
 Clients may be supplied as a :class:`repro.scale.ClientStateStore`
-(``client_store=``) instead of a list: a client then materialises when the
-sampler dispatches it, stays pinned while in flight, and spills its
-persistent state back to the store once its upload is encoded — population
-size no longer bounds memory (see :func:`repro.scale.
-build_virtual_async_federation`).  ``run(..., max_events=N)`` stops after a
+(``client_store=``) instead of a list — either way the runner holds one
+``population`` (:mod:`repro.core.population`), and each flight pins its
+client from dispatch until its upload is encoded.  From a store a client
+then materialises when the sampler dispatches it and spills its persistent
+state back once released — population size no longer bounds memory (see
+:func:`repro.scale.build_virtual_async_federation`).  ``run(..., max_events=N)`` stops after a
 bounded number of timeline events, and ``run()`` exits *compose*: together
 with :meth:`AsyncRunner.quiesce` this is what lets
 :class:`repro.scale.RunCheckpoint` capture a run at an arbitrary event count
@@ -108,19 +109,18 @@ class AsyncRunner:
         # as the synchronous runner; link latency and comm_bytes are driven
         # by the encoded packets' measured nbytes.
         self.exchange = PacketExchange(server.config.codec)
-        self.clients = self.exchange.check_endpoints(clients, client_store, "the async runner")
-        self._store = client_store
-        num_clients = client_store.num_clients if client_store is not None else len(self.clients)
+        #: the clients, eager or store-backed, behind one interface
+        self.population = self.exchange.check_endpoints(clients, client_store, "the async runner")
+        #: the eager clients (empty for a store-backed runner)
+        self.clients = list(clients or ())
+        num_clients = self.population.num_clients
         if server.num_clients != num_clients:
             raise ValueError("server.num_clients must match the number of clients")
         self.num_clients = num_clients
         self.server = server
-        client_by_id = {c.client_id: c for c in self.clients}
-        if len(client_by_id) != len(self.clients):
-            raise ValueError("client ids must be unique")
         config = server.config
         self.strategy = strategy if strategy is not None else FedBuffStrategy(num_clients)
-        buffer_size = getattr(self.strategy, "buffer_size", None)
+        buffer_size = self.strategy.buffer_size
         if buffer_size is not None and buffer_size > num_clients:
             # The buffer keeps one (freshest) entry per client, so it could
             # never fill and the event loop would spin forever.
@@ -138,19 +138,17 @@ class AsyncRunner:
         )
         self.devices: List[DeviceSpec] = per_client(devices if devices is not None else A100, num_clients, "device")
         self.links: List[LinkModel] = per_client(link if link is not None else ZERO_LINK, num_clients, "link")
+        live_cap = self.population.live_cap
         if concurrency is None:
-            # Store-backed populations default to the store's live-client cap:
-            # every in-flight client is pinned, so more concurrency than cap
-            # could never be materialised anyway.
-            concurrency = (
-                min(client_store.live_cap, num_clients) if client_store is not None else num_clients
-            )
+            # Every in-flight client is pinned, so more concurrency than the
+            # population's live cap could never be checked out anyway.
+            concurrency = min(live_cap, num_clients)
         if not 1 <= concurrency <= num_clients:
             raise ValueError("concurrency must be in [1, num_clients]")
-        if client_store is not None and concurrency > client_store.live_cap:
+        if concurrency > live_cap:
             raise ValueError(
-                f"concurrency ({concurrency}) exceeds the client store's live_cap "
-                f"({client_store.live_cap}); in-flight clients stay pinned"
+                f"concurrency ({concurrency}) exceeds the population's live_cap "
+                f"({live_cap}); in-flight clients stay pinned"
             )
         self.concurrency = int(concurrency)
 
@@ -186,8 +184,7 @@ class AsyncRunner:
             sink=self.async_server.receive,
             on_done=self._slot_freed,
             trace_labels=lambda version: {"version": version},
-            clients=client_by_id,
-            store=client_store,
+            population=self.population,
             slowdown=self.sampler.compute_multiplier,
             submit=self._submit,
         )
@@ -274,9 +271,7 @@ class AsyncRunner:
     # ------------------------------------------------------------ dispatching
     def _dispatch_cohort(self) -> None:
         cohort = self.sampler.sample_cohort(frozenset(self._in_flight))
-        begin_round = getattr(self.strategy, "begin_round", None)
-        if begin_round is not None:
-            begin_round(cohort)
+        self.strategy.begin_round(cohort)
         for cid in cohort:
             self._dispatch(cid)
 
@@ -415,7 +410,7 @@ class AsyncRunner:
 
     def load_timeline_state(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`timeline_state`, into a freshly built runner.
-        Store pins did not survive the save: a popped ``compute_done``
+        Population pins did not survive the save: a popped ``compute_done``
         re-takes its client's."""
         loop = state["loop"]
         self._clock.load(loop["now"], loop["seq"], loop["events"])

@@ -133,6 +133,13 @@ class AsyncStrategy(ABC):
     #: event-based strategies keep a fixed number of clients in flight and
     #: refill slots one by one.
     round_based = False
+    #: uploads buffered per aggregation (``None``: not a buffering strategy);
+    #: the runner rejects a buffer larger than the population
+    buffer_size: Optional[int] = None
+
+    def begin_round(self, cohort: Sequence[int]) -> None:
+        """Called by the runner when it dispatches a new cohort (round-based
+        strategies); a no-op by default."""
 
     @abstractmethod
     def on_upload(

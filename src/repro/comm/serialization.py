@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from typing import Dict, Mapping, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 import numpy as np
 
@@ -137,6 +137,17 @@ def decode_state_dict(payload: bytes) -> "OrderedDict[str, np.ndarray]":
 
 
 # ------------------------------------------------------------ packet encoding
+class _ShortRead(ValueError):
+    """A read ran past the end of the buffer (a truncated payload)."""
+
+
+def _take(payload: bytes, offset: int, length: int) -> Tuple[bytes, int]:
+    end = offset + length
+    if end > len(payload):
+        raise _ShortRead(f"{length} bytes needed at offset {offset}, {len(payload) - offset} left")
+    return payload[offset:end], end
+
+
 def _pack_str(value: str) -> bytes:
     raw = value.encode("utf-8")
     return struct.pack("<H", len(raw)) + raw
@@ -144,8 +155,8 @@ def _pack_str(value: str) -> bytes:
 
 def _unpack_str(payload: bytes, offset: int) -> Tuple[str, int]:
     (length,) = struct.unpack_from("<H", payload, offset)
-    offset += 2
-    return payload[offset : offset + length].decode("utf-8"), offset + length
+    raw, offset = _take(payload, offset + 2, length)
+    return raw.decode("utf-8"), offset
 
 
 def _pack_array(arr: np.ndarray) -> bytes:
@@ -167,9 +178,8 @@ def _unpack_array(payload: bytes, offset: int) -> Tuple[np.ndarray, int]:
     shape = struct.unpack_from(f"<{ndim}q", payload, offset) if ndim else ()
     offset += 8 * ndim
     (raw_len,) = struct.unpack_from("<Q", payload, offset)
-    offset += 8
-    arr = np.frombuffer(payload[offset : offset + raw_len], dtype=np.dtype(dtype_s)).reshape(shape).copy()
-    return arr, offset + raw_len
+    raw, offset = _take(payload, offset + 8, raw_len)
+    return np.frombuffer(raw, dtype=np.dtype(dtype_s)).reshape(shape).copy(), offset
 
 
 def _pack_meta_value(value) -> bytes:
@@ -304,8 +314,7 @@ def _pack_tree(value) -> bytes:
 
 
 def _unpack_tree(payload: bytes, offset: int):
-    tag = payload[offset : offset + 1]
-    offset += 1
+    tag, offset = _take(payload, offset, 1)
     if tag == b"N":
         return None, offset
     if tag == b"B":
@@ -322,18 +331,17 @@ def _unpack_tree(payload: bytes, offset: int):
         return float(v), offset + 8
     if tag == b"S":
         (length,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        return payload[offset : offset + length].decode("utf-8"), offset + length
+        raw, offset = _take(payload, offset + 4, length)
+        return raw.decode("utf-8"), offset
     if tag == b"Y":
         (length,) = struct.unpack_from("<Q", payload, offset)
-        offset += 8
-        return payload[offset : offset + length], offset + length
+        return _take(payload, offset + 8, length)
     if tag == b"A":
         return _unpack_array(payload, offset)
     if tag == b"P":
         (length,) = struct.unpack_from("<Q", payload, offset)
-        offset += 8
-        return decode_packet(payload[offset : offset + length]), offset + length
+        raw, offset = _take(payload, offset + 8, length)
+        return decode_packet(raw), offset
     if tag in (b"Z", b"U", b"L"):
         (count,) = struct.unpack_from("<I", payload, offset)
         offset += 4
@@ -352,7 +360,7 @@ def _unpack_tree(payload: bytes, offset: int):
             key, offset = _unpack_tree(payload, offset)
             out[key], offset = _unpack_tree(payload, offset)
         return out, offset
-    raise ValueError(f"corrupt state blob: unknown tag {tag!r}")
+    raise ValueError(f"unknown tag {tag!r}")
 
 
 def encode_state_blob(tree) -> bytes:
@@ -368,10 +376,23 @@ def encode_state_blob(tree) -> bytes:
 
 
 def decode_state_blob(payload: bytes):
-    """Inverse of :func:`encode_state_blob`."""
+    """Inverse of :func:`encode_state_blob`.
+
+    A damaged blob fails by name, always as ``ValueError``: ``"truncated
+    state blob: ..."`` when a read runs past its end, ``"corrupt state blob:
+    ..."`` when its content does not decode.
+    """
     if payload[:4] != _BLOB_MAGIC:
+        if _BLOB_MAGIC.startswith(payload[:4]):
+            raise ValueError(f"truncated state blob: {len(payload)} bytes, not even its header")
         raise ValueError("not a repro state blob")
-    tree, offset = _unpack_tree(payload, 4)
+    try:
+        tree, offset = _unpack_tree(payload, 4)
+    except (_ShortRead, struct.error) as exc:
+        raise ValueError(f"truncated state blob: {exc}") from exc
+    except (ValueError, TypeError, OverflowError, SyntaxError) as exc:
+        # SyntaxError: numpy parses some malformed dtype strings as literals.
+        raise ValueError(f"corrupt state blob: {exc}") from exc
     if offset != len(payload):
-        raise ValueError(f"trailing bytes in state blob ({len(payload) - offset})")
+        raise ValueError(f"corrupt state blob: {len(payload) - offset} trailing bytes")
     return tree

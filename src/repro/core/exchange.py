@@ -29,12 +29,13 @@ measured post-codec size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..comm.codecs import CodecPipeline, UpdatePacket, resolve_codec
 from .base import PRIMAL_KEY, BaseClient
+from .population import LivePopulation
 
 __all__ = ["PacketExchange"]
 
@@ -57,10 +58,10 @@ class PacketExchange:
         """True when decoded payloads may differ from the encoded originals."""
         return self.pipeline.lossy
 
-    def check_endpoints(
-        self, clients: Optional[Sequence[BaseClient]], client_store, owner: str
-    ) -> List[BaseClient]:
-        """Validate one hop's client population and return the eager list.
+    def check_endpoints(self, clients: Optional[Sequence[BaseClient]], client_store, owner: str):
+        """Validate one hop's client population and return it as one
+        population (:mod:`repro.core.population`): ``client_store`` itself, or
+        the ``clients`` list as a :class:`~repro.core.population.LivePopulation`.
 
         Exactly one of ``clients`` / ``client_store`` attaches a population.
         Every endpoint must have been built with this hop's codec stack:
@@ -69,21 +70,20 @@ class PacketExchange:
         desynchronise the dual replicas — fail fast instead.
         """
         clients = list(clients) if clients else []
-        if not clients and client_store is None:
-            raise ValueError(f"{owner} needs at least one client (clients or a client_store)")
         if clients and client_store is not None:
             raise ValueError("pass either clients or client_store, not both")
-        codecs = {c.config.codec for c in clients}
-        store_config = getattr(client_store, "config", None)
-        if store_config is not None:
-            codecs.add(store_config.codec)
+        population = LivePopulation(clients) if clients else client_store
+        if population is None:
+            raise ValueError(f"{owner} needs at least one client (clients or a client_store)")
+        configs = [c.config for c in clients] or [client_store.config]
+        codecs = {config.codec for config in configs if config is not None}
         for codec in codecs:
             if PacketExchange(codec).spec != self.spec:
                 raise ValueError(
                     f"an endpoint was built with codec {codec!r} but {owner}'s exchange "
                     f"uses {self.spec!r}; all endpoints of one hop must share one codec stack"
                 )
-        return clients
+        return population
 
     # -------------------------------------------------------------- dispatch
     def encode_dispatch(self, payload: Payload) -> UpdatePacket:

@@ -1,26 +1,30 @@
 """How a set of clients gets its local updates run: :class:`LocalExecutor`.
 
 Every synchronous round body (:class:`~repro.core.runner.FederatedRunner`,
-:class:`~repro.hier.edge.EdgeAggregator`) hands its clients to one executor,
-which picks between four interchangeable — bitwise identical — ways of
-running ``client.update``:
+:class:`~repro.hier.edge.EdgeAggregator`) hands its population's clients to
+one executor, which picks between four interchangeable — bitwise identical —
+ways of running ``client.update``:
 
 * **serial** — in line, in client order;
 * **thread** — on a persistent, grow-only thread pool (each client owns its
   model, buffers, loader and RNG, and the heavy numpy kernels release the
   GIL);
-* **process** — on a :class:`~repro.mp.pool.ProcessWorkerPool` of
-  spawn-context workers that own the client state between rounds;
 * **cohort** — as stacked ``(B, dim)`` kernels via
   :func:`~repro.core.batched.run_batched_updates`, with per-client fallback
   for members without a batched kernel (counted by reason in
-  :attr:`LocalExecutor.cohort_fallbacks`).
+  :attr:`LocalExecutor.cohort_fallbacks`);
+* **process** — :meth:`LocalExecutor.update_pooled` runs a whole cohort on a
+  :class:`~repro.mp.pool.ProcessWorkerPool` whose workers own the client
+  state between rounds.  The pool is built over the population, whatever
+  its kind (:mod:`repro.core.population`), so nothing is checked out
+  parent-side.
 
-The executor also owns what those paths share: the process pool's lifecycle
-(lazy build, retire-on-fallback, state traffic for checkpoints, telemetry
-banking), pending/settled client-step accounting, and ``local_update`` span
-and monitor emission.  To add a backend, add a branch to :meth:`LocalExecutor.
-update`; nothing else in the runners knows how updates execute.
+The in-process ways share :meth:`LocalExecutor.update` (to add one, add a
+branch there).  The executor also owns what the paths share: the process
+pool's lifecycle (lazy build, retire-on-fallback, state traffic for
+checkpoints, telemetry banking), pending/settled client-step accounting, and
+``local_update`` span and monitor emission.  Nothing in the runners knows
+how updates execute.
 """
 
 from __future__ import annotations
@@ -96,10 +100,9 @@ class LocalExecutor:
     exchange:
         The hop the uploads will cross: a lossy stack is rejected on the
         process backend (its reconcile step needs parent-side client state).
-    clients / store / ids:
-        The population a process pool is built over — eager instances, or a
-        :class:`~repro.scale.store.ClientStateStore` (``ids`` narrows a
-        store addressed by global ids to one edge's shard).
+    population / ids:
+        The population a process pool is built over (``ids`` narrows one
+        addressed by global ids to one edge's shard).
     max_workers:
         Overrides ``config.parallel_clients``.
     name:
@@ -112,8 +115,7 @@ class LocalExecutor:
         self,
         config: FLConfig,
         exchange: PacketExchange,
-        clients: Sequence[BaseClient] = (),
-        store=None,
+        population,
         ids: Optional[Sequence[int]] = None,
         max_workers: Optional[int] = None,
         name: str = "fl-client",
@@ -130,16 +132,7 @@ class LocalExecutor:
             config.parallel_clients if max_workers is None else max_workers
         )
         self.client_batch = config.client_batch
-        #: True when worker processes own a store-backed population: a whole
-        #: cohort then runs through update_pooled() with nothing materialised
-        #: parent-side (each worker waves through its own shard).
-        self.pools_store = self.backend == "process" and store is not None
-        #: privacy settings of clients that only ever exist inside those
-        #: workers (the config the store's factory builds them with)
-        store_config = getattr(store, "config", None)
-        self.pooled_privacy = (store_config if store_config is not None else config).privacy
-        self._clients = clients
-        self._store = store
+        self.population = population
         self._ids = ids
         self._labels = dict(labels or {})
         self._threads = GrowOnlyThreads(name)
@@ -159,18 +152,11 @@ class LocalExecutor:
     def update(
         self, clients: Sequence[BaseClient], payloads: Mapping[int, Mapping]
     ) -> Dict[int, Mapping]:
-        """Run the given live clients' updates; uploads come back in client
-        order whatever path (or thread completion order) produced them.
-
-        Eager populations on the process backend go to the pool.  Otherwise,
-        with ``client_batch > 1``, groups of same-shaped batchable clients
-        run as stacked cohorts and the rest per client.
+        """Run the given live clients' updates in this process; uploads come
+        back in client order whatever path (or thread completion order)
+        produced them.  With ``client_batch > 1``, groups of same-shaped
+        batchable clients run as stacked cohorts and the rest per client.
         """
-        self._pending = {}
-        if self.backend == "process" and self._store is None and len(clients) > 1:
-            uploads = self.update_pooled([c.client_id for c in clients], payloads)
-            if uploads is not None:
-                return uploads
         uploads = None
         if self.client_batch > 1:
             batched = None
@@ -195,21 +181,24 @@ class LocalExecutor:
     def update_pooled(
         self, ids: Sequence[int], payloads: Mapping[int, Mapping]
     ) -> Optional[Dict[int, Mapping]]:
-        """Run ``ids`` on the process pool (built on first use).
+        """Run ``ids`` on the process pool (built over the population on
+        first use).
 
         Returns ``None`` when the payloads are not one shared broadcast
         template (the pool transports one copy through shared memory).  The
         pool is then retired — the caller runs these clients in-process
         against parent state, which would leave live workers stale.
         """
-        from ..mp.pool import payload_template
+        from ..mp.pool import ProcessWorkerPool, payload_template
 
         template = payload_template(payloads, ids)
         if template is None:
             self.retire_pool()
             return None
         if self._pool is None:
-            self._pool = self._build_pool()
+            self._pool = ProcessWorkerPool(
+                self.population, self.max_workers, client_batch=self.client_batch, ids=self._ids
+            )
         uploads, steps, timings = self._pool.run_round(ids, template)
         self._pending = steps
         # Worker-side timestamps; cohort members carry none (as on the
@@ -265,17 +254,6 @@ class LocalExecutor:
         self._pending = {}
 
     # ------------------------------------------------------------ process pool
-    def _build_pool(self):
-        from ..mp.pool import ProcessWorkerPool
-
-        if self._store is not None:
-            return ProcessWorkerPool.from_store(
-                self._store, self.max_workers, client_batch=self.client_batch, ids=self._ids
-            )
-        return ProcessWorkerPool.from_eager_clients(
-            self._clients, self.max_workers, client_batch=self.client_batch
-        )
-
     def retire_pool(self) -> None:
         """Pull the workers' authoritative state home and discard the pool.
 
@@ -298,8 +276,8 @@ class LocalExecutor:
             self._pool = None
 
     def sync_parent(self) -> None:
-        """Copy live workers' client state into the parent-side clients or
-        store (checkpoint capture); a no-op without a live pool."""
+        """Copy live workers' client state into the parent-side population
+        (checkpoint capture); a no-op without a live pool."""
         if self._pool is not None:
             self._pool.sync_parent()
 

@@ -3,10 +3,9 @@
 * :func:`run_client_phases` — the client side of one *synchronous* round.
   The flat :class:`~repro.core.runner.FederatedRunner` and every hierarchical
   :class:`~repro.hier.edge.EdgeAggregator` run the same loop over their
-  clients; they differ only in where a gathered upload goes (the *sink*) and
-  in how a client is obtained (a dict lookup, or a checkout from a
-  :class:`~repro.scale.store.ClientStateStore`).  To add a round phase, add
-  it here (and to :data:`PHASES`).
+  population (:mod:`repro.core.population` — eager or store-backed alike);
+  they differ only in where a gathered upload goes (the *sink*).  To add a
+  round phase, add it here (and to :data:`PHASES`).
 * :class:`PhaseClock` — accounts wall-clock seconds per phase on one trace
   lane, for synchronous rounds and virtual timelines alike.
 * :class:`RoundLedger` — where a round is *closed*: evaluate, build the
@@ -27,7 +26,7 @@ from ..comm import Communicator, client_endpoint
 from ..comm.records import DeadLetter
 from ..obs import current_monitor, current_profiler, current_tracer
 from ..privacy import PrivacyAccountant, dispatch_fingerprint
-from .base import GLOBAL_KEY, BaseClient
+from .base import GLOBAL_KEY
 from .exchange import PacketExchange
 from .executor import LocalExecutor
 
@@ -336,9 +335,7 @@ def run_client_phases(
     round_idx: int,
     ids: Sequence[int],
     payload: Mapping[str, np.ndarray],
-    wave: int,
-    acquire: Callable[[int], BaseClient],
-    release: Optional[Callable[[int], None]],
+    population: Any,
     sink: Callable[[int, Any, np.ndarray], None],
     accountant: Optional[PrivacyAccountant],
     on_wave: Optional[Callable[[int, int, float], None]] = None,
@@ -353,24 +350,23 @@ def run_client_phases(
     stateful algorithm's server-side replica would silently desynchronise
     from a half-run update) — and their unsent upload is dead-lettered.
 
-    The survivors then run in waves of at most ``wave``: ``acquire`` →
-    ``open_dispatch`` → ``executor.update`` → ``encode_upload`` /
-    ``reconcile`` → ``collect`` → ``executor.settle`` → ``sink`` + privacy
-    charge → ``release``, so no more than ``wave`` clients are ever live.
-    An eager population is one wave of everyone with a dict lookup as
-    ``acquire`` and no ``release``.  When the executor's worker processes
-    own a store-backed population, the whole cohort is one wave with nothing
-    acquired parent-side; should that round not be poolable it is re-run in
-    ordinary waves.
+    The survivors then run in waves of at most ``population.live_cap``:
+    ``checkout`` → ``open_dispatch`` → ``executor.update`` →
+    ``encode_upload`` / ``reconcile`` → ``collect`` → ``executor.settle`` →
+    ``sink`` + privacy charge → ``release``, so no more than ``live_cap``
+    clients are ever live (an eager population is one wave of everyone).  On
+    the process backend the whole cohort is one wave that the executor's
+    workers run with nothing checked out here; should that round not be
+    poolable it is re-run in ordinary waves.
 
     ``sink(cid, packet, dispatched_global)`` is the single decode point
     (``server.ingest`` for the flat runner, ``ingest_upload`` for an edge);
     ``dispatched_global`` is bitwise what every client saw.  Privacy budget
-    is charged per *accepted* upload, keyed on ``(client, round, dispatched
-    global)`` — uplink dead letters never consume epsilon, and a retried or
-    crash-replayed release consumes it once.  ``on_wave(index, clients,
-    started)`` fires after each acquired wave.  Returns the ids whose
-    uploads reached the sink, in dispatch order.
+    is charged per *accepted* upload, at the rate of the client's own config,
+    keyed on ``(client, round, dispatched global)`` — uplink dead letters
+    never consume epsilon, and a retried or crash-replayed release consumes
+    it once.  ``on_wave(index, clients, started)`` fires after each wave.
+    Returns the ids whose uploads reached the sink, in dispatch order.
     """
     injector = communicator.injector if communicator is not None else None
 
@@ -396,9 +392,9 @@ def run_client_phases(
                 )
     clock.end("broadcast")
 
-    wave = max(1, int(wave))
+    wave = max(1, int(population.live_cap))
     chunks = [active[start : start + wave] for start in range(0, len(active), wave)]
-    pooled = executor.pools_store and len(active) > 1
+    pooled = executor.backend == "process" and len(active) > 1
     plan = [active] if pooled else chunks
     participants: List[int] = []
     privacy_key = None
@@ -406,7 +402,7 @@ def run_client_phases(
     while index < len(plan):
         wave_ids = plan[index]
         started = clock.begin("broadcast")
-        clients = [None] * len(wave_ids) if pooled else [acquire(cid) for cid in wave_ids]
+        clients = {} if pooled else {cid: population.checkout(cid) for cid in wave_ids}
         payloads = {cid: exchange.open_dispatch(received[cid]) for cid in wave_ids}
         clock.end("broadcast")
 
@@ -416,45 +412,42 @@ def run_client_phases(
         if pooled:
             uploads = executor.update_pooled(wave_ids, payloads)
         else:
-            uploads = executor.update(clients, payloads)
+            uploads = executor.update(list(clients.values()), payloads)
         clock.end("local_update")
         if uploads is None:
             # Not one shared template: the executor pulled the workers' state
-            # home, so wave through the store in-process instead.
+            # home, so run the cohort in-process in ordinary waves instead.
             pooled, plan = False, chunks
             continue
 
         # Encode each upload against the dispatched global and reconcile
         # lossy-codec client state with the decoded echo (the process
-        # backend enforces a lossless wire, so pooled clients have none).
+        # backend enforces a lossless wire, where reconcile is a no-op).
         clock.begin("gather")
         packets = {}
-        for cid, client in zip(wave_ids, clients):
+        for cid in wave_ids:
             reference = payloads[cid][GLOBAL_KEY]
             packets[cid] = exchange.encode_upload(uploads[cid], reference)
-            if client is not None:
-                exchange.reconcile(client, uploads[cid], packets[cid], reference)
+            exchange.reconcile(clients.get(cid), uploads[cid], packets[cid], reference)
         gathered = communicator.collect(round_idx, packets) if communicator is not None else packets
         executor.settle(gathered)
         clock.end("gather")
 
         clock.begin("aggregate")
-        for cid, client in zip(wave_ids, clients):
+        for cid in wave_ids:
             if cid not in gathered:
                 continue
             sink(cid, gathered[cid], dispatched_global)
             participants.append(cid)
-            privacy = client.config.privacy if client is not None else executor.pooled_privacy
+            privacy = population.config_of(cid).privacy
             if accountant is not None and privacy.enabled:
                 if privacy_key is None:
                     privacy_key = dispatch_fingerprint(round_idx, dispatched_global)
                 accountant.record(cid, privacy.epsilon, key=privacy_key)
         clock.end("aggregate")
-        if not pooled:
-            if release is not None:
-                for cid in wave_ids:
-                    release(cid)
-            if on_wave is not None:
-                on_wave(index, len(wave_ids), started)
+        for cid in clients:
+            population.release(cid)
+        if on_wave is not None:
+            on_wave(index, len(wave_ids), started)
         index += 1
     return participants

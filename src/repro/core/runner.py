@@ -19,10 +19,11 @@ the client side of the round — dispatch, local updates, gather, ingest — to
 :class:`~repro.hier.edge.EdgeAggregator`), keeps what is the server's — the
 finalize — and closes the round (evaluate, :class:`RoundResult`, history,
 monitor) in the :class:`repro.core.phases.RoundLedger` every runner shares.
-*How* the local updates
-run (serial, thread pool, process pool, stacked cohorts — all bitwise
-identical, uploads always collected in client order) is
-:class:`repro.core.executor.LocalExecutor`'s decision alone.
+Its clients are one population (:mod:`repro.core.population`), eager or
+store-backed alike.  *How* the local updates run (serial, thread pool,
+process pool, stacked cohorts — all bitwise identical, uploads always
+collected in client order) is :class:`repro.core.executor.LocalExecutor`'s
+decision alone.
 
 The runner also records wall-clock seconds per phase — ``broadcast``
 (codec encode + downlink + client-side decode), ``local_update``, ``gather``
@@ -50,8 +51,6 @@ import time
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .. import nn
 from ..comm import Communicator, SerialCommunicator
 from ..data import Dataset
@@ -63,7 +62,7 @@ from .exchange import PacketExchange
 from .executor import LocalExecutor
 from .metrics import Evaluator
 from .phases import PHASES, PhaseClock, RoundLedger, RoundResult, TrainingHistory, run_client_phases
-from .registry import get_algorithm
+from .population import build_server_and_factory
 
 __all__ = [
     "PHASES",
@@ -80,10 +79,11 @@ class FederatedRunner:
 
     Clients are supplied either *eagerly* (``clients`` — the classic list of
     live :class:`BaseClient` instances) or *virtually* (``client_store`` — a
-    :class:`repro.scale.ClientStateStore`): each round then materialises
-    clients in waves of at most ``live_cap``, runs their updates, encodes and
-    ingests their uploads, and releases them back to the store, so peak
-    client-state memory is proportional to the cap, not the population.  An
+    :class:`repro.scale.ClientStateStore`); either way the runner holds one
+    :attr:`population` (:mod:`repro.core.population`).  Each round checks
+    clients out in waves of at most its ``live_cap``, runs their updates,
+    encodes and ingests their uploads, and releases them, so a store's peak
+    client-state memory is proportional to the cap, not the population; an
     eager population is the same round with one wave of everyone.
     ADMM-family servers (which absorb per-upload state in ``ingest`` and
     ignore the finalize payloads) stream; FedAvg-style servers accumulate the
@@ -107,12 +107,11 @@ class FederatedRunner:
         # One codec pipeline for every exchange: FLConfig.codec is the single
         # source of truth, for the endpoints too (check_endpoints).
         self.exchange = PacketExchange(server.config.codec)
-        self.clients = self.exchange.check_endpoints(clients, client_store, "the runner")
-        self._store = client_store
-        self._client_by_id = {c.client_id: c for c in self.clients}
-        self._client_ids = (
-            list(range(client_store.num_clients)) if client_store is not None else list(self._client_by_id)
-        )
+        #: the clients, eager or store-backed, behind one interface
+        self.population = self.exchange.check_endpoints(clients, client_store, "the runner")
+        #: the eager clients (empty for a store-backed runner)
+        self.clients = list(clients or ())
+        self._client_ids = list(self.population.ids)
         self.num_clients = len(self._client_ids)
         if server.num_clients != self.num_clients:
             raise ValueError("server.num_clients must match the number of clients")
@@ -124,8 +123,7 @@ class FederatedRunner:
         #: runs the local updates (serial | thread | process | cohort) and
         #: owns the worker pools and the client-step accounting
         self.executor = LocalExecutor(
-            server.config, self.exchange, clients=self.clients, store=client_store,
-            max_workers=max_workers,
+            server.config, self.exchange, self.population, max_workers=max_workers,
         )
         self.max_workers = self.executor.max_workers
         #: round accounting and close, shared with every other runner
@@ -142,7 +140,6 @@ class FederatedRunner:
 
     def run_round(self, round_idx: int) -> RoundResult:
         """Execute one communication round and return its metrics."""
-        store = self._store
         injector = self.communicator.injector
         ledger = self.ledger
         ledger.open_round(faulty=injector is not None)
@@ -176,12 +173,10 @@ class FederatedRunner:
             round_idx=round_idx,
             ids=self._client_ids,
             payload=server.broadcast_payload(),
-            wave=store.live_cap if store is not None else self.num_clients,
-            acquire=store.checkout if store is not None else self._client_by_id.__getitem__,
-            release=store.release if store is not None else None,
+            population=self.population,
             sink=sink,
             accountant=self.accountant,
-            on_wave=partial(clock.end_wave, self) if store is not None else None,
+            on_wave=partial(clock.end_wave, self),
         )
 
         # Finish with whatever cohort survived the wire; a faulted round
@@ -246,28 +241,15 @@ def build_endpoints(
     """Instantiate the registered server and clients for a named algorithm.
 
     This is the construction shared by :func:`build_federation` and
-    :func:`repro.asyncfl.build_async_federation`: one model per endpoint, all
-    synchronised to the server's initial parameters (the shared ``z^1`` of
-    Algorithm 1), and per-client RNGs seeded ``seed + 1000 + client_id`` — so
-    a sync and an async run over the same datasets start from bit-identical
-    state.
+    :func:`repro.asyncfl.build_async_federation`: every client of the
+    population built by the :class:`~repro.core.population.ClientFactory` a
+    store would materialise it with — one model per endpoint, synchronised to
+    the server's initial parameters (the shared ``z^1`` of Algorithm 1), RNGs
+    seeded ``seed + 1000 + client_id`` — so sync, async and store-backed runs
+    over the same datasets start from bit-identical state.
     """
-    seed = config.seed if seed is None else seed
-    server_cls, client_cls = get_algorithm(config.algorithm)
-
-    server_model = model_fn()
-    initial_state = server_model.state_dict()
-    sample_counts = [len(d) for d in client_datasets]
-    server = server_cls(server_model, config, num_clients=len(client_datasets), client_sample_counts=sample_counts)
-
-    clients = []
-    for cid, dataset in enumerate(client_datasets):
-        model = model_fn()
-        model.load_state_dict(initial_state)
-        clients.append(
-            client_cls(cid, model, dataset, config, rng=np.random.default_rng(seed + 1000 + cid))
-        )
-    return server, clients
+    server, factory = build_server_and_factory(config, model_fn, client_datasets, seed=seed)
+    return server, [factory(cid) for cid in range(len(client_datasets))]
 
 
 def build_federation(

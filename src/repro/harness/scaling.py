@@ -324,7 +324,7 @@ def run_population_sweep(settings: Optional[PopulationSweepSettings] = None) -> 
         start = time.perf_counter()
         runner.run(settings.num_rounds)
         elapsed = (time.perf_counter() - start) / settings.num_rounds
-        store = runner._store
+        store = runner.population
         store.flush()  # spill everyone so store_nbytes covers the population
         # Store accounting is read back through the metrics registry — the
         # same series every other harness and the obs report consume.

@@ -139,9 +139,7 @@ class RootFedAsync(RootStrategy):
             )
         if not participants:
             return None
-        weights = getattr(server, "_agg_weights", None)
-        if weights is None:
-            weights = server.client_weights()
+        weights = server.client_weights()
         weight_sum = math.fsum(float(weights[c]) for c in sorted(participants))
         candidate = server.merge_partials([partial]) / weight_sum
         mix = self.alpha * staleness_weight(staleness, self.staleness, a=self.a, b=self.b)
@@ -190,8 +188,7 @@ class _EdgeActor:
             sink=lambda cid, packet, version, dispatched: edge.ingest_upload(cid, packet, dispatched),
             on_done=self._complete_one,
             trace_labels=lambda version: edge_labels,
-            clients=edge._client_by_id,
-            store=edge._store,
+            population=edge.population,
         )
         self.root_link = root_link
         self.fraction = float(fraction)
@@ -223,7 +220,7 @@ class _EdgeActor:
         return [shard[i] for i in sorted(picked)]
 
     def _dispatch_one(self, cid: int) -> None:
-        """Put one cohort member on the timeline (pins it in store mode)."""
+        """Put one cohort member on the timeline (pins it)."""
         self.clock.begin("broadcast")
         self.flights.dispatch(cid, self._cohort_packet, self._dispatched_version)
 
@@ -317,7 +314,7 @@ class _EdgeActor:
 
     def kill(self) -> None:
         """Lose the edge's volatile state: every in-flight dispatch and
-        arrival vanishes (their store pins released so the population can be
+        arrival vanishes (their pins released so the population can be
         rolled back), queued work is dropped, and only root broadcasts still
         in transit — which live on the wire, not in the edge's memory — keep
         their place on the clock."""

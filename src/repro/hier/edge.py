@@ -22,10 +22,12 @@ order alone: a restored or replayed edge ships the same bytes.
 
 Clients attach either eagerly (a list of :class:`~repro.core.base.
 BaseClient`) or virtually (a per-edge :class:`~repro.scale.store.
-ClientStateStore`); store-backed shards run in waves of the store's
-``live_cap``, so a 100k-client population runs under a bounded live set.
-The shard's round is :func:`repro.core.phases.run_client_phases` — the very
-loop :class:`~repro.core.runner.FederatedRunner` runs — with
+ClientStateStore`); the edge holds either as one :attr:`EdgeAggregator.
+population` (:mod:`repro.core.population`) and runs its shard in waves of
+the population's ``live_cap`` — everyone at once when eager, a bounded live
+set for a 100k-client store.  The shard's round is
+:func:`repro.core.phases.run_client_phases` — the very loop
+:class:`~repro.core.runner.FederatedRunner` runs — with
 :meth:`EdgeAggregator.ingest_upload` as its sink, and its local updates
 execute on the edge's own :class:`~repro.core.executor.LocalExecutor`.
 
@@ -93,19 +95,18 @@ class EdgeAggregator:
         self.shard: Tuple[int, ...] = server.shard
         self.exchange = exchange if exchange is not None else PacketExchange(server.config.codec)
         # Hier clients must carry the edge-hop codec (check_endpoints).
-        self.clients = self.exchange.check_endpoints(clients, client_store, f"edge {edge_id}")
-        self._store = client_store
+        self.population = self.exchange.check_endpoints(clients, client_store, f"edge {edge_id}")
+        self.clients = list(clients or ())
         if self.clients and sorted(c.client_id for c in self.clients) != list(self.shard):
             raise ValueError(
                 f"edge {edge_id}'s clients {sorted(c.client_id for c in self.clients)} "
                 f"do not match its shard {list(self.shard)}"
             )
-        self._client_by_id = {c.client_id: c for c in self.clients}
         self.communicator = communicator
         #: runs this shard's local updates and owns its pools and step count
         self.executor = LocalExecutor(
-            server.config, self.exchange, clients=self.clients, store=client_store,
-            ids=self.shard, max_workers=max_workers, name=f"hier-edge{self.edge_id}",
+            server.config, self.exchange, self.population, ids=self.shard,
+            max_workers=max_workers, name=f"hier-edge{self.edge_id}",
             labels={"edge": self.edge_id},
         )
         self.max_workers = self.executor.max_workers
@@ -204,13 +205,12 @@ class EdgeAggregator:
         ledger: Optional[RoundLedger] = None,
     ) -> Tuple[Dict[str, np.ndarray], Tuple[int, ...]]:
         """One synchronous shard round: dispatch → update → gather → ingest
-        (:func:`~repro.core.phases.run_client_phases` over this shard,
-        wave-limited when store-backed), then the fold into the shard
+        (:func:`~repro.core.phases.run_client_phases` over this shard, in
+        waves of the population's ``live_cap``), then the fold into the shard
         summary via :meth:`summarize`.  ``ledger`` (the runner's, when
         given) accumulates the phase seconds on this edge's lane.
         """
         ledger = ledger if ledger is not None else RoundLedger()
-        store = self._store
         clock = PhaseClock(ledger, f"edge:{self.edge_id}", round_idx, edge=self.edge_id)
         run_client_phases(
             executor=self.executor,
@@ -220,9 +220,7 @@ class EdgeAggregator:
             round_idx=round_idx,
             ids=list(self.shard),
             payload={GLOBAL_KEY: self._global.copy()},
-            wave=store.live_cap if store is not None else len(self.shard),
-            acquire=store.checkout if store is not None else self._client_by_id.__getitem__,
-            release=store.release if store is not None else None,
+            population=self.population,
             sink=self.ingest_upload,
             accountant=accountant,
             on_wave=partial(clock.end_wave, self),

@@ -41,7 +41,7 @@ from ..comm.latency import LinkModel
 from ..core.metrics import Evaluator
 from ..core.partial import pack_partial, unpack_partial
 from ..core.phases import PhaseClock, RoundLedger, RoundResult, TrainingHistory
-from ..core.registry import get_algorithm
+from ..core.population import build_server_and_factory
 from ..data import Dataset
 from ..faults.injector import FaultInjector
 from ..obs import current_tracer, timed_call
@@ -359,7 +359,6 @@ def build_hier_endpoints(
     (the whole run then materialises at most ``edges × live_cap`` clients).
     """
     from ..scale.store import ClientStateStore
-    from ..scale.virtual import make_client_factory
 
     seed = config.seed if seed is None else seed
     topo_src = topology if topology is not None else config.topology
@@ -373,48 +372,36 @@ def build_hier_endpoints(
         client_link=client_link, root_link=root_link,
     )
 
-    server_cls, _ = get_algorithm(config.algorithm)
-    root_model = model_fn()
-    initial_state = root_model.state_dict()
-    sample_counts = [len(d) for d in client_datasets]
-    root = server_cls(
-        root_model, config, num_clients=len(client_datasets),
-        client_sample_counts=sample_counts, shard=(),
-    )
-    _check_hier_server(root)
-
     edge_codec, _ = _hop_codecs(config)
     # A hier client's only wire is the client↔edge hop, and stateful clients
     # derive their lossy-wire bookkeeping (IIADMM's reconcile stash) from
     # their own config's codec — so clients are built with the hop codec.
     client_config = config if edge_codec == config.codec else replace(config, codec=edge_codec)
+    root, factory = build_server_and_factory(
+        config, model_fn, client_datasets, seed=seed, client_config=client_config, shard=()
+    )
+    _check_hier_server(root)
+    server_cls = type(root)
+    sample_counts = [len(d) for d in client_datasets]
     edges: List[EdgeAggregator] = []
-    factory = make_client_factory(client_config, model_fn, client_datasets, initial_state, seed=seed)
     for eid, shard in enumerate(topo.shards):
         edge_model = model_fn()
-        edge_model.load_state_dict(initial_state)
+        edge_model.load_state_dict(factory.initial_state)
         edge_server = server_cls(
             edge_model, config, num_clients=len(client_datasets),
             client_sample_counts=sample_counts, shard=shard,
         )
-        store = clients = None
-        if live_cap is not None:
-            store = ClientStateStore(
-                factory,
-                num_clients=len(client_datasets),
-                live_cap=live_cap,
-                state_codec=state_codec,
-                compress=compress,
-                config=client_config,
-            )
-        else:
+        clients = store = None
+        if live_cap is None:
             clients = [factory(cid) for cid in shard]
+        else:
+            store = ClientStateStore(
+                factory, len(client_datasets), live_cap, state_codec=state_codec,
+                compress=compress, config=client_config,
+            )
         edges.append(
             EdgeAggregator(
-                eid,
-                edge_server,
-                clients=clients,
-                client_store=store,
+                eid, edge_server, clients=clients, client_store=store,
                 exchange=PacketExchange(edge_codec),
             )
         )

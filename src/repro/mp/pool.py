@@ -1,7 +1,7 @@
 """Parent side of the process execution backend: :class:`ProcessWorkerPool`.
 
 The pool owns ``num_workers`` spawn-context child processes, each holding one
-contiguous shard of the population (cut by
+contiguous shard of a client population (cut by
 :func:`repro.hier.topology.contiguous_shards` — the same ``np.array_split``
 blocking as edge sharding).  Per round, the parent packs the broadcast
 payload **once** into a shared-memory arena, every worker maps it read-only,
@@ -13,26 +13,25 @@ Because each client's ``update()`` is a deterministic function of its own
 state and the (bitwise-shared) broadcast vector, and because the caller
 folds uploads through :class:`~repro.core.partial.ExactPartial`, the
 grouping into processes is invisible: a process run is bitwise identical to
-the serial run.  The pool guarantees the state side of that contract:
-workers hold the authoritative client state between rounds, and
-:meth:`sync_parent` / :meth:`push_from_parent` move it across the boundary
-bit-exactly (``client_state()``/``load_client_state`` for eager clients,
-blob snapshots for store-backed populations) for checkpoints, inspection,
-and shutdown.
+the serial run.  The pool guarantees the state side of that contract through
+the population interface (:mod:`repro.core.population`), whatever the
+population's kind: each worker receives the population's
+``shard(ids, num_workers)`` at init, and :meth:`sync_parent` /
+:meth:`push_from_parent` move ``snapshot()`` rows across the boundary
+bit-exactly for checkpoints, inspection, and shutdown.
 
-Everything shipped at init must pickle: eager clients travel as
+Everything shipped at init must pickle: an eager shard travels as
 ``(type, model, dataset, config, cid, client_state())`` tuples (the flat
 engine re-homes parameters on reconstruction, so view aliasing survives the
-trip), store populations as ``(factory, blobs)``.  Closure factories and
-lambda ``model_fn``s don't pickle — :class:`repro.scale.virtual.ClientFactory`
-and :class:`repro.core.models.SeededModelFn` are the picklable equivalents.
+trip), a store shard as its factory and blobs.  Closure factories and lambda
+``model_fn``s don't pickle — :class:`repro.scale.virtual.ClientFactory` and
+:class:`repro.core.models.SeededModelFn` are the picklable equivalents.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,17 +46,6 @@ __all__ = ["ProcessWorkerPool", "payload_template"]
 #: Monotone pool counter — keeps arena names unique when one process builds
 #: several pools (runner + edges, or sequential runs).
 _POOL_SEQ = 0
-
-
-def _profile_requested() -> bool:
-    """Should spawned workers capture local-update profiles?
-
-    Read at pool-construction time from the context-local profiler: the
-    workers inherit the opt-in (their folded stacks come back through the
-    result channel), armed only when the profiler wants ``local_update``.
-    """
-    profiler = current_profiler()
-    return profiler is not None and profiler.wants("local_update")
 
 
 def payload_template(
@@ -101,25 +89,39 @@ def payload_template(
 
 
 class ProcessWorkerPool:
-    """A pool of spawn-context worker processes owning client shards.
+    """A pool of spawn-context worker processes owning shards of one
+    population.
 
-    Build via :meth:`from_eager_clients` or :meth:`from_store`; drive with
-    :meth:`run_round`; keep the parent authoritative with :meth:`sync_parent`
-    (workers → parent) and :meth:`push_from_parent` (parent → workers);
-    :meth:`close` tears everything down (arenas unlinked, children joined).
+    ``ids`` (default: the population's) are split into ``num_workers``
+    contiguous shards — an edge narrows its store's global ids to its own.
+    Drive with :meth:`run_round`; keep the parent authoritative with
+    :meth:`sync_parent` (workers → parent) and :meth:`push_from_parent`
+    (parent → workers); :meth:`close` tears everything down (arenas
+    unlinked, children joined).
     """
 
-    def __init__(self, mode: str, specs: List[Dict], shards, clients=None, store=None):
+    def __init__(self, population, num_workers: int, client_batch: int = 1, ids=None):
         global _POOL_SEQ
         _POOL_SEQ += 1
-        self.mode = mode
-        self.shards: Tuple[Tuple[int, ...], ...] = tuple(shards)
+        self.population = population
+        self.shards: Tuple[Tuple[int, ...], ...] = contiguous_shards(
+            population.ids if ids is None else ids, num_workers
+        )
         self.num_workers = len(self.shards)
+        # Workers inherit the context profiler's local-update opt-in; their
+        # folded stacks come back through the result channel.
+        profiler = current_profiler()
+        specs = [
+            {
+                "client_batch": int(client_batch),
+                "profile": profiler is not None and profiler.wants("local_update"),
+                "population": population.shard(shard, self.num_workers),
+            }
+            for shard in self.shards
+        ]
         #: Worker-shipped metrics deltas, merged in worker-index order each
         #: round — deterministic for a deterministic schedule.
         self.telemetry = MetricsRegistry()
-        self._clients = clients  # eager: {cid: parent-side BaseClient}
-        self._store = store  # store: the parent-side ClientStateStore
         self._prefix = f"rpmp{os.getpid()}x{_POOL_SEQ}"
         self._bcast = ShmArena(f"{self._prefix}b")
         self._attachment = ShmAttachment()
@@ -146,7 +148,7 @@ class ProcessWorkerPool:
                 except Exception as exc:
                     raise RuntimeError(
                         "could not ship worker init state to a spawned process — "
-                        "everything the process backend ships must pickle "
+                        "everything the process backend ships must be picklable "
                         "(use repro.scale.virtual.ClientFactory / "
                         "repro.core.models.SeededModelFn instead of closures "
                         f"or lambdas): {exc}"
@@ -156,71 +158,6 @@ class ProcessWorkerPool:
         except BaseException:
             self.close()
             raise
-
-    # ------------------------------------------------------------ construction
-    @classmethod
-    def from_eager_clients(cls, clients: Sequence, num_workers: int, client_batch: int = 1):
-        """Shard materialised clients across ``num_workers`` processes."""
-        by_id = {c.client_id: c for c in clients}
-        shards = contiguous_shards([c.client_id for c in clients], num_workers)
-        specs = [
-            {
-                "mode": "eager",
-                "client_batch": int(client_batch),
-                "profile": _profile_requested(),
-                "clients": [
-                    (
-                        type(by_id[cid]),
-                        by_id[cid].model,
-                        by_id[cid].dataset,
-                        by_id[cid].config,
-                        cid,
-                        by_id[cid].client_state(),
-                    )
-                    for cid in shard
-                ],
-            }
-            for shard in shards
-        ]
-        return cls("eager", specs, shards, clients=by_id)
-
-    @classmethod
-    def from_store(cls, store, num_workers: int, client_batch: int = 1, ids=None):
-        """Shard a virtual population: each worker builds its own
-        :class:`~repro.scale.store.ClientStateStore` over the shared factory
-        and waves through its shard at a ``live_cap`` share.  ``ids`` narrows
-        the sharded population (an edge's store addresses global client ids
-        but owns only its shard)."""
-        try:
-            pickle.dumps(store.factory)
-        except Exception as exc:
-            raise RuntimeError(
-                "execution_backend='process' needs a picklable client factory; "
-                "build the store with repro.scale.virtual builders (module-level "
-                "ClientFactory + a picklable model_fn such as "
-                f"repro.core.models.SeededModelFn), not a closure: {exc}"
-            ) from exc
-        if ids is None:
-            ids = range(store.num_clients)
-        shards = contiguous_shards(ids, num_workers)
-        blobs = store.snapshot()["blobs"]
-        live_share = max(1, store.live_cap // max(1, len(shards)))
-        specs = [
-            {
-                "mode": "store",
-                "client_batch": int(client_batch),
-                "profile": _profile_requested(),
-                "factory": store.factory,
-                "num_clients": store.num_clients,
-                "live_cap": live_share,
-                "state_codec": getattr(store.pipeline, "spec", "identity"),
-                "compress": store.compress,
-                "config": store.config,
-                "blobs": {cid: b for cid, b in blobs.items() if cid in set(shard)},
-            }
-            for shard in shards
-        ]
-        return cls("store", specs, shards, store=store)
 
     # --------------------------------------------------------------- messaging
     def _expect(self, w: int, op: str):
@@ -303,40 +240,28 @@ class ProcessWorkerPool:
     # ----------------------------------------------------------- state traffic
     def sync_parent(self) -> None:
         """Pull authoritative state out of the workers into the parent-side
-        clients/store (checkpoint capture, shutdown, inspection)."""
+        population (checkpoint capture, shutdown, inspection): the workers'
+        snapshot rows together cover every pooled client."""
         for conn in self._conns:
             conn.send(("pull",))
-        if self.mode == "eager":
-            for w in range(self.num_workers):
-                (states,) = self._expect(w, "states")
-                for cid, (state, flat) in states.items():
-                    client = self._clients[cid]
-                    client.load_client_state(state)
-                    if flat is not None:
-                        target = getattr(client.vectorizer, "flat_params", None)
-                        if target is not None:
-                            np.copyto(target, flat)
-        else:
-            merged = self._store.snapshot()["blobs"]
-            for w in range(self.num_workers):
-                (blobs,) = self._expect(w, "snapshot")
-                merged.update(blobs)
-            self._store.restore({"blobs": merged})
+        merged: Dict[str, Dict[int, object]] = {}
+        for w in range(self.num_workers):
+            (snapshot,) = self._expect(w, "snapshot")
+            for table, rows in snapshot.items():
+                merged.setdefault(table, {}).update(rows)
+        self.population.restore(merged)
 
     def push_from_parent(self) -> None:
-        """Push parent-side state down into the workers (checkpoint restore)."""
-        if self.mode == "eager":
-            for w, shard in enumerate(self.shards):
-                self._conns[w].send(
-                    ("push", {cid: self._clients[cid].client_state() for cid in shard})
-                )
-        else:
-            blobs = self._store.snapshot()["blobs"]
-            for w, shard in enumerate(self.shards):
-                shard_set = set(shard)
-                self._conns[w].send(
-                    ("push", {cid: b for cid, b in blobs.items() if cid in shard_set})
-                )
+        """Push parent-side state down into the workers (checkpoint restore):
+        each worker restores its shard's rows of the population snapshot."""
+        snapshot = self.population.snapshot()
+        for w, shard in enumerate(self.shards):
+            members = set(shard)
+            rows = {
+                table: {cid: row for cid, row in table_rows.items() if cid in members}
+                for table, table_rows in snapshot.items()
+            }
+            self._conns[w].send(("push", rows))
         for w in range(self.num_workers):
             self._expect(w, "ok")
 

@@ -1,7 +1,8 @@
 """Child-process entry point for :class:`~repro.mp.pool.ProcessWorkerPool`.
 
-Each worker owns one contiguous client shard and speaks a small message
-protocol over a duplex pipe:
+Each worker owns one contiguous shard of a client population — whatever
+population's ``shard()`` it was handed at init (:mod:`repro.core.population`)
+— and speaks a small message protocol over a duplex pipe:
 
 ========================  =====================================================
 parent → worker           worker → parent
@@ -9,8 +10,8 @@ parent → worker           worker → parent
 ``("init", spec)``        ``("ready",)``
 ``("round", ids, name,    ``("done", arena_name, manifest, scalars, steps,
 mainfest)``               timings, telemetry)``
-``("pull",)``             ``("states", {cid: state})`` / ``("snapshot", blobs)``
-``("push", payload)``     ``("ok",)``
+``("pull",)``             ``("snapshot", population.snapshot())``
+``("push", rows)``        ``("ok",)`` after ``population.restore(rows)``
 ``("stop",)``             *(exits)*
 ========================  =====================================================
 
@@ -26,7 +27,8 @@ the combined telemetry is deterministic for a deterministic schedule.
 Any handler failure replies ``("err", traceback_str)`` and keeps the loop
 alive so the parent can decide what to do.
 
-The worker mirrors the runners' execution gate exactly: with
+The worker mirrors the runners' round exactly: it checks its clients out in
+waves of its population's ``live_cap`` (one wave for an eager shard), and with
 ``client_batch > 1`` eligible clients run as stacked cohorts through
 :func:`repro.core.batched.run_batched_updates` (untraced — cohort spans are
 a documented loss of the process backend), and everything else runs the
@@ -76,34 +78,12 @@ class _WorkerState:
     """Everything one worker holds between messages."""
 
     def __init__(self, spec: Dict[str, object], worker_id: int = 0):
-        self.mode = spec["mode"]
         self.worker_id = int(worker_id)
         self.client_batch = int(spec.get("client_batch", 1))
         self.profile = bool(spec.get("profile", False))
         self.arena = ShmArena(str(spec["prefix"]))
         self.attachment = ShmAttachment()
-        if self.mode == "eager":
-            self.clients = {}
-            for cls, model, dataset, config, cid, state in spec["clients"]:
-                client = cls(cid, model, dataset, config)
-                client.load_client_state(state)
-                self.clients[cid] = client
-        elif self.mode == "store":
-            from ..scale.store import ClientStateStore
-
-            self.store = ClientStateStore(
-                spec["factory"],
-                num_clients=int(spec["num_clients"]),
-                live_cap=int(spec["live_cap"]),
-                state_codec=str(spec["state_codec"]),
-                compress=spec["compress"],
-                config=spec["config"],
-            )
-            blobs = spec.get("blobs") or {}
-            if blobs:
-                self.store.restore({"blobs": blobs})
-        else:  # pragma: no cover - guarded parent-side
-            raise ValueError(f"unknown worker mode {self.mode!r}")
+        self.population = spec["population"]
 
     # ------------------------------------------------------------- execution
     def _run_clients(self, clients, received, uploads, steps, timings):
@@ -146,22 +126,18 @@ class _WorkerState:
         if profile is not None:
             profile.enable()
         try:
-            if self.mode == "eager":
-                self._run_clients([self.clients[cid] for cid in ids], received,
-                                  uploads, steps, timings)
-            else:
-                # Wave through the shard at this worker's live_cap share,
-                # exactly as the parent's virtual round would through the
-                # population.
-                cap = self.store.live_cap
-                for start in range(0, len(ids), cap):
-                    wave = list(ids[start : start + cap])
-                    clients = [self.store.checkout(cid) for cid in wave]
-                    try:
-                        self._run_clients(clients, received, uploads, steps, timings)
-                    finally:
-                        for cid in wave:
-                            self.store.release(cid)
+            # Wave through the shard at this worker's live_cap, exactly as
+            # the parent's round would through the population.
+            population = self.population
+            cap = population.live_cap
+            for start in range(0, len(ids), cap):
+                wave = list(ids[start : start + cap])
+                clients = [population.checkout(cid) for cid in wave]
+                try:
+                    self._run_clients(clients, received, uploads, steps, timings)
+                finally:
+                    for cid in wave:
+                        population.release(cid)
         finally:
             if profile is not None:
                 profile.disable()
@@ -209,29 +185,6 @@ class _WorkerState:
         folded = collapse_profile(profile) if profile is not None else None
         return {"state": reg.dump_state(), "profile": folded}
 
-    # ------------------------------------------------------- state transfer
-    def pull(self):
-        if self.mode == "eager":
-            # client_state() deliberately excludes model parameters (dispatch
-            # overwrites them each round) — ship the post-round flat vector
-            # alongside so the parent-side clients mirror a serial run exactly.
-            states = {}
-            for cid, c in self.clients.items():
-                flat = getattr(c.vectorizer, "flat_params", None)
-                states[cid] = (
-                    c.client_state(),
-                    None if flat is None else np.array(flat, copy=True),
-                )
-            return "states", states
-        return "snapshot", self.store.snapshot()["blobs"]
-
-    def push(self, payload) -> None:
-        if self.mode == "eager":
-            for cid, state in payload.items():
-                self.clients[cid].load_client_state(state)
-        else:
-            self.store.restore({"blobs": payload})
-
     def close(self) -> None:
         self.attachment.close()
         self.arena.close()
@@ -258,10 +211,10 @@ def worker_main(conn, worker_id: int) -> None:
                     )
                 elif op == "pull":
                     assert state is not None
-                    conn.send(state.pull())
+                    conn.send(("snapshot", state.population.snapshot()))
                 elif op == "push":
                     assert state is not None
-                    state.push(msg[1])
+                    state.population.restore(msg[1])
                     conn.send(("ok",))
                 elif op == "stop":
                     conn.send(("ok",))

@@ -560,9 +560,8 @@ class RunMonitor:
             return
         reg = MetricsRegistry(**self.labels)
         self._memory_gauges(reg)
-        store = getattr(owner, "_store", None)
-        if store is not None:
-            reg.absorb_store(store, tier="flat")
+        if owner.population.stats is not None:
+            reg.absorb_store(owner.population, tier="flat")
         snapshot = reg.snapshot()
         sample = HealthSample(
             runner=owner,

@@ -445,9 +445,10 @@ class MetricsRegistry:
         count anything twice.
 
         Duck-types the runner: whatever accounting surfaces exist
-        (``phase_seconds``, communicators with logs, a fault injector, a
-        client store — flat or per edge —, a privacy accountant, and the
-        training history) are folded in; missing surfaces are skipped.
+        (``phase_seconds``, communicators with logs, a fault injector, the
+        client population's store statistics — flat or per edge —, a privacy
+        accountant, and the training history) are folded in; missing surfaces
+        are skipped.
         """
         ledger = getattr(runner, "ledger", None)
         tiers = ledger.tiers if ledger is not None else {}
@@ -484,18 +485,18 @@ class MetricsRegistry:
         if injector is not None:
             self.absorb_fault_stats(injector.stats)
 
-        store = getattr(runner, "_store", None)
-        if store is not None:
-            self.absorb_store(store, tier="flat")
-        for edge in getattr(runner, "edges", ()):  # hier runners
-            edge_store = getattr(edge, "_store", None)
-            if edge_store is not None:
-                self.absorb_store(edge_store, tier=f"edge:{edge.edge_id}")
+        # Client populations: the runner's, or each edge's on a hier run;
+        # only a store keeps statistics.
+        edges = getattr(runner, "edges", ())
+        populations = [(f"edge:{e.edge_id}", e.population) for e in edges] or [("flat", runner.population)]
+        for tier, population in populations:
+            if population.stats is not None:
+                self.absorb_store(population, tier=tier)
 
         # Worker-side telemetry from the process backend (the event-driven
         # runners have no pooled executor), and the updates that ran per client
         # although cohorts were requested, by reason.
-        owners = (runner, *getattr(runner, "edges", ()))
+        owners = (runner, *edges)
         executors = [
             owner.executor for owner in owners if getattr(owner, "executor", None) is not None
         ]

@@ -2,9 +2,10 @@
 
 :class:`RunCheckpoint` snapshots *everything* a run's future depends on —
 server state (global vector, ADMM primal/dual replicas, ρ), every client's
-persistent state (via the :class:`~repro.scale.store.ClientStateStore`
-snapshot for virtual populations, or per-client
-:meth:`~repro.core.base.BaseClient.client_state` trees for eager ones), the
+persistent state (the population's ``checkpoint_state()``: the
+:class:`~repro.scale.store.ClientStateStore` snapshot for virtual
+populations, per-client :meth:`~repro.core.base.BaseClient.client_state`
+trees for eager ones — see :mod:`repro.core.population`), the
 privacy-accountant ledger, the recorded history, and — for event-driven runs
 — the sampler RNG, the strategy's buffered uploads, the
 :class:`~repro.asyncfl.events.EventLoop` clock/sequence/pending events, and
@@ -45,8 +46,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-import numpy as np
-
 from ..comm.serialization import decode_state_blob, encode_state_blob
 from ..core.runner import FederatedRunner, RoundResult, TrainingHistory
 from ..obs import current_tracer
@@ -80,34 +79,18 @@ def _load_history(state) -> TrainingHistory:
 
 def _clients_state(owner, executor=None) -> Dict[str, object]:
     """Client-population state of a runner *or* a hier EdgeAggregator (both
-    expose ``clients`` / ``_store``).  ``executor`` is the owner's
+    hold a ``population``).  ``executor`` is the owner's
     :class:`~repro.core.executor.LocalExecutor` (the event-driven runner has
     none): under execution_backend="process" its workers hold the
     authoritative client state between rounds — pulled home first so the
     snapshot covers what actually ran."""
     if executor is not None:
         executor.sync_parent()
-    store = getattr(owner, "_store", None)
-    if store is not None:
-        return {"mode": "store", "snapshot": store.snapshot()}
-    return {
-        "mode": "eager",
-        "states": {c.client_id: c.client_state() for c in owner.clients},
-    }
+    return owner.population.checkpoint_state()
 
 
 def _restore_clients(owner, state, executor=None) -> None:
-    store = getattr(owner, "_store", None)
-    if state["mode"] == "store":
-        if store is None:
-            raise ValueError("checkpoint holds a client store but the runner is eager")
-        store.restore(state["snapshot"])
-    else:
-        if store is not None:
-            raise ValueError("checkpoint holds eager clients but the runner is store-backed")
-        by_id = {c.client_id: c for c in owner.clients}
-        for cid, client_state in state["states"].items():
-            by_id[int(cid)].load_client_state(client_state)
+    owner.population.load_checkpoint_state(state)
     # Mirror the restored state back into any live process workers, so the
     # next pooled round resumes from the checkpoint bitwise.
     if executor is not None:
@@ -213,15 +196,15 @@ class RunCheckpoint:
             # mid-wave capture would silently lose the half-folded uploads
             # and the pinned clients' in-flight progress — reject it.
             for edge in runner.edges:
-                store = getattr(edge, "_store", None)
-                if edge._participants or (store is not None and store.pinned_count > 0):
+                pinned = edge.population.pinned_count
+                if edge._participants or pinned:
                     raise RuntimeError(
                         f"cannot checkpoint a HierRunner mid-wave: edge "
                         f"{edge.edge_id} has "
                         f"{len(edge._participants)} half-folded uploads and "
-                        f"{store.pinned_count if store is not None else 0} pinned "
-                        f"clients; let run_round() finish (or capture before the "
-                        f"shard loops start) so every edge's fold is empty"
+                        f"{pinned} pinned clients; let run_round() finish (or "
+                        f"capture before the shard loops start) so every edge's "
+                        f"fold is empty"
                     )
             payload["meta"]["num_edges"] = len(runner.edges)  # type: ignore[index]
             payload["edges"] = {edge.edge_id: edge_slice_state(edge) for edge in runner.edges}

@@ -44,7 +44,7 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from ..core.base import BaseClient
 from ..obs import current_tracer
 
 if TYPE_CHECKING:
-    from .virtual import ClientFactory
+    from ..core.population import ClientFactory
 
 __all__ = ["StoreStats", "ClientStateStore"]
 
@@ -108,6 +108,14 @@ class ClientStateStore:
         cost of exact resume.
     compress:
         ``None`` (default) or ``"zlib"`` to DEFLATE the whole blob.
+    config:
+        The run config the factory builds clients with: the runners' shared
+        codec-stack check and the privacy charge of a process-pooled round
+        (whose clients are never materialised here) read it.
+
+    A store is one implementation of the population interface
+    (:mod:`repro.core.population`); :class:`~repro.core.population.
+    LivePopulation` is the other.
     """
 
     def __init__(
@@ -130,8 +138,6 @@ class ClientStateStore:
         self.live_cap = int(live_cap)
         self.pipeline = resolve_codec(state_codec)
         self.compress = compress
-        #: the run config the factory builds clients with (used by the runners
-        #: for the shared-codec-stack check); optional.
         self.config = config
         self._live: "OrderedDict[int, BaseClient]" = OrderedDict()
         self._spares: List[BaseClient] = []  # spilled clients' objects; live + spare <= live_cap
@@ -256,6 +262,16 @@ class ClientStateStore:
 
     # ------------------------------------------------------------ inspection
     @property
+    def ids(self) -> range:
+        return range(self.num_clients)
+
+    def config_of(self, cid: int):
+        """The config client ``cid`` runs with, without materialising it: a
+        live client's own, else the store's :attr:`config`."""
+        client = self._live.get(cid)
+        return client.config if client is not None else self.config
+
+    @property
     def live_count(self) -> int:
         """Number of currently materialised clients."""
         return len(self._live)
@@ -304,3 +320,28 @@ class ClientStateStore:
         self._blobs = {int(c): bytes(b) for c, b in snapshot["blobs"].items()}  # type: ignore[union-attr]
         self._blob_bytes = sum(len(b) for b in self._blobs.values())
         self.stats.peak_store_bytes = max(self.stats.peak_store_bytes, self._blob_bytes)
+
+    def shard(self, ids: Sequence[int], num_shards: int) -> "ClientStateStore":
+        """Clients ``ids`` as a store one of ``num_shards`` process workers
+        owns: the same factory and blob codec, a ``live_cap`` share, and the
+        blobs of ``ids``.  The factory must pickle."""
+        piece = ClientStateStore(
+            self.factory,
+            num_clients=self.num_clients,
+            live_cap=max(1, self.live_cap // max(1, num_shards)),
+            state_codec=self.pipeline.spec,
+            compress=self.compress,
+            config=self.config,
+        )
+        wanted = set(ids)
+        blobs = self.snapshot()["blobs"]
+        piece.restore({"blobs": {cid: blob for cid, blob in blobs.items() if cid in wanted}})
+        return piece
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        return {"mode": "store", "snapshot": self.snapshot()}
+
+    def load_checkpoint_state(self, state: Mapping[str, object]) -> None:
+        if state["mode"] != "store":
+            raise ValueError("checkpoint holds eager clients but the runner is store-backed")
+        self.restore(state["snapshot"])  # type: ignore[arg-type]

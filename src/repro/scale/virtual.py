@@ -26,16 +26,14 @@ bit-identical to per-client waves at float64.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Optional, Sequence
 
 from .. import nn
 from ..comm import Communicator
-from ..core.base import BaseClient, BaseServer
+from ..core.base import BaseClient
 from ..core.config import FLConfig
 from ..core.metrics import Evaluator
-from ..core.registry import get_algorithm
+from ..core.population import ClientFactory, build_server_and_factory
 from ..core.runner import FederatedRunner
 from ..data import Dataset
 from .store import ClientStateStore
@@ -46,64 +44,6 @@ __all__ = [
     "build_virtual_federation",
     "build_virtual_async_federation",
 ]
-
-
-class ClientFactory:
-    """``factory(cid)`` building client ``cid`` exactly as ``build_endpoints``
-    would have: a fresh ``model_fn()`` synchronised to ``initial_state`` and
-    the canonical ``seed + 1000 + cid`` RNG stream.  ``model_fn`` must be
-    deterministic per call (the repo's builders seed internally), since the
-    store invokes it lazily in checkout order rather than id order.
-
-    A module-level class rather than a closure so instances pickle — the
-    process execution backend ships the factory to its worker processes
-    (``model_fn`` must pickle too; see
-    :class:`repro.core.models.SeededModelFn`).
-
-    :meth:`rebind` re-points a client this factory built (a spilled shell) at
-    another id — id, data shard, initial parameters — so that ``rebind(shell,
-    cid)`` + ``load_client_state(s)`` is bitwise ``self(cid)`` + the same
-    load: the rest of a client is scratch written before it is read, or
-    ``client_state()``, which the load overwrites (the shared RNG in place).
-    Client classes must keep all cross-round state in ``client_state()``.
-    """
-
-    def __init__(
-        self,
-        config: FLConfig,
-        model_fn: Callable[[], nn.Module],
-        client_datasets: Sequence[Dataset],
-        initial_state,
-        seed: Optional[int] = None,
-    ):
-        self.config = config
-        self.model_fn = model_fn
-        self.client_datasets = list(client_datasets)
-        self.initial_state = initial_state
-        self.seed = config.seed if seed is None else seed
-        self._initial_vector: Optional[np.ndarray] = None  # any fresh client's, set on first build
-
-    def __call__(self, cid: int) -> BaseClient:
-        _, client_cls = get_algorithm(self.config.algorithm)
-        model = self.model_fn()
-        model.load_state_dict(self.initial_state)
-        client = client_cls(
-            cid,
-            model,
-            self.client_datasets[cid],
-            self.config,
-            rng=np.random.default_rng(self.seed + 1000 + cid),
-        )
-        if self._initial_vector is None:
-            self._initial_vector = client.vectorizer.to_vector()
-        return client
-
-    def rebind(self, client: BaseClient, cid: int) -> BaseClient:
-        """Re-point ``client`` (built by this factory) at ``cid``, ready for
-        ``load_client_state`` of ``cid``'s state (see the class docstring)."""
-        client.bind_data(cid, self.client_datasets[cid])
-        client.vectorizer.load_vector(self._initial_vector)
-        return client
 
 
 def make_client_factory(
@@ -126,20 +66,9 @@ def _build_server_and_store(
     state_codec: str,
     compress: Optional[str],
 ):
-    server_cls, _ = get_algorithm(config.algorithm)
-    server_model = model_fn()
-    initial_state = server_model.state_dict()
-    sample_counts: List[int] = [len(d) for d in client_datasets]
-    server: BaseServer = server_cls(
-        server_model, config, num_clients=len(client_datasets), client_sample_counts=sample_counts
-    )
-    factory = make_client_factory(config, model_fn, client_datasets, initial_state, seed=seed)
+    server, factory = build_server_and_factory(config, model_fn, client_datasets, seed=seed)
     store = ClientStateStore(
-        factory,
-        num_clients=len(client_datasets),
-        live_cap=live_cap,
-        state_codec=state_codec,
-        compress=compress,
+        factory, len(client_datasets), live_cap, state_codec=state_codec, compress=compress,
         config=config,
     )
     return server, store

@@ -7,10 +7,13 @@ federation from scratch, restore, continue — and the resulting history is
 "independent but identical" dual replicas and FedBuff's half-full buffers.
 """
 
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asyncfl import FedBuffStrategy, UniformSampler, build_async_federation
 from repro.comm import TCPLinkModel
@@ -245,9 +248,9 @@ class TestAsyncCheckpoint:
         assert _key(history) == _key(reference)
         # IIADMM invariant after resume: both dual replicas bitwise equal.
         for cid in range(NUM_CLIENTS):
-            client = resumed._store.checkout(cid)
+            client = resumed.population.checkout(cid)
             np.testing.assert_array_equal(client.dual, resumed.server.duals[cid])
-            resumed._store.release(cid)
+            resumed.population.release(cid)
 
     def test_checkpoint_file_round_trip(self, tmp_path):
         clients, test, spec = _workload()
@@ -315,3 +318,40 @@ def test_async_blob_captured_before_the_shared_lifecycle_still_resumes():
     again = _golden_async_runner()
     again.run(ROUNDS, max_events=GOLDEN_EVENTS)
     assert set(RunCheckpoint.capture(again).payload["async"]) == set(checkpoint.payload["async"])
+
+
+# ------------------------------------------------------------- damaged blobs
+@lru_cache(maxsize=None)
+def _tiny_blob():
+    """A real (small) RunCheckpoint: two clients, one round of IIADMM."""
+    rng = np.random.default_rng(0)
+    datasets = [TensorDataset(rng.standard_normal((4, 3)), rng.integers(0, 2, 4)) for _ in range(2)]
+    config = FLConfig(algorithm="iiadmm", num_rounds=1, local_steps=1, batch_size=4, seed=0)
+    runner = build_federation(
+        config, lambda: MLP(3, 2, hidden_sizes=(2,), rng=np.random.default_rng(1)), datasets
+    )
+    runner.run(1)
+    return RunCheckpoint.capture(runner).to_bytes()
+
+
+def test_every_prefix_of_a_checkpoint_fails_as_truncated():
+    """A cut anywhere — in the header, a length, an array, a key — is named
+    as a truncation, never a numpy reshape / struct / trailing-bytes error."""
+    blob = _tiny_blob()
+    assert RunCheckpoint.from_bytes(blob).payload["kind"] == "sync"
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError, match="^truncated state blob"):
+            RunCheckpoint.from_bytes(blob[:cut]).payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_flipped_byte_decodes_or_fails_as_value_error(data):
+    blob = _tiny_blob()
+    index = data.draw(st.integers(0, len(blob) - 1))
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != blob[index]))
+    damaged = blob[:index] + bytes([value]) + blob[index + 1 :]
+    try:
+        RunCheckpoint.from_bytes(damaged).payload
+    except ValueError as exc:
+        assert str(exc).startswith(("truncated state blob", "corrupt state blob", "not a repro"))

@@ -64,23 +64,22 @@ def _payloads(runner, shared=True):
 
 def _update(runner, payloads):
     """One round of local updates the way the client-phase loop drives the
-    executor: a whole pooled cohort when its workers own the store, else
-    acquire → update → release."""
-    executor, store = runner.executor, runner._store
-    uploads = executor.update_pooled(IDS, payloads) if executor.pools_store else None
+    executor: a whole pooled cohort on the process backend, else checkout →
+    update → release."""
+    executor, population = runner.executor, runner.population
+    uploads = executor.update_pooled(IDS, payloads) if executor.backend == "process" else None
     if uploads is None:
-        clients = runner.clients if store is None else [store.checkout(cid) for cid in IDS]
+        clients = [population.checkout(cid) for cid in IDS]
         uploads = executor.update(clients, payloads)
-        if store is not None:
-            for cid in IDS:
-                store.release(cid)
+        for cid in IDS:
+            population.release(cid)
     return [(cid, sorted((k, np.asarray(v).tobytes()) for k, v in uploads[cid].items())) for cid in IDS]
 
 
 def _client_state(runner):
     """Post-round population state (call after ``close`` pulled it home)."""
-    if runner._store is not None:
-        return sorted(runner._store.snapshot()["blobs"].items())
+    if not runner.clients:
+        return sorted(runner.population.snapshot()["blobs"].items())
     return [
         (c.client_id, c.round, c.vectorizer.flat_params.tobytes(), c.dual.tobytes(),
          repr(c.rng.bit_generator.state))

@@ -4,7 +4,7 @@
 (``AsyncRunner`` and every hier-async edge actor) put clients on a virtual
 clock with.  These tests pin its contract once, without a runner around it:
 timing, the dispatched-global hand-off, the crash rule ("a crashed dispatch
-never runs ``update``"), the one-pin-per-flight store discipline, and the
+never runs ``update``"), the one-pin-per-flight discipline, and the
 quiesced/checkpointed ``compute_done`` form.
 """
 
@@ -17,6 +17,7 @@ from repro.comm import TCPLinkModel
 from repro.core import MLP, FLConfig, build_endpoints
 from repro.core.base import GLOBAL_KEY
 from repro.core.exchange import PacketExchange
+from repro.core.population import LivePopulation
 from repro.core.phases import PhaseClock, RoundLedger
 from repro.core.registry import get_algorithm
 from repro.data import TensorDataset
@@ -51,13 +52,12 @@ class Harness:
         )
         server, clients = build_endpoints(config, model_fn, datasets())
         self.server = server
-        self.store = None
+        self.population = LivePopulation(clients)
         if mode == "store":
             factory = make_client_factory(
                 config, model_fn, datasets(), server.model.state_dict(), seed=0
             )
-            self.store = ClientStateStore(factory, NUM_CLIENTS, live_cap=2, config=config)
-            clients = []
+            self.population = ClientStateStore(factory, NUM_CLIENTS, live_cap=2, config=config)
         self.exchange = PacketExchange(config.codec)
         self.loop = EventLoop()
         self.ledger = RoundLedger(None, {"flat": None})
@@ -90,8 +90,7 @@ class Harness:
             sink=sink,
             on_done=lambda cid, outcome: self.freed.append((cid, outcome)),
             trace_labels=lambda version: {"version": version},
-            clients={c.client_id: c for c in clients},
-            store=self.store,
+            population=self.population,
         )
 
     def dispatch(self, cid, version=0):
@@ -105,7 +104,7 @@ class Harness:
             self.flights.handle(self.loop.pop())
 
     def pinned_count(self):
-        return self.store.pinned_count if self.store is not None else len(self.flights.pinned)
+        return self.population.pinned_count
 
 
 @pytest.mark.parametrize("mode,algorithm", MATRIX)
@@ -180,9 +179,8 @@ def test_compute_done_carrying_upload_skips_update(mode, algorithm, monkeypatch)
     done = h.loop.pop()
     upload = h.flights.acquire(2).update(done.data["payload"])
     assert h.updated == [2]
-    if h.store is not None:  # what a checkpoint save/restore does to pins
-        h.store.release(2)
-        h.flights.pinned.clear()
+    h.population.release(2)  # what a checkpoint save/restore does to pins
+    h.flights.pinned.clear()
     data = {"cid": 2, "payload": done.data["payload"], "version": 0, "upload": upload}
     h.flights.handle(Event(done.time, done.seq, COMPUTE_DONE, data))
     assert h.updated == [2]  # not run a second time
@@ -206,7 +204,7 @@ def test_actor_kill_mid_cohort_drops_exactly_its_pins(algorithm):
     runner.enable_faults(FaultPlan(client_crashes={0: (1,)}))
     runner.run(2, max_events=1)  # one upload encoded; a live and a doomed flight remain
     actor = runner.actors[0]
-    store = actor.edge._store
+    store = actor.edge.population
     assert store.pinned_count == len(actor.flights.pinned) == 2
     actor.kill()
     assert store.pinned_count == 0 and not actor.flights.pinned

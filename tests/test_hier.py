@@ -136,7 +136,7 @@ class TestSyncExactness:
         assert np.array_equal(eager.server.global_params, virtual.server.global_params)
         assert_same_history(h_eager, h_virtual)
         for edge in virtual.edges:
-            assert edge._store.stats.peak_live <= 2
+            assert edge.population.stats.peak_live <= 2
 
 
 class TestPerTierAccounting:
@@ -509,6 +509,6 @@ class TestHundredThousandClients:
             assert tiers["edge_root"] <= 16 * 2 * 8 * dim * 8
             assert 0 < len(result.participating_clients) <= 16 * 4
         for edge in runner.edges:
-            assert edge._store.stats.peak_live <= 8
-        live_total = sum(edge._store.live_count for edge in runner.edges)
+            assert edge.population.stats.peak_live <= 8
+        live_total = sum(edge.population.live_count for edge in runner.edges)
         assert live_total <= 16 * 8  # the whole-run bound: edges x live_cap

@@ -162,7 +162,7 @@ class TestBitwiseMatrix:
             )
             history = runner.run()
             runner.close()
-            blobs = runner._store.snapshot()["blobs"]
+            blobs = runner.population.snapshot()["blobs"]
             return (
                 _history_key(history),
                 runner.server.global_params.tobytes(),
@@ -308,7 +308,7 @@ class TestPoolPlumbing:
             _config("fedavg", "process"), _model_fn(), _datasets(4), live_cap=4
         )
         with pytest.raises(RuntimeError, match="picklable"):
-            ProcessWorkerPool.from_store(runner._store, 2)
+            ProcessWorkerPool(runner.population, 2)
 
     def test_process_backend_rejects_lossy_codec(self):
         cfg = _config("iiadmm", "process", codec="delta|int8")
@@ -424,6 +424,26 @@ class TestWorkerPoolBugfixes:
         assert participants == 4  # 6 clients minus the two crashed
         assert threads.pool._max_workers == participants
         runner.close()
+
+    def test_copy_engine_process_run_equals_serial(self):
+        """Bugfix 4: ``engine="copy"`` on the process backend failed every run
+        at close — the workers' pull read ``vectorizer.flat_params``, which
+        the copy engine does not have.  Parameters now cross through
+        ``to_vector`` / ``load_vector``, so the run equals serial bitwise,
+        parent-side client parameters included."""
+
+        def run(backend):
+            cfg = _config("iiadmm", backend, engine="copy")
+            runner = build_federation(cfg, _model_fn(), _datasets(4), test_dataset=_datasets(1, n=20)[0])
+            history = runner.run()
+            clients = [
+                (c.client_id, c.round, c.vectorizer.to_vector().tobytes(), c.dual.tobytes(),
+                 repr(c.rng.bit_generator.state))
+                for c in runner.clients
+            ]
+            return _history_key(history), runner.server.global_params.tobytes(), clients
+
+        assert run("process") == run("serial")
 
     def test_client_steps_count_survivors_only(self):
         """Bugfix 3: clients felled by faults mid-round contribute no

@@ -176,7 +176,7 @@ class TestVirtualEquivalence:
         h_virtual = virtual.run()
         assert _key(h_eager) == _key(h_virtual)
         np.testing.assert_array_equal(eager.server.global_params, virtual.server.global_params)
-        assert virtual._store.stats.peak_live <= 2
+        assert virtual.population.stats.peak_live <= 2
 
     def test_sync_lossy_codec_and_parallel_waves(self):
         clients, test, spec = _workload()
@@ -188,9 +188,9 @@ class TestVirtualEquivalence:
         assert _key(h_eager) == _key(h_virtual)
         # lossy wire: the dual replicas must still match the server bitwise
         for cid in range(NUM_CLIENTS):
-            client = virtual._store.checkout(cid)
+            client = virtual.population.checkout(cid)
             np.testing.assert_array_equal(client.dual, virtual.server.duals[cid])
-            virtual._store.release(cid)
+            virtual.population.release(cid)
 
     def test_async_history_bitwise_equal(self):
         clients, test, spec = _workload()
@@ -208,7 +208,7 @@ class TestVirtualEquivalence:
         )
         h_virtual = virtual.run(4)
         assert _key(h_eager) == _key(h_virtual)
-        assert virtual._store.stats.peak_live <= 3
+        assert virtual.population.stats.peak_live <= 3
         # eager thread-pool execution must engage for store-backed populations
         # too, without changing a bit (pinned clients stay valid in workers)
         parallel = build_virtual_async_federation(
@@ -263,11 +263,11 @@ class TestTenThousandClients:
         history = runner.run(1)
         assert len(history) == 1
         assert history.rounds[0].participating_clients == tuple(range(population))
-        stats = runner._store.stats
+        stats = runner.population.stats
         # memory bound, by store accounting: never more than `cap` live
         # clients, and everyone materialised exactly once this round
         assert stats.peak_live <= cap
-        assert runner._store.live_count <= cap
+        assert runner.population.live_count <= cap
         assert stats.materializations == population
 
     def test_iiadmm_async_10k_bounded_by_cap(self):
@@ -287,17 +287,17 @@ class TestTenThousandClients:
         )
         history = runner.run(4)
         assert len(history) == 4
-        stats = runner._store.stats
+        stats = runner.population.stats
         assert stats.peak_live <= cap
         # the sampler only ever touched a tiny fraction of the population
         assert stats.materializations < population // 10
         # spilled state stays compact: bounded client-state memory even if
         # every idle client is spilled at once (run() pre-dispatched the next
         # in-flight cohort on exit, and in-flight clients stay pinned)
-        runner._store.flush()
-        assert runner._store.live_count <= 32
-        assert len(runner._store._blobs) > 0
-        per_client = runner._store.store_nbytes / len(runner._store._blobs)
+        runner.population.flush()
+        assert runner.population.live_count <= 32
+        assert len(runner.population._blobs) > 0
+        per_client = runner.population.store_nbytes / len(runner.population._blobs)
         assert per_client < 16_000  # tiny MLP: ~2 vectors + RNG words
 
 

@@ -234,7 +234,7 @@ def test_virtual_run_constructs_each_id_once_with_unchanged_counts(monkeypatch, 
     virtual.run(rounds)
 
     assert calls == Counter(range(population))  # __call__ exactly once per id
-    stats = virtual._store.stats
+    stats = virtual.population.stats
     assert stats.materializations == rounds * population
     assert stats.evictions == rounds * population - cap
     assert stats.restores == (rounds - 1) * population
