@@ -1,36 +1,18 @@
 """Shared pytest-benchmark configuration for the paper-reproduction benches.
 
-Every benchmark regenerates one table or figure of the APPFL paper (see
-DESIGN.md's per-experiment index) and prints the reproduced rows/series so the
-``--benchmark-only`` run doubles as the experiment report.  Paper-scale runs
-are much larger; these benches default to a scaled-down regime controlled by
-the ``REPRO_*`` environment variables.
+Every benchmark regenerates one table or figure of the APPFL paper and prints
+the reproduced rows/series so the ``--benchmark-only`` run doubles as the
+experiment report.  Paper-scale runs are much larger; these benches default
+to a scaled-down regime controlled by the ``REPRO_*`` environment variables.
 
 ``python -m pytest benchmarks -q`` runs everything in *smoke mode* (small
-workloads, seeded): each bench executes end to end, and the hot-path bench
-writes/updates ``BENCH_hotpath.json`` at the repo root through the
-:func:`hotpath_store` fixture.  When a recorded measurement already exists,
-the run fails on a >20% drop in the baseline-relative speedup (both sides
-are measured in the same session, so machine-wide load cancels out) or on an
-outright collapse of absolute rounds/sec; the recorded baseline is only
-updated by runs that pass the gate.  Set ``REPRO_SMOKE=0`` for larger runs.
+workloads, seeded); set ``REPRO_SMOKE=0`` for larger runs.  Throughput is
+measured by ``perf/`` (``python3 perf/run.py``), not here.
 """
 
-import json
 import os
-from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-HOTPATH_PATH = REPO_ROOT / "BENCH_hotpath.json"
-
-#: tolerated fractional drop in the baseline-relative speedup before failing
-REGRESSION_TOLERANCE = 0.20
-#: tolerated fractional drop in absolute rounds/sec (wide: shared hosts show
-#: up to ~2x load swings that affect baseline and optimized alike)
-ABSOLUTE_TOLERANCE = 0.60
 
 
 def pytest_configure(config):
@@ -51,331 +33,3 @@ def once(benchmark):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return runner
-
-
-@pytest.fixture(scope="session")
-def hotpath_store():
-    """Read/compare/update access to the recorded hot-path measurements.
-
-    ``BENCH_hotpath.json`` holds the synchronous rounds/sec record at the top
-    level plus an ``"async"`` section with the event-driven scenario's
-    events/sec, a ``"codec"`` section with the wire-codec measurements
-    (encode/decode MB/s and bytes-per-round/wire-reduction on the Fig. 2
-    workload), a ``"scale"`` section with the client-virtualization
-    gauges (clients/GB of spilled state, materialise/evict µs), a
-    ``"batched"`` section with the batched-execution throughput
-    (client-steps/sec at cohort sizes B in {1, 32, 256} and the B=256/B=1
-    speedup), a ``"hier"`` section with the hierarchical fan-in
-    measurements (root packets per round, fan-in reduction, root-ingest
-    packets/sec), and a ``"multicore"`` section with the process-backend
-    rounds/sec sweep over worker counts {1, 2, 4} on the Fig. 2 and scale/
-    workloads.  Every gate
-    tolerates a missing file *or* section — a first run records a fresh
-    baseline instead of KeyError-ing.  ``check_and_update(record)`` gates the sync record against
-    the previously recorded run — failing on a ``REGRESSION_TOLERANCE`` drop
-    in the load-invariant speedup ratio, or an ``ABSOLUTE_TOLERANCE`` collapse
-    in raw rounds/sec (which catches regressions shared by both
-    configurations).  ``check_and_update_async(record)`` gates the async
-    section on an events/sec collapse; ``check_and_update_codec(record)``
-    gates the codec section on an encode-throughput collapse or a
-    wire-reduction regression (byte counts are deterministic, so that arm
-    uses the tight tolerance).  All merge into the existing file (each
-    preserves the others' sections) and only write when their gate passes,
-    so a regressed run cannot lower the bar for its own re-run.
-    """
-
-    def load():
-        if HOTPATH_PATH.exists():
-            return json.loads(HOTPATH_PATH.read_text())
-        return None
-
-    def _merge_write(update):
-        data = load() or {}
-        data.update(update)
-        HOTPATH_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-    def check_and_update(record):
-        previous = load()
-        if previous and previous.get("workload") != record.get("workload"):
-            # Different REPRO_* sizing: absolute numbers are not comparable;
-            # treat as a fresh baseline rather than a regression.
-            previous = None
-        # Every lookup below tolerates a missing/partial section: on a first
-        # run (or a hand-pruned BENCH_hotpath.json) there is simply no gate,
-        # never a KeyError.
-        old_rps = ((previous or {}).get("optimized") or {}).get("rounds_per_sec")
-        old_speedup = (previous or {}).get("speedup")
-        failure = None
-        if old_rps and old_speedup and os.environ.get("REPRO_BENCH_ACCEPT", "0") != "1":
-            new_rps = record["optimized"]["rounds_per_sec"]
-            new_speedup = record["speedup"]
-            if new_speedup < (1.0 - REGRESSION_TOLERANCE) * old_speedup:
-                # The speedup ratio is measured fresh each session (baseline and
-                # optimized under the same machine load), so a drop here is a
-                # genuine optimized-path regression, not a busy host.
-                failure = (
-                    f"speedup regressed {old_speedup:.2f}x -> {new_speedup:.2f}x "
-                    f"(>{REGRESSION_TOLERANCE:.0%})"
-                )
-            elif new_rps < (1.0 - ABSOLUTE_TOLERANCE) * old_rps:
-                # A slowdown shared by baseline and optimized keeps the ratio
-                # intact; this arm catches such collapses.  Its tolerance is
-                # wide because up to ~2x machine-load swings have been observed
-                # on shared hosts.
-                failure = (
-                    f"rounds/sec collapsed {old_rps:.4f} -> {new_rps:.4f} "
-                    f"(>{ABSOLUTE_TOLERANCE:.0%} even allowing for machine load)"
-                )
-        if failure is None:
-            # Only record the new measurement when it passes the gate, so a
-            # regressed run cannot ratchet the baseline down for re-runs.
-            _merge_write(record)
-        else:
-            pytest.fail(
-                "hot-path throughput regression: " + failure +
-                " — BENCH_hotpath.json keeps the previous baseline; "
-                "set REPRO_BENCH_ACCEPT=1 to accept the new numbers"
-            )
-
-    def check_and_update_async(record):
-        previous = (load() or {}).get("async") or None
-        if previous and previous.get("workload") != record.get("workload"):
-            previous = None
-        old_eps = (previous or {}).get("events_per_sec")
-        if (
-            old_eps
-            and os.environ.get("REPRO_BENCH_ACCEPT", "0") != "1"
-            and record["events_per_sec"] < (1.0 - ABSOLUTE_TOLERANCE) * old_eps
-        ):
-            pytest.fail(
-                "async event-loop throughput regression: events/sec collapsed "
-                f"{old_eps:.1f} -> {record['events_per_sec']:.1f} "
-                f"(>{ABSOLUTE_TOLERANCE:.0%} even allowing for machine load) — "
-                "BENCH_hotpath.json keeps the previous baseline; "
-                "set REPRO_BENCH_ACCEPT=1 to accept the new numbers"
-            )
-        _merge_write({"async": record})
-
-    def check_and_update_codec(record):
-        previous = (load() or {}).get("codec") or None
-        if previous and previous.get("workload") != record.get("workload"):
-            previous = None
-        accept = os.environ.get("REPRO_BENCH_ACCEPT", "0") == "1"
-        failure = None
-        old_reduction = (previous or {}).get("wire_reduction")
-        old_mbps = (previous or {}).get("encode_mb_per_sec")
-        if old_reduction and not accept and record["wire_reduction"] < (1.0 - REGRESSION_TOLERANCE) * old_reduction:
-            # Byte counts are deterministic — a drop here is a real codec
-            # accounting/compression regression, not machine load.
-            failure = f"wire reduction regressed {old_reduction:.2f}x -> {record['wire_reduction']:.2f}x"
-        elif old_mbps and not accept and record["encode_mb_per_sec"] < (1.0 - ABSOLUTE_TOLERANCE) * old_mbps:
-            failure = (
-                f"codec encode throughput collapsed {old_mbps:.1f} -> "
-                f"{record['encode_mb_per_sec']:.1f} MB/s (>{ABSOLUTE_TOLERANCE:.0%})"
-            )
-        if failure is not None:
-            pytest.fail(
-                "wire-codec regression: " + failure +
-                " — BENCH_hotpath.json keeps the previous baseline; "
-                "set REPRO_BENCH_ACCEPT=1 to accept the new numbers"
-            )
-        _merge_write({"codec": record})
-
-    def check_and_update_hier(record):
-        previous = (load() or {}).get("hier") or None
-        if previous and previous.get("workload") != record.get("workload"):
-            previous = None
-        accept = os.environ.get("REPRO_BENCH_ACCEPT", "0") == "1"
-        failure = None
-        old_fanin = (previous or {}).get("fanin_reduction")
-        old_pps = (previous or {}).get("root_ingest_packets_per_sec")
-        if old_fanin and not accept and record["fanin_reduction"] < old_fanin:
-            # Packet counts are deterministic — any drop means the hierarchy
-            # started leaking per-client traffic past the edges.
-            failure = f"fan-in reduction regressed {old_fanin}x -> {record['fanin_reduction']}x"
-        elif (
-            old_pps
-            and not accept
-            and record["root_ingest_packets_per_sec"] < (1.0 - ABSOLUTE_TOLERANCE) * old_pps
-        ):
-            failure = (
-                f"root ingest collapsed {old_pps:.1f} -> "
-                f"{record['root_ingest_packets_per_sec']:.1f} packets/s (>{ABSOLUTE_TOLERANCE:.0%})"
-            )
-        if failure is not None:
-            pytest.fail(
-                "hier fan-in regression: " + failure +
-                " — BENCH_hotpath.json keeps the previous baseline; "
-                "set REPRO_BENCH_ACCEPT=1 to accept the new numbers"
-            )
-        _merge_write({"hier": record})
-
-    def check_and_update_faults(record):
-        previous = (load() or {}).get("faults") or None
-        if previous and previous.get("workload") != record.get("workload"):
-            previous = None
-        accept = os.environ.get("REPRO_BENCH_ACCEPT", "0") == "1"
-        failure = None
-        old_rps = ((previous or {}).get("rounds_per_sec_by_crash_rate") or {}).get("0.00", {}).get(
-            "rounds_per_sec"
-        )
-        old_recovery = (previous or {}).get("recovery_ms_per_kill")
-        new_rps = record["rounds_per_sec_by_crash_rate"]["0.00"]["rounds_per_sec"]
-        if old_rps and not accept and new_rps < (1.0 - ABSOLUTE_TOLERANCE) * old_rps:
-            # The 0% arm is armed-but-fault-free: a collapse here means the
-            # injection seam itself got expensive on the hot path.
-            failure = (
-                f"fault-free armed rounds/sec collapsed {old_rps:.2f} -> {new_rps:.2f} "
-                f"(>{ABSOLUTE_TOLERANCE:.0%} even allowing for machine load)"
-            )
-        elif (
-            old_recovery
-            and not accept
-            and record["recovery_ms_per_kill"] > old_recovery / (1.0 - ABSOLUTE_TOLERANCE)
-        ):
-            failure = (
-                f"edge kill+recover cost grew {old_recovery:.3f} -> "
-                f"{record['recovery_ms_per_kill']:.3f} ms (>{1.0 / (1.0 - ABSOLUTE_TOLERANCE):.1f}x, "
-                "even allowing for machine load)"
-            )
-        if failure is not None:
-            pytest.fail(
-                "fault-layer regression: " + failure +
-                " — BENCH_hotpath.json keeps the previous baseline; "
-                "set REPRO_BENCH_ACCEPT=1 to accept the new numbers"
-            )
-        _merge_write({"faults": record})
-
-    def check_and_update_scale(record):
-        previous = (load() or {}).get("scale") or None
-        if previous and previous.get("workload") != record.get("workload"):
-            previous = None
-        accept = os.environ.get("REPRO_BENCH_ACCEPT", "0") == "1"
-        failure = None
-        old_cpg = (previous or {}).get("clients_per_gb")
-        old_mat = (previous or {}).get("materialize_us")
-        if old_cpg and not accept and record["clients_per_gb"] < (1.0 - REGRESSION_TOLERANCE) * old_cpg:
-            # Blob sizes are deterministic — fewer clients/GB means the state
-            # blobs genuinely grew, not that the machine was busy.
-            failure = f"clients/GB regressed {old_cpg} -> {record['clients_per_gb']}"
-        elif (
-            old_mat
-            and not accept
-            and record["materialize_us"] > old_mat / (1.0 - ABSOLUTE_TOLERANCE)
-        ):
-            failure = (
-                f"materialise cost grew {old_mat:.1f} -> "
-                f"{record['materialize_us']:.1f} µs/client (>{1.0 / (1.0 - ABSOLUTE_TOLERANCE):.1f}x, "
-                "even allowing for machine load)"
-            )
-        if failure is not None:
-            pytest.fail(
-                "client-virtualization regression: " + failure +
-                " — BENCH_hotpath.json keeps the previous baseline; "
-                "set REPRO_BENCH_ACCEPT=1 to accept the new numbers"
-            )
-        _merge_write({"scale": record})
-
-    def check_and_update_batched(record):
-        previous = (load() or {}).get("batched") or None
-        if previous and previous.get("workload") != record.get("workload"):
-            previous = None
-        accept = os.environ.get("REPRO_BENCH_ACCEPT", "0") == "1"
-        failure = None
-        old_speedup = (previous or {}).get("speedup_b256")
-        old_sps = ((previous or {}).get("client_steps_per_sec_by_batch") or {}).get(
-            "256", {}
-        ).get("client_steps_per_sec")
-        new_sps = record["client_steps_per_sec_by_batch"]["256"]["client_steps_per_sec"]
-        if (
-            old_speedup
-            and not accept
-            and record["speedup_b256"] < (1.0 - REGRESSION_TOLERANCE) * old_speedup
-        ):
-            # Both sides of the B=256/B=1 ratio are measured in the same
-            # session, so a drop here is a genuine batched-kernel regression,
-            # not machine load.
-            failure = (
-                f"batched speedup regressed {old_speedup:.2f}x -> "
-                f"{record['speedup_b256']:.2f}x (>{REGRESSION_TOLERANCE:.0%})"
-            )
-        elif old_sps and not accept and new_sps < (1.0 - ABSOLUTE_TOLERANCE) * old_sps:
-            failure = (
-                f"client-steps/sec collapsed {old_sps:.1f} -> {new_sps:.1f} "
-                f"(>{ABSOLUTE_TOLERANCE:.0%} even allowing for machine load)"
-            )
-        if failure is not None:
-            pytest.fail(
-                "batched-execution regression: " + failure +
-                " — BENCH_hotpath.json keeps the previous baseline; "
-                "set REPRO_BENCH_ACCEPT=1 to accept the new numbers"
-            )
-        _merge_write({"batched": record})
-
-    def check_and_update_multicore(record):
-        previous = (load() or {}).get("multicore") or None
-        if previous and previous.get("workload") != record.get("workload"):
-            # Different sizing or a different host core count: the worker
-            # sweep is not comparable; record a fresh baseline.
-            previous = None
-        accept = os.environ.get("REPRO_BENCH_ACCEPT", "0") == "1"
-        failure = None
-        old_serial = ((previous or {}).get("fig2") or {}).get("serial", {}).get("rounds_per_sec")
-        new_serial = record["fig2"]["serial"]["rounds_per_sec"]
-        old_speedup = ((previous or {}).get("fig2") or {}).get("4", {}).get("speedup_vs_serial")
-        cores = (record.get("workload") or {}).get("cpu_count", 1)
-        if old_serial and not accept and new_serial < (1.0 - ABSOLUTE_TOLERANCE) * old_serial:
-            failure = (
-                f"serial rounds/sec collapsed {old_serial:.4f} -> {new_serial:.4f} "
-                f"(>{ABSOLUTE_TOLERANCE:.0%} even allowing for machine load)"
-            )
-        elif old_speedup and not accept and cores >= 4:
-            # The speedup ratio is load-invariant (both sides measured in the
-            # same session) but only meaningful with cores to spread over.
-            new_speedup = record["fig2"]["4"]["speedup_vs_serial"]
-            if new_speedup < (1.0 - REGRESSION_TOLERANCE) * old_speedup:
-                failure = (
-                    f"4-worker speedup regressed {old_speedup:.2f}x -> "
-                    f"{new_speedup:.2f}x (>{REGRESSION_TOLERANCE:.0%})"
-                )
-        if failure is not None:
-            pytest.fail(
-                "multicore-backend regression: " + failure +
-                " — BENCH_hotpath.json keeps the previous baseline; "
-                "set REPRO_BENCH_ACCEPT=1 to accept the new numbers"
-            )
-        _merge_write({"multicore": record})
-
-    def check_and_update_obs(record):
-        previous = (load() or {}).get("obs") or None
-        if previous and previous.get("workload") != record.get("workload"):
-            previous = None
-        accept = os.environ.get("REPRO_BENCH_ACCEPT", "0") == "1"
-        old_rps = (previous or {}).get("traced_rounds_per_sec")
-        if (
-            old_rps
-            and not accept
-            and record["traced_rounds_per_sec"] < (1.0 - ABSOLUTE_TOLERANCE) * old_rps
-        ):
-            pytest.fail(
-                "obs tracer regression: traced rounds/sec collapsed "
-                f"{old_rps:.4f} -> {record['traced_rounds_per_sec']:.4f} "
-                f"(>{ABSOLUTE_TOLERANCE:.0%} even allowing for machine load) — "
-                "BENCH_hotpath.json keeps the previous baseline; "
-                "set REPRO_BENCH_ACCEPT=1 to accept the new numbers"
-            )
-        _merge_write({"obs": record})
-
-    return SimpleNamespace(
-        path=HOTPATH_PATH,
-        load=load,
-        check_and_update=check_and_update,
-        check_and_update_async=check_and_update_async,
-        check_and_update_codec=check_and_update_codec,
-        check_and_update_scale=check_and_update_scale,
-        check_and_update_batched=check_and_update_batched,
-        check_and_update_hier=check_and_update_hier,
-        check_and_update_faults=check_and_update_faults,
-        check_and_update_obs=check_and_update_obs,
-        check_and_update_multicore=check_and_update_multicore,
-    )

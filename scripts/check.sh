@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-command regression gate: tier-1 unit suite (golden traces included, the
-# max-pool kernel's bitwise-vs-im2col and allocation guard in
+# One-command regression gate: tier-1 unit suite (golden traces and the seed
+# engine's frozen float64 vectors included, the max-pool kernel's
+# bitwise-vs-im2col and allocation guard in
 # tests/test_pool_kernel.py, which fails if a window-sized copy comes back,
 # and the client store's shell-equivalence and exact-construction tests in
 # tests/test_store_shells.py: a re-pointed shell + blob is bitwise a fresh
@@ -9,18 +10,16 @@
 # populations pin, snapshot/restore and hand worker shards to a real process
 # pool and back bitwise, and an eager process round checks nothing out
 # parent-side),
-# the perf/ benchmark's API-surface + bitwise-digest smoke with three
+# and the perf/ benchmark's API-surface + bitwise-digest smoke with three
 # read-only gates on its result (async_fedbuff's adds per flush, hier_int8's
-# cohort share and root-hop bytes), and the BENCH_hotpath.json
-# perf-regression benches.
+# cohort share and root-hop bytes) — perf/ is the one benchmark; throughput
+# is compared there (perf/compare.py), never gated on single samples here.
 #
-#   scripts/check.sh            # tier-1 + bench gates (the pre-merge check)
+#   scripts/check.sh            # tier-1 + perf smoke (the pre-merge check)
 #   scripts/check.sh --slow     # additionally run the slow sweep tier
 #
-# Environment knobs pass through: REPRO_SMOKE=0 scales the benches up,
-# REPRO_BENCH_ACCEPT=1 accepts new bench baselines after an intentional
-# change.  Golden traces are regenerated separately (and deliberately, with
-# review) via `pytest tests/test_golden_trace.py --update-golden`.
+# Golden fixtures are regenerated separately (and deliberately, with review)
+# via `pytest tests/test_golden_trace.py tests/test_flat_engine.py --update-golden`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,6 +54,8 @@ echo "runner/edge LOC: $(wc -l src/repro/core/runner.py src/repro/hier/edge.py \
   src/repro/hier/runner.py src/repro/asyncfl/runner.py src/repro/hier/async_runner.py | tail -1)"
 # ROADMAP "a process worker is an edge" bar: mp/ + core/executor.py, 1,223 -> <= 800.
 echo "mp/ + executor LOC: $(wc -l src/repro/mp/*.py src/repro/core/executor.py | tail -1)"
+# ROADMAP "one benchmark" bar: the paper-figure benches stay <= 400 lines.
+echo "benchmarks/ LOC: $(wc -l benchmarks/*.py | tail -1)"
 
 if [ "$run_slow" -eq 1 ]; then
   echo "== slow tier: heavyweight sweeps =="
@@ -63,12 +64,5 @@ fi
 
 echo "== obs quickstart: trace + metrics + run report =="
 python examples/obs_quickstart.py > /dev/null
-
-echo "== bench gates: BENCH_hotpath.json regression checks =="
-# One BLAS thread, as perf/run.py pins for its children: unpinned, the serial
-# baseline's large GEMMs spread over every core while the optimized arm's
-# client threads oversubscribe them, which skews the speedup ratios.
-export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
-python -m pytest benchmarks/bench_hotpath.py -x -q
 
 echo "All checks passed."

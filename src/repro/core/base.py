@@ -13,11 +13,11 @@ model's state dict and that vector.
 
 Architecture & performance — the flat-parameter engine
 ------------------------------------------------------
-In its default ``"flat"`` mode, :class:`ModelVectorizer` *owns* the model's
-memory: it allocates one contiguous parameter buffer and one contiguous
-gradient buffer (each of length ``dim``, in ``FLConfig.dtype`` precision) and
-rebinds every ``Parameter``'s ``.data`` and ``.grad`` to reshaped views into
-them.  The invariant is:
+:class:`ModelVectorizer` *owns* the model's memory: it allocates one
+contiguous parameter buffer and one contiguous gradient buffer (each of
+length ``dim``, in ``FLConfig.dtype`` precision) and rebinds every
+``Parameter``'s ``.data`` and ``.grad`` to reshaped views into them.  The
+invariant is:
 
 * ``flat_params``/``flat_grads`` and the per-parameter tensors alias the same
   memory at all times.  In-place parameter mutation (``load_state_dict``,
@@ -33,16 +33,15 @@ them.  The invariant is:
 * ``to_vector`` still returns a *copy* (one ``memcpy``), because callers (the
   algorithms, tests, user code) treat the result as their own snapshot.
 
-``mode="copy"`` preserves the original per-call flatten/unflatten behaviour
-(float64 only) and is kept as the measured baseline for
-``benchmarks/bench_hotpath.py`` and the engine-equivalence regression tests.
+The seed's per-call flatten/unflatten engine is gone; the float64 global
+vectors it produced are frozen in ``tests/golden/flat_engine_params.json``,
+which this engine still matches bit for bit.
 
 Clients obtain their round-local working vector via :meth:`BaseClient.
-local_params`: under the flat engine that vector *is* the model's parameter
-buffer, so the per-batch ``load_vector`` inside :meth:`BaseClient.
-batch_gradient` degenerates to an identity check and the algorithms'
-fused in-place updates (``iiadmm``/``iceadmm``/``fedavg``) write straight
-into model memory.
+local_params`: that vector *is* the model's parameter buffer, so the
+per-batch ``load_vector`` inside :meth:`BaseClient.batch_gradient`
+degenerates to an identity check and the algorithms' fused in-place updates
+(``iiadmm``/``iceadmm``/``fedavg``) write straight into model memory.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 
 from .. import nn
 from ..comm.codecs import UpdatePacket, resolve_codec
-from ..comm.serialization import flatten_state_dict, unflatten_state_dict
+from ..comm.serialization import flatten_state_dict
 from ..data import DataLoader, Dataset
 from ..privacy import Mechanism, NoPrivacy, clip_by_norm, make_mechanism
 from .config import FLConfig
@@ -82,100 +81,58 @@ class ModelVectorizer:
         The model to vectorise.
     dtype:
         Precision of the flat buffers (default float64).
-    mode:
-        ``"flat"`` (default) re-homes the model's parameters and gradients as
-        views into two preallocated contiguous buffers — the zero-copy engine
-        described in the module docstring.  ``"copy"`` keeps the original
-        flatten/unflatten-per-call behaviour (float64 only).
 
-    Note: in flat mode this object takes ownership of the model's parameter
-    memory; create at most one flat vectorizer per model instance.
+    The model's parameters and gradients are re-homed as views into two
+    preallocated contiguous buffers — the zero-copy engine described in the
+    module docstring.  This object takes ownership of the model's parameter
+    memory; create at most one vectorizer per model instance.
     """
 
-    def __init__(self, model: nn.Module, dtype=None, mode: str = "flat"):
-        if mode not in ("flat", "copy"):
-            raise ValueError(f"unknown vectorizer mode {mode!r}")
-        self.model = model
-        self.mode = mode
+    def __init__(self, model: nn.Module, dtype=None):
         self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
-        if mode == "copy" and self.dtype != np.dtype(np.float64):
-            raise ValueError("the legacy 'copy' mode only supports float64")
         _, self.layout = flatten_state_dict(model.state_dict())
         self.dim = int(sum(int(np.prod(shape)) for shape, _ in self.layout.values()))
-        self._params: Optional[np.ndarray] = None
-        self._grads: Optional[np.ndarray] = None
+        #: the live parameter buffer — mutations hit the model
+        self.flat_params = np.empty(self.dim, dtype=self.dtype)
+        #: the live gradient buffer
+        self.flat_grads = np.zeros(self.dim, dtype=self.dtype)
         self._pinned = []
-        if mode == "flat":
-            self._params = np.empty(self.dim, dtype=self.dtype)
-            self._grads = np.zeros(self.dim, dtype=self.dtype)
-            for name, p in model.named_parameters():
-                shape, offset = self.layout[name]
-                size = int(np.prod(shape)) if shape else 1
-                view = self._params[offset : offset + size].reshape(shape)
-                np.copyto(view, p.data)
-                p.data = view
-                p.pin_grad(self._grads[offset : offset + size].reshape(shape))
-                self._pinned.append(p)
-
-    # ------------------------------------------------------------ flat views
-    @property
-    def flat_params(self) -> np.ndarray:
-        """The live parameter buffer (flat mode only) — mutations hit the model."""
-        if self._params is None:
-            raise RuntimeError("flat_params is only available in 'flat' mode")
-        return self._params
-
-    @property
-    def flat_grads(self) -> np.ndarray:
-        """The live gradient buffer (flat mode only)."""
-        if self._grads is None:
-            raise RuntimeError("flat_grads is only available in 'flat' mode")
-        return self._grads
+        for name, p in model.named_parameters():
+            shape, offset = self.layout[name]
+            size = int(np.prod(shape)) if shape else 1
+            view = self.flat_params[offset : offset + size].reshape(shape)
+            np.copyto(view, p.data)
+            p.data = view
+            p.pin_grad(self.flat_grads[offset : offset + size].reshape(shape))
+            self._pinned.append(p)
 
     # ------------------------------------------------------------------- API
     def to_vector(self) -> np.ndarray:
         """Snapshot the model's current parameters into a new flat vector."""
-        if self._params is not None:
-            return self._params.copy()
-        vec, _ = flatten_state_dict(self.model.state_dict())
-        return vec
+        return self.flat_params.copy()
 
     def load_vector(self, vector: np.ndarray) -> None:
-        """Write a flat vector back into the model parameters (in place).
-
-        Flat mode: one buffer copy, or a no-op when ``vector`` *is* the
-        parameter buffer (the zero-copy hot path of ``batch_gradient``).
+        """Write a flat vector back into the model parameters (in place): one
+        buffer copy, or a no-op when ``vector`` *is* the parameter buffer (the
+        zero-copy hot path of ``batch_gradient``).
         """
         if vector.shape != (self.dim,):
             raise ValueError(f"expected vector of shape ({self.dim},), got {vector.shape}")
-        if self._params is not None:
-            if vector is not self._params:
-                np.copyto(self._params, vector)
-            return
-        self.model.load_state_dict(unflatten_state_dict(vector, self.layout))
+        if vector is not self.flat_params:
+            np.copyto(self.flat_params, vector)
 
     def grad_vector(self) -> np.ndarray:
-        """Current parameter gradients as one flat vector (zeros where absent).
-
-        Flat mode returns the persistent gradient buffer *view* (no copy); it
-        is overwritten by the next backward pass after :meth:`zero_grad`.
+        """Current parameter gradients as one flat vector (zeros where absent):
+        the persistent gradient buffer *view* (no copy), overwritten by the
+        next backward pass after :meth:`zero_grad`.
         """
-        if self._grads is not None:
-            return self._grads
-        chunks = []
-        for name, p in self.model.named_parameters():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            chunks.append(np.asarray(g, dtype=np.float64).reshape(-1))
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+        return self.flat_grads
 
     def zero_grad(self) -> None:
-        """Clear all gradients (one vectorised fill in flat mode)."""
-        if self._grads is not None:
-            self._grads.fill(0.0)
-            for p in self._pinned:
-                p._grad_seen = False
-        else:
-            self.model.zero_grad()
+        """Clear all gradients (one vectorised fill)."""
+        self.flat_grads.fill(0.0)
+        for p in self._pinned:
+            p._grad_seen = False
 
 
 class BaseClient:
@@ -209,7 +166,7 @@ class BaseClient:
         self.model = model
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed + 1000 + client_id)
-        self.vectorizer = ModelVectorizer(model, dtype=config.np_dtype, mode=config.engine)
+        self.vectorizer = ModelVectorizer(model, dtype=config.np_dtype)
         self._dtype = self.vectorizer.dtype
         # Round-local scratch vector for the algorithms' fused in-place updates.
         self._scratch = np.empty(self.vectorizer.dim, dtype=self._dtype)
@@ -233,8 +190,8 @@ class BaseClient:
             shuffle=True,
             rng=self.rng,
             # Cast batches once at materialisation so the forward pass never
-            # converts per batch (the copy engine keeps the seed behaviour).
-            dtype=self._dtype if self.config.engine == "flat" else None,
+            # converts per batch.
+            dtype=self._dtype,
         )
 
     # ------------------------------------------------------------------ hooks
@@ -297,23 +254,19 @@ class BaseClient:
         return len(self.dataset)
 
     def local_params(self, init: np.ndarray) -> np.ndarray:
-        """Round-local working parameter vector, initialised to ``init``.
-
-        Flat engine: returns the model's own parameter buffer (zero-copy; the
-        per-batch ``load_vector`` inside :meth:`batch_gradient` then becomes a
-        no-op).  Copy engine: returns a fresh array, as the seed did.
+        """Round-local working parameter vector, initialised to ``init``: the
+        model's own parameter buffer (zero-copy; the per-batch ``load_vector``
+        inside :meth:`batch_gradient` then becomes a no-op).
         """
-        if self.vectorizer.mode == "flat":
-            z = self.vectorizer.flat_params
-            np.copyto(z, init)
-            return z
-        return np.array(init, copy=True)
+        z = self.vectorizer.flat_params
+        np.copyto(z, init)
+        return z
 
     def batch_gradient(self, params: np.ndarray, batch_x: np.ndarray, batch_y: np.ndarray) -> np.ndarray:
         """Mean loss gradient over one batch, evaluated at flat parameters ``params``.
 
-        Under the flat engine the returned vector is the persistent gradient
-        buffer *view* — consume it before the next ``batch_gradient`` call.
+        The returned vector is the persistent gradient buffer *view* — consume
+        it before the next ``batch_gradient`` call.
         """
         self.vectorizer.load_vector(params)
         self.vectorizer.zero_grad()
@@ -412,7 +365,7 @@ class BaseServer:
                 raise ValueError(f"shard ids must lie in [0, {self.num_clients})")
             if len(set(self.shard)) != len(self.shard):
                 raise ValueError("shard ids must be unique")
-        self.vectorizer = ModelVectorizer(model, dtype=config.np_dtype, mode=config.engine)
+        self.vectorizer = ModelVectorizer(model, dtype=config.np_dtype)
         self.global_params = self.vectorizer.to_vector()
         # Scratch vector for in-place aggregation updates.
         self._scratch = np.empty(self.vectorizer.dim, dtype=self.vectorizer.dtype)

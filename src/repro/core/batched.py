@@ -1,13 +1,13 @@
 """Batched multi-client execution: run a cohort of clients as stacked kernels.
 
-BENCH_hotpath shows ``local_update`` dominating the round, and at 10k–100k
-virtual clients the models are tiny enough that per-client numpy dispatch
-overhead swamps the arithmetic.  This module stacks *B* same-shaped clients'
-flat parameter vectors into a ``(B, dim)`` matrix and runs their entire local
-update — forward, backward, and the algorithm's fused parameter/dual steps —
-as single batched GEMM/ufunc calls per mini-batch step, via the kernels in
-:mod:`repro.nn.batched` and the stacked data movement of
-:class:`repro.data.CohortLoader`.
+At 10k–100k virtual clients the models are tiny enough that per-client numpy
+dispatch overhead swamps the arithmetic (``perf/``'s ``scale_store``
+workload; ``core.batched.cohort_share`` is the share run here).  This module
+stacks *B* same-shaped clients' flat parameter vectors into a ``(B, dim)``
+matrix and runs their entire local update — forward, backward, and the
+algorithm's fused parameter/dual steps — as single batched GEMM/ufunc calls
+per mini-batch step, via the kernels in :mod:`repro.nn.batched` and the
+stacked data movement of :class:`repro.data.CohortLoader`.
 
 Equivalence contract
 --------------------
@@ -33,10 +33,10 @@ Eligibility & fallback
 ----------------------
 Only exact instances of the three built-in clients (``FedAvgClient``,
 ``IIADMMClient``, ``ICEADMMClient``) with a compilable model (``MLP`` /
-``LogisticRegression`` — a pure Linear/ReLU chain on the flat engine) and
-privacy disabled qualify; everything else (user subclasses, DP-enabled runs,
-CNN models) falls back to the per-client path, as do leftover singleton
-groups — :func:`fallback_reason` names which, and
+``LogisticRegression`` — a pure Linear/ReLU chain) and privacy disabled
+qualify; everything else (user subclasses, DP-enabled runs, CNN models) falls
+back to the per-client path, as do leftover singleton groups —
+:func:`fallback_reason` names which, and
 :class:`~repro.core.executor.LocalExecutor` counts them.  The wire does not
 matter: encode and ``reconcile`` stay per client after the cohort, and the one
 client with reconcile state, IIADMM, has its stash (pre-update dual,
@@ -94,8 +94,6 @@ def compile_model_spec(client: BaseClient) -> Optional[Tuple]:
     """
     model = client.model
     vec = client.vectorizer
-    if vec.mode != "flat":
-        return None
     cls = type(model)
     if cls is not MLP and cls is not LogisticRegression:
         return None
@@ -143,11 +141,7 @@ def _compile_model_spec(model, vec) -> Optional[Tuple]:
 
 def supports_batched(client: BaseClient) -> bool:
     """Cheap structural gate (model compilability is checked separately)."""
-    return (
-        type(client) in _BATCHABLE
-        and client.vectorizer.mode == "flat"
-        and not client.config.privacy.enabled
-    )
+    return type(client) in _BATCHABLE and not client.config.privacy.enabled
 
 
 def fallback_reason(client: BaseClient) -> str:
@@ -244,8 +238,7 @@ def _same_cohort(client: BaseClient, rep: BaseClient) -> bool:
         return False
     if type(client.model) is not type(rep.model):
         return False
-    cv, rv = client.vectorizer, rep.vectorizer
-    return cv.mode == rv.mode and cv.layout == rv.layout
+    return client.vectorizer.layout == rep.vectorizer.layout
 
 
 # ----------------------------------------------------------- algorithm loops

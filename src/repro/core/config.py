@@ -80,17 +80,11 @@ class FLConfig:
     #   gradients, batches, and payloads on the wire.  "float64" reproduces
     #   the paper's numerics exactly; "float32" halves memory traffic and
     #   communication volume for ~2x arithmetic throughput.
-    # engine: "flat" backs every model parameter and gradient with views into
-    #   one preallocated contiguous buffer (zero-copy hot path); "copy" keeps
-    #   the original flatten/unflatten-per-batch behaviour (the seed
-    #   implementation, used as a benchmark baseline).  "copy" requires
-    #   float64.
     # parallel_clients: max worker threads for client-local updates per round
     #   (1 = serial, 0 = one thread per CPU core).  The heavy numpy kernels
     #   release the GIL, so threads scale on multi-core hosts, and results
     #   are bit-identical to a serial run.
     dtype: str = "float64"
-    engine: str = "flat"
     parallel_clients: int = 1
 
     # execution_backend: how client-local updates are executed when
@@ -167,10 +161,6 @@ class FLConfig:
             raise ValueError("algorithm name must be non-empty")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
-        if self.engine not in ("flat", "copy"):
-            raise ValueError("engine must be 'flat' or 'copy'")
-        if self.engine == "copy" and self.dtype != "float64":
-            raise ValueError("the legacy 'copy' engine only supports float64")
         if self.parallel_clients < 0:
             raise ValueError("parallel_clients must be >= 0 (0 = one thread per core)")
         if self.execution_backend not in ("serial", "thread", "process"):

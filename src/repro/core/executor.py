@@ -21,8 +21,8 @@ ways of running ``client.update``:
 
 The in-process ways share :meth:`LocalExecutor.update` (to add one, add a
 branch there).  The executor also owns what the paths share: the process
-pool's lifecycle (lazy build, retire-on-fallback, state traffic for
-checkpoints, telemetry banking), pending/settled client-step accounting, and
+pool's lifecycle (lazy build, retire, state traffic for checkpoints,
+telemetry banking), pending/settled client-step accounting, and
 ``local_update`` span and monitor emission.  Nothing in the runners knows
 how updates execute.
 """
@@ -178,28 +178,18 @@ class LocalExecutor:
         self._pending = {c.client_id: count_client_steps(c) for c in clients}
         return uploads
 
-    def update_pooled(
-        self, ids: Sequence[int], payloads: Mapping[int, Mapping]
-    ) -> Optional[Dict[int, Mapping]]:
+    def update_pooled(self, ids: Sequence[int], payload: Mapping) -> Dict[int, Mapping]:
         """Run ``ids`` on the process pool (built over the population on
-        first use).
-
-        Returns ``None`` when the payloads are not one shared broadcast
-        template (the pool transports one copy through shared memory).  The
-        pool is then retired — the caller runs these clients in-process
-        against parent state, which would leave live workers stale.
-        """
-        from ..mp.pool import ProcessWorkerPool, payload_template
-
-        template = payload_template(payloads, ids)
-        if template is None:
-            self.retire_pool()
-            return None
+        first use) against ``payload``, the round's one decoded dispatch: the
+        pool ships it once through shared memory and every client gets its
+        own copy worker-side."""
         if self._pool is None:
+            from ..mp.pool import ProcessWorkerPool
+
             self._pool = ProcessWorkerPool(
                 self.population, self.max_workers, client_batch=self.client_batch, ids=self._ids
             )
-        uploads, steps, timings = self._pool.run_round(ids, template)
+        uploads, steps, timings = self._pool.run_round(ids, payload)
         self._pending = steps
         # Worker-side timestamps; cohort members carry none (as on the
         # threaded path, one batched call covered them).
@@ -255,14 +245,9 @@ class LocalExecutor:
 
     # ------------------------------------------------------------ process pool
     def retire_pool(self) -> None:
-        """Pull the workers' authoritative state home and discard the pool.
-
-        Used when a round cannot run pooled and at :meth:`close`.  Keeping a
-        pool across an in-process round would let a later pooled round run on
-        stale workers, and a second fallback's sync would drag that stale
-        state back over the parent's progress; the next eligible round
-        rebuilds the pool from parent state instead.
-        """
+        """Pull the workers' authoritative state home and discard the pool
+        (:meth:`close`); the next pooled round rebuilds it from parent state.
+        The retired workers' telemetry stays banked."""
         if self._pool is None:
             return
         try:

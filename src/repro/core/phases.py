@@ -356,8 +356,8 @@ def run_client_phases(
     ``sink`` + privacy charge → ``release``, so no more than ``live_cap``
     clients are ever live (an eager population is one wave of everyone).  On
     the process backend the whole cohort is one wave that the executor's
-    workers run with nothing checked out here; should that round not be
-    poolable it is re-run in ordinary waves.
+    workers run with nothing checked out here, against one decode of the
+    dispatch.
 
     ``sink(cid, packet, dispatched_global)`` is the single decode point
     (``server.ingest`` for the flat runner, ``ingest_upload`` for an edge);
@@ -392,33 +392,31 @@ def run_client_phases(
                 )
     clock.end("broadcast")
 
-    wave = max(1, int(population.live_cap))
-    chunks = [active[start : start + wave] for start in range(0, len(active), wave)]
     pooled = executor.backend == "process" and len(active) > 1
-    plan = [active] if pooled else chunks
+    wave = len(active) if pooled else max(1, int(population.live_cap))
+    plan = [active[start : start + wave] for start in range(0, len(active), wave)]
     participants: List[int] = []
     privacy_key = None
-    index = 0
-    while index < len(plan):
-        wave_ids = plan[index]
+    for index, wave_ids in enumerate(plan):
         started = clock.begin("broadcast")
-        clients = {} if pooled else {cid: population.checkout(cid) for cid in wave_ids}
-        payloads = {cid: exchange.open_dispatch(received[cid]) for cid in wave_ids}
+        if pooled:
+            # Every client received the dispatch packet itself: decode it once.
+            dispatch = exchange.open_dispatch(packet)
+            clients = {}
+            payloads = dict.fromkeys(wave_ids, dispatch)
+        else:
+            clients = {cid: population.checkout(cid) for cid in wave_ids}
+            payloads = {cid: exchange.open_dispatch(received[cid]) for cid in wave_ids}
         clock.end("broadcast")
 
         # Any DP clipping/noising happens inside client.update — before the
         # codec encode below — so the guarantee survives quantization.
         clock.begin("local_update")
         if pooled:
-            uploads = executor.update_pooled(wave_ids, payloads)
+            uploads = executor.update_pooled(wave_ids, dispatch)
         else:
             uploads = executor.update(list(clients.values()), payloads)
         clock.end("local_update")
-        if uploads is None:
-            # Not one shared template: the executor pulled the workers' state
-            # home, so run the cohort in-process in ordinary waves instead.
-            pooled, plan = False, chunks
-            continue
 
         # Encode each upload against the dispatched global and reconcile
         # lossy-codec client state with the decoded echo (the process
@@ -449,5 +447,4 @@ def run_client_phases(
             population.release(cid)
         if on_wave is not None:
             on_wave(index, len(wave_ids), started)
-        index += 1
     return participants

@@ -29,9 +29,8 @@ The runner also records wall-clock seconds per phase — ``broadcast``
 (codec encode + downlink + client-side decode), ``local_update``, ``gather``
 (codec encode + uplink), ``aggregate`` (server-side decode + global update),
 and ``evaluate`` — cumulatively in :attr:`FederatedRunner.phase_seconds` and
-per round on :attr:`RoundResult.phase_seconds`;
-``benchmarks/bench_hotpath.py`` turns these into the repo's rounds/sec
-trajectory.
+per round on :attr:`RoundResult.phase_seconds`; ``perf/``'s
+``runner.*_s`` layer metrics are these.
 
 Wire codecs
 -----------

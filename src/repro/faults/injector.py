@@ -3,8 +3,8 @@
 A :class:`FaultInjector` wraps a frozen :class:`~repro.faults.plan.FaultPlan`
 with the run-scoped mutable bookkeeping the runners need: which one-shot edge
 kills have already fired, and the :class:`FaultStats` tally every layer
-increments (the chaos harness and ``benchmarks/bench_hotpath.py`` report
-these).  Install one on any :class:`~repro.comm.base.Communicator` via
+increments (the chaos harness reports these).  Install one on any
+:class:`~repro.comm.base.Communicator` via
 ``communicator.install_faults(injector_or_plan)`` — the serial, simulated-MPI
 and simulated-gRPC transports all inherit the same seam — and/or enable it on
 a runner (``HierRunner.enable_faults`` / ``HierAsyncRunner.enable_faults``)

@@ -435,8 +435,7 @@ class HierAsyncRunner:
         #: fault layer (edge kills + client crashes on the merged clocks);
         #: see :meth:`enable_faults`
         self.injector = None
-        #: real seconds spent restoring killed edges (the recovery-latency
-        #: gauge benchmarks/bench_hotpath.py reports)
+        #: real seconds spent restoring killed edges (recovery latency)
         self.recovery_seconds = 0.0
 
     # ---------------------------------------------------------------- faults

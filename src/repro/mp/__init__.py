@@ -19,9 +19,9 @@ the process backend never pays for it.
 
 from __future__ import annotations
 
-__all__ = ["ProcessWorkerPool", "payload_template"]
+__all__ = ["ProcessWorkerPool"]
 
-_LAZY = {"ProcessWorkerPool": "pool", "payload_template": "pool"}
+_LAZY = {"ProcessWorkerPool": "pool"}
 
 
 def __getattr__(name: str):

@@ -41,51 +41,11 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.profiler import current_profiler
 from .shm import ShmArena, ShmAttachment
 
-__all__ = ["ProcessWorkerPool", "payload_template"]
+__all__ = ["ProcessWorkerPool"]
 
 #: Monotone pool counter — keeps arena names unique when one process builds
 #: several pools (runner + edges, or sequential runs).
 _POOL_SEQ = 0
-
-
-def payload_template(
-    payloads: Mapping[int, Mapping[str, object]], ids: Sequence[int]
-) -> Optional[Mapping[str, object]]:
-    """The shared broadcast template behind per-client payload dicts.
-
-    The runners dispatch one global snapshot per round, so every client's
-    decoded payload is bitwise the same tree; the pool then broadcasts one
-    copy through shared memory instead of ``len(ids)``.  Returns ``None``
-    when the payloads differ (custom communicators could in principle
-    per-client them) — the caller falls back to in-process execution.
-    """
-    template = payloads[ids[0]]
-    for cid in ids[1:]:
-        other = payloads[cid]
-        if other.keys() != template.keys():
-            return None
-        for key, value in template.items():
-            ov = other[key]
-            if isinstance(value, np.ndarray) or isinstance(ov, np.ndarray):
-                if not (
-                    isinstance(value, np.ndarray)
-                    and isinstance(ov, np.ndarray)
-                    and value.dtype == ov.dtype
-                    and value.shape == ov.shape
-                    and np.array_equal(value, ov)
-                ):
-                    return None
-            else:
-                try:
-                    differs = bool(value != ov)
-                except (TypeError, ValueError):
-                    # Containers holding arrays (a custom communicator could
-                    # nest them) have no unambiguous equality — treat the
-                    # payloads as non-template and let the caller fall back.
-                    return None
-                if differs:
-                    return None
-    return template
 
 
 class ProcessWorkerPool:
@@ -175,20 +135,20 @@ class ProcessWorkerPool:
         return reply[1:]
 
     # ---------------------------------------------------------------- rounds
-    def run_round(self, ids: Sequence[int], template: Mapping[str, object]):
+    def run_round(self, ids: Sequence[int], payload: Mapping[str, object]):
         """Run one round's local updates for ``ids`` across the workers.
 
-        ``template`` is the shared broadcast payload (see
-        :func:`payload_template`); each worker hands every client its own
-        fresh copy.  Returns ``(uploads, steps, timings)`` keyed by client
-        id — upload arrays are read-only shared-memory views valid until the
-        next ``run_round``/``close``; ``timings`` holds worker-side
-        ``(t0, t1)`` perf-counter pairs for per-client-path updates (cohort
-        members have no per-client span, as on the threaded path they share
-        one ``cohort_step``).
+        ``payload`` is the round's one decoded dispatch, shipped once through
+        shared memory; each worker hands every client its own fresh copy.
+        Returns ``(uploads, steps, timings)`` keyed by client id — upload
+        arrays are read-only shared-memory views valid until the next
+        ``run_round``/``close``; ``timings`` holds worker-side ``(t0, t1)``
+        perf-counter pairs for per-client-path updates (cohort members have
+        no per-client span, as on the threaded path they share one
+        ``cohort_step``).
         """
-        arrays = [(k, v) for k, v in template.items() if isinstance(v, np.ndarray)]
-        scalars = {k: v for k, v in template.items() if not isinstance(v, np.ndarray)}
+        arrays = [(k, v) for k, v in payload.items() if isinstance(v, np.ndarray)]
+        scalars = {k: v for k, v in payload.items() if not isinstance(v, np.ndarray)}
         name, manifest = self._bcast.pack(arrays)
 
         members = [set(shard) for shard in self.shards]

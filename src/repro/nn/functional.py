@@ -3,7 +3,9 @@
 The convolution uses an im2col/col2im strategy so the hot loop is a single
 large matrix multiplication (per the HPC guide: vectorise, avoid per-element
 Python loops).  Max pooling folds the strided tap views of the input with no
-window copy; the seed's im2col pool is kept only as the legacy reference.
+window copy.  The seed's kernels (``_conv2d_legacy``, ``_max_pool2d_legacy``
+over :func:`im2col` / :func:`col2im`) are not on any run path: they are the
+bitwise reference the tests compare the fast kernels against, by name.
 
 Scratch-buffer reuse: the im2col column matrix and the zero-padded input are
 by far the largest allocations on the training hot path (tens of MB per conv
@@ -39,38 +41,8 @@ __all__ = [
     "dropout",
     "im2col",
     "col2im",
-    "legacy_kernels",
     "kernel_call_counts",
 ]
-
-
-class legacy_kernels:
-    """Context manager restoring the seed implementation's conv/pool kernels.
-
-    Inside the context, ``conv2d`` uses the original per-image einsum
-    contractions with freshly allocated N-major columns and ``max_pool2d``
-    the im2col + ``argmax`` + ``col2im`` pool: the *baseline* of
-    ``benchmarks/bench_hotpath.py`` and the tests' bitwise reference (the
-    einsum conv differs in the last bits at float32, the pool at no dtype).
-    Process-wide (unlike ``no_grad``) so a baseline with
-    ``parallel_clients > 1`` still runs the legacy kernels on the runner's
-    worker threads; do not enter it concurrently with an optimised run.
-    """
-
-    def __enter__(self) -> "legacy_kernels":
-        self._prev = _LEGACY_STATE[0]
-        _LEGACY_STATE[0] = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _LEGACY_STATE[0] = self._prev
-
-
-_LEGACY_STATE = [False]
-
-
-def _legacy_enabled() -> bool:
-    return _LEGACY_STATE[0]
 
 
 # Process-local kernel-invocation counters for the obs layer (worker
@@ -292,8 +264,6 @@ def conv2d(
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"conv2d channel mismatch: input has {c_in}, weight expects {c_in_w}")
-    if _legacy_enabled():
-        return _conv2d_legacy(x, weight, bias, stride, padding)
 
     recording = is_grad_enabled() and (
         x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
@@ -388,7 +358,10 @@ def conv2d(
 
 
 def _conv2d_legacy(x: Tensor, weight: Tensor, bias, stride, padding) -> Tensor:
-    """The seed implementation's conv2d (per-image einsum, fresh buffers)."""
+    """The seed implementation's conv2d (per-image einsum, fresh buffers);
+    ``stride`` / ``padding`` as pairs.  A test reference, bitwise
+    :func:`conv2d` at float64 (the einsum differs in the last bits at
+    float32)."""
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     cols, (out_h, out_w) = im2col(x.data, (kh, kw), stride, padding)
@@ -433,8 +406,6 @@ def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
     kernel = _pair(kernel_size)
     stride = _pair(stride if stride is not None else kernel_size)
     padding = _pair(padding)
-    if _legacy_enabled():
-        return _max_pool2d_legacy(x, kernel, stride, padding)
     h, w = x.shape[2:]
     kh, kw = kernel
     taps = [(i, j) for i in range(kh) for j in range(kw)]
@@ -477,7 +448,9 @@ def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
 
 
 def _max_pool2d_legacy(x: Tensor, kernel, stride, padding) -> Tensor:
-    """The seed implementation's max_pool2d (im2col columns, argmax, col2im)."""
+    """The seed implementation's max_pool2d (im2col columns, argmax, col2im);
+    ``kernel`` / ``stride`` / ``padding`` as pairs.  A test reference,
+    bitwise :func:`max_pool2d` at every dtype."""
     n, c = x.shape[:2]
     cols, (out_h, out_w) = im2col(x.data, kernel, stride, padding)
     # cols: (N, C*kh*kw, P) -> (N, C, kh*kw, P)

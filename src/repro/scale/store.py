@@ -35,7 +35,7 @@ toolchain; zlib is the stdlib stand-in).
 Accounting (:attr:`stats`) is first-class because tests assert the memory
 bound through it: ``peak_live`` never exceeds ``live_cap``, and
 ``store_nbytes``/``blob_nbytes`` expose how much the spilled population
-costs — the ``clients/GB`` gauge of ``benchmarks/bench_hotpath.py``.
+costs — ``perf/``'s ``scale.store.store_nbytes``.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class StoreStats:
     hits: int = 0
     #: maximum number of simultaneously live clients ever observed
     peak_live: int = 0
-    #: cumulative microseconds spent materialising / evicting (gauges for
-    #: benchmarks/bench_hotpath.py's "scale" section)
+    #: cumulative microseconds spent materialising / evicting (``perf/``'s
+    #: ``scale.store.materialize_us`` / ``evict_us`` per client)
     materialize_us: float = 0.0
     evict_us: float = 0.0
     #: high-water mark of ``store_nbytes`` (spilled-blob bytes) — the memory

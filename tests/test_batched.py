@@ -109,6 +109,7 @@ class TestBatchedEquivalence:
         assert np.array_equal(base.server.global_params, batched.server.global_params)
         assert batched.server.global_params.tobytes() == base.server.global_params.tobytes()
         assert _client_state_key(batched) == _client_state_key(base)
+        assert batched.client_steps == base.client_steps
 
     @settings(max_examples=6, deadline=None)
     @given(

@@ -389,6 +389,23 @@ class TestLossyInvariants:
 
         assert seconds("int8") < seconds("identity")
 
+    def test_delta_int8_cuts_round_bytes_fourfold(self):
+        """``delta|int8`` puts at least 4x fewer bytes per round on the wire
+        than identity — dispatch and uploads, float64 — on a model past 10^4
+        parameters.  Byte counts are deterministic."""
+        clients, test = make_clients_and_test(num_clients=2)
+
+        def wide_model():
+            return MLP(8, 3, hidden_sizes=(1024,), rng=np.random.default_rng(7))
+
+        def bytes_per_round(codec):
+            runner = build_federation(base_config("iiadmm", codec=codec), wide_model, clients, test)
+            history = runner.run()
+            assert runner.server.vectorizer.dim >= 10_000
+            return history.total_comm_bytes() / len(history)
+
+        assert bytes_per_round("identity") >= 4 * bytes_per_round("delta|int8")
+
     def test_runner_rejects_client_server_codec_mismatch(self):
         from repro.core import FederatedRunner
 

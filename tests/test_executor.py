@@ -5,10 +5,10 @@ bitwise matrices (``test_mp``, ``test_batched``, ``test_hier``...) cover it
 end to end.  Here the executor itself is called — ``update`` /
 ``update_pooled`` / ``settle`` / ``close`` — over {serial, thread, process} ×
 {eager, store} × {client_batch 1, 4}: uploads and post-round client state
-must equal serial bitwise, ``settle`` must count survivors only, a pooled /
-fallback / fallback / pooled sequence must retire and rebuild the process
-pool without stale state, and ``close`` must be idempotent and release every
-thread, process and shared-memory segment.
+must equal serial bitwise, ``settle`` must count survivors only, a pool
+retired between pooled rounds must be rebuilt without stale state, and
+``close`` must be idempotent and release every thread, process and
+shared-memory segment.
 """
 
 import glob
@@ -48,29 +48,17 @@ def _build(backend, mode, client_batch=1):
     return build_virtual_federation(cfg, model_fn, datasets, live_cap=NUM_CLIENTS)
 
 
-def _payloads(runner, shared=True):
-    """Per-client decoded dispatches; ``shared=False`` perturbs each client's
-    copy so the round is not one broadcast template (the pool's fallback
-    trigger)."""
-    packet = runner.exchange.encode_dispatch(runner.server.broadcast_payload())
-    payloads = {cid: runner.exchange.open_dispatch(packet) for cid in IDS}
-    if not shared:
-        for cid, payload in payloads.items():
-            for value in payload.values():
-                if isinstance(value, np.ndarray):
-                    value += 1e-3 * cid
-    return payloads
-
-
-def _update(runner, payloads):
+def _update(runner):
     """One round of local updates the way the client-phase loop drives the
-    executor: a whole pooled cohort on the process backend, else checkout →
-    update → release."""
-    executor, population = runner.executor, runner.population
-    uploads = executor.update_pooled(IDS, payloads) if executor.backend == "process" else None
-    if uploads is None:
+    executor: a whole pooled cohort against one decoded dispatch on the
+    process backend, else checkout → update → release."""
+    executor, population, exchange = runner.executor, runner.population, runner.exchange
+    packet = exchange.encode_dispatch(runner.server.broadcast_payload())
+    if executor.backend == "process":
+        uploads = executor.update_pooled(IDS, exchange.open_dispatch(packet))
+    else:
         clients = [population.checkout(cid) for cid in IDS]
-        uploads = executor.update(clients, payloads)
+        uploads = executor.update(clients, {cid: exchange.open_dispatch(packet) for cid in IDS})
         for cid in IDS:
             population.release(cid)
     return [(cid, sorted((k, np.asarray(v).tobytes()) for k, v in uploads[cid].items())) for cid in IDS]
@@ -99,20 +87,22 @@ def _assert_released(executor):
     assert not glob.glob(f"/dev/shm/rpmp{os.getpid()}x*")
 
 
-def _run(backend, mode, client_batch, shared_rounds=(True,) * ROUNDS):
+def _run(backend, mode, client_batch, rounds=ROUNDS, retire_after=()):
     runner = _build(backend, mode, client_batch)
     executor = runner.executor
     uploads = []
-    for shared in shared_rounds:
-        uploads.append(_update(runner, _payloads(runner, shared)))
-        if backend == "process":
-            assert (executor._pool is not None) == shared, "fallback must retire the pool"
+    for rnd in range(rounds):
+        uploads.append(_update(runner))
+        assert (executor._pool is not None) == (backend == "process")
         # Client 0's upload is lost on the uplink: it computed, but only
         # gathered work counts — and a second settle has nothing pending.
         before = executor.client_steps
         executor.settle(IDS[1:])
         executor.settle(IDS)
         assert executor.client_steps - before == _steps_per_client() * (NUM_CLIENTS - 1)
+        if rnd in retire_after:
+            executor.retire_pool()
+            assert executor._pool is None
     executor.close()
     executor.close()  # idempotent
     _assert_released(executor)
@@ -120,8 +110,8 @@ def _run(backend, mode, client_batch, shared_rounds=(True,) * ROUNDS):
 
 
 @lru_cache(maxsize=None)
-def _reference(mode, shared_rounds):
-    return _run("serial", mode, 1, shared_rounds)
+def _reference(mode, rounds=ROUNDS):
+    return _run("serial", mode, 1, rounds)
 
 
 @pytest.mark.parametrize("client_batch", [1, 4])
@@ -129,17 +119,16 @@ def _reference(mode, shared_rounds):
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 def test_uploads_and_state_equal_serial(backend, mode, client_batch):
     uploads, state = _run(backend, mode, client_batch)
-    ref_uploads, ref_state = _reference(mode, (True,) * ROUNDS)
+    ref_uploads, ref_state = _reference(mode)
     assert uploads == ref_uploads
     assert state == ref_state
     # Uploads do not depend on how the population is held either.
-    assert uploads == _reference("eager", (True,) * ROUNDS)[0]
+    assert uploads == _reference("eager")[0]
 
 
 @pytest.mark.parametrize("mode", ["eager", "store"])
-def test_pool_retires_on_fallback_and_rebuilds_without_stale_state(mode):
-    """Pooled, two consecutive in-process fallback rounds, pooled again.
-    Without retiring, round 3 would run on workers still holding round-0
-    state, and the second fallback's sync would revert round 1's progress."""
-    sequence = (True, False, False, True)
-    assert _run("process", mode, 1, sequence) == _reference(mode, sequence)
+def test_pool_retires_and_rebuilds_without_stale_state(mode):
+    """Pooled, retire, pooled, retire, pooled, pooled.  Each rebuilt pool
+    must start from the state its predecessor pulled home: a pool rebuilt
+    from stale parent state would replay round 0's client state."""
+    assert _run("process", mode, 1, rounds=4, retire_after=(0, 1)) == _reference(mode, 4)

@@ -152,6 +152,13 @@ class TestPerTierAccounting:
             assert rec.endpoint.startswith("edge:")
         assert per_round == {0: 8, 1: 8}  # E downlinks + E summary uplinks
 
+        def uplinks(comm):
+            return sum(1 for rec in comm.log.records if rec.op == "send_local")
+
+        # One summary per edge per round, each folding population / E = 3 uploads.
+        assert uplinks(hier.root_communicator) == 4 * 2
+        assert uplinks(hier.client_communicator) == 3 * uplinks(hier.root_communicator)
+
     def test_history_reports_per_tier_bytes(self):
         clients, test = make_clients_and_test()
         cfg = base_config("fedavg", num_rounds=1)

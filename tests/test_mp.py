@@ -28,7 +28,7 @@ from repro.data import TensorDataset
 from repro.faults import FaultPlan
 from repro.hier import build_hier_federation
 from repro.hier.topology import contiguous_shards
-from repro.mp import ProcessWorkerPool, payload_template
+from repro.mp import ProcessWorkerPool
 from repro.obs import Tracer, use_tracer
 from repro.scale import RunCheckpoint, build_virtual_federation
 
@@ -256,26 +256,6 @@ class TestPoolPlumbing:
         with pytest.raises(ValueError):
             contiguous_shards(range(4), 0)
 
-    def test_payload_template_detects_mismatch(self):
-        base = {"g": np.arange(4.0), "round": 1}
-        same = {0: base, 1: {"g": np.arange(4.0), "round": 1}}
-        assert payload_template(same, [0, 1]) is not None
-        diverged = {0: base, 1: {"g": np.arange(4.0) + 1, "round": 1}}
-        assert payload_template(diverged, [0, 1]) is None
-        scalar_diverged = {0: base, 1: {"g": np.arange(4.0), "round": 2}}
-        assert payload_template(scalar_diverged, [0, 1]) is None
-
-    def test_payload_template_uncomparable_entries_fall_back(self):
-        """A payload entry that is a container of arrays (a custom
-        communicator could nest them) has no unambiguous equality — the
-        template check must return None (in-process fallback), not raise
-        ValueError and kill the round."""
-        payloads = {
-            0: {"g": np.arange(4.0), "extras": [np.arange(3.0)]},
-            1: {"g": np.arange(4.0), "extras": [np.arange(3.0)]},
-        }
-        assert payload_template(payloads, [0, 1]) is None
-
     def test_attachment_defers_pinned_segments(self):
         """A superseded segment whose views are still referenced cannot be
         closed yet — the attachment must park the handle and retry later, not
@@ -315,86 +295,71 @@ class TestPoolPlumbing:
         with pytest.raises(ValueError, match="lossless"):
             build_federation(cfg, _model_fn(), _datasets(4))
 
+    def test_pooled_round_decodes_the_dispatch_once(self, monkeypatch):
+        """Every client receives the dispatch packet itself, so a pooled round
+        decodes it once for the whole cohort; in-process waves decode one
+        isolated copy per client."""
 
-# ------------------------------------------------- fallback state consistency
-class TestFallbackStateSync:
-    """Rounds that cannot run on the process pool (non-template payloads)
-    fall back in-process — the pool must be retired so the workers' stale
-    state can neither serve a later pooled round nor be synced back over the
-    parent's progress."""
+        def decodes(backend):
+            runner = build_federation(_config("fedavg", backend), _model_fn(), _datasets(5))
+            calls = []
+            real = runner.exchange.open_dispatch
+            monkeypatch.setattr(runner.exchange, "open_dispatch",
+                                lambda packet: calls.append(packet) or real(packet))
+            runner.run(2)
+            return len(calls)
 
-    @staticmethod
-    def _template_gate(monkeypatch, fallback_active):
-        """Patch the template probe to report 'not a shared template' (the
-        fallback trigger, without needing a custom per-client communicator)
-        while ``fallback_active``; restore the real probe otherwise."""
-        import repro.mp.pool as mp_pool
+        assert decodes("process") == 2
+        assert decodes("serial") == 2 * 5
 
-        real = mp_pool.payload_template.__wrapped__ if hasattr(
-            mp_pool.payload_template, "__wrapped__"
-        ) else mp_pool.payload_template
-        if fallback_active:
-            patched = lambda *a, **k: None  # noqa: E731
-            patched.__wrapped__ = real
-            monkeypatch.setattr(mp_pool, "payload_template", patched)
-        else:
-            monkeypatch.setattr(mp_pool, "payload_template", real)
 
-    def test_flat_fallback_rounds_stay_bitwise(self, monkeypatch):
-        """Pooled round, two consecutive in-process fallback rounds, pooled
-        round again — bitwise the serial run throughout.  Without retiring
-        the pool, round 3 would run on workers still holding round-0 state,
-        and the second fallback's sync would revert round 1's progress."""
+# ------------------------------------------------------ pool retire/rebuild
+class TestPoolRebuildStateSync:
+    """``run`` closes the runner's pools on the way out, so every later
+    ``run`` call on the same runner rebuilds them from parent-side state.
+    The rebuilt workers must continue bitwise where the retired ones
+    stopped: a pool rebuilt from stale parent state would replay an earlier
+    round's client parameters, RNG streams and ADMM duals."""
 
-        def run(backend, fallback_rounds=()):
-            runner = build_federation(_config("iiadmm", backend), _model_fn(), _datasets(5))
-            for rnd in range(4):
-                if backend == "process":
-                    self._template_gate(monkeypatch, rnd in fallback_rounds)
-                runner.run_round(rnd)
-                if backend == "process" and rnd in fallback_rounds:
-                    assert runner.executor._pool is None, "fallback must retire the stale pool"
-            self._template_gate(monkeypatch, False)
-            runner.close()
+    def test_flat_rounds_after_close_stay_bitwise(self):
+        def run(backend, splits):
+            cfg = _config("iiadmm", backend)
+            runner = build_federation(cfg, _model_fn(), _datasets(5), test_dataset=_datasets(1, n=20)[0])
+            for rounds in splits:
+                history = runner.run(rounds)
+                assert runner.executor._pool is None
             return (
+                _history_key(history),
                 runner.server.global_params.tobytes(),
                 [_client_key(c) for c in runner.clients],
                 runner.client_steps,
             )
 
-        serial = run("serial")
-        assert run("process", fallback_rounds=(1, 2)) == serial
+        assert run("process", (1, 2, 1)) == run("serial", (4,))
 
-    def test_hier_fallback_rounds_stay_bitwise(self, monkeypatch):
-        """Same contract for per-edge pools: an edge whose round falls back
-        in-process retires its pool and the run stays bitwise serial."""
+    def test_hier_rounds_after_close_stay_bitwise(self):
+        """Same contract for per-edge pools, edge duals included."""
 
-        def run(backend, fallback_rounds=()):
+        def run(backend, splits):
             cfg = _config("iiadmm", backend, topology="edges:2")
-            runner = build_hier_federation(cfg, _seeded_model_fn(), _datasets(6))
-            for rnd in range(3):
-                if backend == "process":
-                    self._template_gate(monkeypatch, rnd in fallback_rounds)
-                runner.run_round(rnd)
-                if backend == "process" and rnd in fallback_rounds:
-                    assert all(e.executor._pool is None for e in runner.edges)
-            self._template_gate(monkeypatch, False)
-            runner.close()
-            duals = []
-            if hasattr(runner.edges[0].server, "duals"):
-                duals = [
+            runner = build_hier_federation(
+                cfg, _seeded_model_fn(), _datasets(6), test_dataset=_datasets(1, n=20)[0]
+            )
+            for rounds in splits:
+                history = runner.run(rounds)
+                assert all(edge.executor._pool is None for edge in runner.edges)
+            return (
+                _history_key(history),
+                runner.server.global_params.tobytes(),
+                [(e.edge_id, e.server.global_params.tobytes()) for e in runner.edges],
+                [
                     (edge.edge_id, cid, edge.server.duals[cid].tobytes())
                     for edge in runner.edges
                     for cid in edge.shard
-                ]
-            return (
-                runner.server.global_params.tobytes(),
-                [(e.edge_id, e.server.global_params.tobytes()) for e in runner.edges],
-                duals,
+                ],
             )
 
-        serial = run("serial")
-        assert run("process", fallback_rounds=(1,)) == serial
+        assert run("process", (1, 2)) == run("serial", (3,))
 
 
 # ---------------------------------------------------- bugfix regression sweep
@@ -424,26 +389,6 @@ class TestWorkerPoolBugfixes:
         assert participants == 4  # 6 clients minus the two crashed
         assert threads.pool._max_workers == participants
         runner.close()
-
-    def test_copy_engine_process_run_equals_serial(self):
-        """Bugfix 4: ``engine="copy"`` on the process backend failed every run
-        at close — the workers' pull read ``vectorizer.flat_params``, which
-        the copy engine does not have.  Parameters now cross through
-        ``to_vector`` / ``load_vector``, so the run equals serial bitwise,
-        parent-side client parameters included."""
-
-        def run(backend):
-            cfg = _config("iiadmm", backend, engine="copy")
-            runner = build_federation(cfg, _model_fn(), _datasets(4), test_dataset=_datasets(1, n=20)[0])
-            history = runner.run()
-            clients = [
-                (c.client_id, c.round, c.vectorizer.to_vector().tobytes(), c.dual.tobytes(),
-                 repr(c.rng.bit_generator.state))
-                for c in runner.clients
-            ]
-            return _history_key(history), runner.server.global_params.tobytes(), clients
-
-        assert run("process") == run("serial")
 
     def test_client_steps_count_survivors_only(self):
         """Bugfix 3: clients felled by faults mid-round contribute no

@@ -2,15 +2,14 @@
 
 ``F.max_pool2d`` folds the ``kh*kw`` tap views of the input with
 ``np.maximum`` and routes the gradient through first-hit masks in row-major
-tap order; ``legacy_kernels()`` runs the seed's im2col columns + ``argmax`` +
-``col2im``.  Every geometry, dtype and input family below must give the same
+tap order; ``F._max_pool2d_legacy``, called by name, is the seed's im2col
+columns + ``argmax`` + ``col2im``.  Every geometry, dtype and input family below must give the same
 forward bits and the same input-gradient bits — ties (post-ReLU all-zero
 windows, rounded values), infinities and NaNs included.  The one value-only
 comparison is a max over zeros of mixed sign, whose sign neither reduction
 defines.
 """
 
-import contextlib
 import threading
 import tracemalloc
 
@@ -51,10 +50,13 @@ def _inputs(kind, shape, dtype, rng):
 def _pool(x, geometry, grad=None, legacy=False):
     _, kernel, stride, padding = geometry
     t = nn.Tensor(x, requires_grad=True, dtype=x.dtype)
-    with F.legacy_kernels() if legacy else contextlib.nullcontext():
+    if legacy:
+        stride = kernel if stride is None else stride
+        y = F._max_pool2d_legacy(t, F._pair(kernel), F._pair(stride), F._pair(padding))
+    else:
         y = F.max_pool2d(t, kernel, stride, padding)
-        if grad is not None:
-            y.backward(grad)
+    if grad is not None:
+        y.backward(grad)
     return y, t
 
 
