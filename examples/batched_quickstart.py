@@ -7,8 +7,9 @@ parameter vectors into one ``(B, dim)`` matrix and runs the whole cohort's
 forward/backward/update as batched GEMM/ufunc calls (``repro.core.batched``),
 **bitwise identical** to the per-client loop at float64: same histories, same
 client RNG streams, same ADMM duals — checkpoints and fallback stay
-interchangeable mid-run.  Clients that don't fit a kernel (CNN models, DP,
-lossy wire) transparently fall back per client.
+interchangeable mid-run.  DP clients and lossy wires run as cohorts too;
+clients that don't fit a kernel (CNN models, user subclasses) transparently
+run per client.
 
 Run:  PYTHONPATH=src python examples/batched_quickstart.py
 """

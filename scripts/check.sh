@@ -10,10 +10,11 @@
 # populations pin, snapshot/restore and hand worker shards to a real process
 # pool and back bitwise, and an eager process round checks nothing out
 # parent-side),
-# and the perf/ benchmark's API-surface + bitwise-digest smoke with three
+# and the perf/ benchmark's API-surface + bitwise-digest smoke with four
 # read-only gates on its result (async_fedbuff's adds per flush, hier_int8's
-# cohort share and root-hop bytes) — perf/ is the one benchmark; throughput
-# is compared there (perf/compare.py), never gated on single samples here.
+# cohort share and root-hop bytes, longrun_monitored's cohort share under DP)
+# — perf/ is the one benchmark; throughput is compared there
+# (perf/compare.py), never gated on single samples here.
 #
 #   scripts/check.sh            # tier-1 + perf smoke (the pre-merge check)
 #   scripts/check.sh --slow     # additionally run the slow sweep tier
@@ -48,6 +49,10 @@ python3 -c "import json; n = json.load(open('perf/out/result.json'))['workloads'
 # each of its 16 edges answers the root's one global with a block-built summary
 # of 2-3 components (<= 4 gated): 16 * (1 + 4) vectors of 11,018 float64.
 python3 -c "import json; row = json.load(open('perf/out/result.json'))['workloads']['hier_int8']['per_layer']; share, nbytes = row['core.batched.cohort_share'], row['hier.root.bytes_per_round']; assert share == 1, f'hier_int8: cohort_share {share} - lossy-wire clients fell back to per-client updates'; assert nbytes <= 16 * (1 + 4) * 11018 * 8, f'hier_int8: {nbytes} root-hop bytes per round (bound 7051520) - edge summaries grew past 4 components'"
+# longrun_monitored's 16 ICEADMM clients run as cohorts although they are
+# differentially private: clip and Laplace noise are the algorithm body's
+# per-lane epilogue, not a reason to fall back.
+python3 -c "import json; share = json.load(open('perf/out/result.json'))['workloads']['longrun_monitored']['per_layer']['core.batched.cohort_share']; assert share == 1, f'longrun_monitored: cohort_share {share} - DP clients fell back to per-client updates'"
 echo "src/ LOC: $(find src -name '*.py' | xargs wc -l | tail -1)"
 # ROADMAP "one round engine" bar: the five runner/edge files stay <= 2,437.
 echo "runner/edge LOC: $(wc -l src/repro/core/runner.py src/repro/hier/edge.py \

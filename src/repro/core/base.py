@@ -24,31 +24,25 @@ invariant is:
   optimizer ``step()``, ``p.data[...] = v``) keeps the views valid; the views
   are only invalidated by re-homing the model into *another* vectorizer
   (create at most one flat vectorizer per model).
-* ``load_vector`` is a single ``memcpy`` (and a no-op when handed the buffer
-  itself), ``grad_vector`` returns the gradient buffer *view* without
-  copying, and ``zero_grad`` is one vectorised fill — the per-batch
-  flatten/unflatten round trip, per-parameter ``np.concatenate`` and
-  ``np.zeros_like`` allocations of the original implementation all disappear
-  from the hot path.
-* ``to_vector`` still returns a *copy* (one ``memcpy``), because callers (the
-  algorithms, tests, user code) treat the result as their own snapshot.
+* ``load_vector`` is a single ``memcpy`` (a no-op when handed the buffer
+  itself), ``grad_vector`` returns the gradient buffer *view*, ``zero_grad``
+  is one fill, and ``to_vector`` returns a *copy* the caller owns.
 
-The seed's per-call flatten/unflatten engine is gone; the float64 global
-vectors it produced are frozen in ``tests/golden/flat_engine_params.json``,
-which this engine still matches bit for bit.
+The float64 global vectors of the seed's per-call flatten/unflatten engine are
+frozen in ``tests/golden/flat_engine_params.json``; this engine still matches
+them bit for bit.
 
-Clients obtain their round-local working vector via :meth:`BaseClient.
-local_params`: that vector *is* the model's parameter buffer, so the
-per-batch ``load_vector`` inside :meth:`BaseClient.batch_gradient`
-degenerates to an identity check and the algorithms' fused in-place updates
-(``iiadmm``/``iceadmm``/``fedavg``) write straight into model memory.
+The built-in algorithms are one body each over ``(B, dim)`` rows
+(``update_rows``); :meth:`BaseClient.update` runs it at B=1 on
+:class:`OwnRows`, whose ``Z`` *is* the model's parameter buffer — so the
+fused in-place updates write straight into model memory.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +54,7 @@ from ..privacy import Mechanism, NoPrivacy, clip_by_norm, make_mechanism
 from .config import FLConfig
 from .partial import ExactPartial
 
-__all__ = ["ModelVectorizer", "BaseClient", "BaseServer", "ADMMClient", "ADMMServer"]
+__all__ = ["ModelVectorizer", "BaseClient", "OwnRows", "BaseServer", "ADMMClient", "ADMMServer"]
 
 GLOBAL_KEY = "global"
 PRIMAL_KEY = "primal"
@@ -198,13 +192,20 @@ class BaseClient:
     def update(self, global_payload: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Run one round of local training; return the payload to upload.
 
-        Differential privacy note: clip/noise the returned values *here*
-        (via :meth:`clip_gradient` / :meth:`privatize`).  The wire codec
+        Runs :meth:`update_rows` at B=1; a plug-and-play client overrides this
+        instead.  Differential privacy note: clip/noise the returned values
+        *here* (via :meth:`clip_gradient` / :meth:`privatize`).  The wire codec
         encodes the payload only after this method returns, so quantization
         and sparsification are post-processing of the already-released value
         and the DP guarantee survives any configured codec stack.
         """
-        raise NotImplementedError("BaseClient subclasses must implement update()")
+        w = np.asarray(global_payload[GLOBAL_KEY])
+        return self.update_rows([self], w, OwnRows(self, w))[0]
+
+    @staticmethod
+    def update_rows(lanes: Sequence["BaseClient"], w: np.ndarray, rows) -> List[Dict[str, np.ndarray]]:
+        """One round of ``B`` same-config clients over ``(B, dim)`` rows: their uploads."""
+        raise NotImplementedError("BaseClient subclasses must implement update() or update_rows()")
 
     def reconcile_upload(
         self, sent: Mapping[str, np.ndarray], echo: Mapping[str, np.ndarray]
@@ -254,10 +255,8 @@ class BaseClient:
         return len(self.dataset)
 
     def local_params(self, init: np.ndarray) -> np.ndarray:
-        """Round-local working parameter vector, initialised to ``init``: the
-        model's own parameter buffer (zero-copy; the per-batch ``load_vector``
-        inside :meth:`batch_gradient` then becomes a no-op).
-        """
+        """Round-local working parameters, initialised to ``init``: the
+        model's own parameter buffer (zero-copy)."""
         z = self.vectorizer.flat_params
         np.copyto(z, init)
         return z
@@ -299,6 +298,26 @@ class BaseClient:
         with nn.no_grad():
             logits = self.model(nn.Tensor(x, dtype=self._dtype))
         return float(nn.functional.cross_entropy(logits, y).item())
+
+
+class OwnRows:
+    """Rows at B=1: ``(1, dim)`` views of one client's parameters ``Z`` (set to
+    ``w``), scratch ``S`` and :meth:`block` vectors (its own, whatever ``keep``
+    says); gradients from its tape."""
+
+    def __init__(self, client: BaseClient, w: np.ndarray):
+        self.client, self.z = client, client.local_params(w)
+        self.Z, self.S = self.z[None], client._scratch[None]
+
+    def block(self, attr: str, keep: bool = True) -> np.ndarray:
+        return getattr(self.client, attr)[None]
+
+    def batches(self):
+        for batch_x, batch_y in self.client.loader:
+            yield self.client.batch_gradient(self.z, batch_x, batch_y)[None]
+
+    def full(self) -> np.ndarray:
+        return self.client.full_gradient(self.z)[None]
 
 
 class BaseServer:

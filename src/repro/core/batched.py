@@ -7,7 +7,11 @@ stacks *B* same-shaped clients' flat parameter vectors into a ``(B, dim)``
 matrix and runs their entire local update — forward, backward, and the
 algorithm's fused parameter/dual steps — as single batched GEMM/ufunc calls
 per mini-batch step, via the kernels in :mod:`repro.nn.batched` and the
-stacked data movement of :class:`repro.data.CohortLoader`.
+stacked data movement of :class:`repro.data.CohortLoader`.  The algorithm
+is not restated here: each client class has one body over rows,
+``update_rows``, which ``update()`` runs at B=1 on the client's own buffers
+and :func:`_run_cohort` runs on the pooled stacks of :class:`_CohortRows` —
+DP's per-row clip and per-lane noise epilogue included.
 
 Equivalence contract
 --------------------
@@ -17,14 +21,14 @@ float32; see ``tests/test_batched.py``):
 
 * the kernels replay the exact per-client op sequence (same GEMM shapes per
   lane, same reduction order within a client — see
-  :mod:`repro.nn.batched`), and the algorithm loops below replay the exact
-  fused in-place updates of :mod:`repro.core.fedavg` / ``iiadmm`` /
-  ``iceadmm`` on stacked rows (elementwise, so per-row identical);
-* each lane's data order comes from that client's own RNG
-  (:meth:`~repro.data.CohortLoader.epoch`), so client state — round counter,
-  generator state, ADMM duals/primals, the model's parameter buffer — ends
-  the round bit-identical to per-client execution, which keeps checkpoints,
-  store spills, and mid-run fallback between the two paths interchangeable;
+  :mod:`repro.nn.batched`); the body's fused updates are elementwise, and
+  its clip reduces each contiguous row as it does the lone vector;
+* each lane's data order and DP noise come from that client's own RNG
+  (:meth:`~repro.data.CohortLoader.epoch`, the lane's own ``privatize``), so
+  client state — round counter, generator state, ADMM duals/primals, the
+  model's parameter buffer — ends the round bit-identical to per-client
+  execution, which keeps checkpoints, store spills, and mid-run fallback
+  between the two paths interchangeable;
 * per-client uploads are scattered back as individual payload dicts, so the
   server-side fold (``ExactPartial``) sees exactly the per-client terms it
   would have seen — aggregation stays bit-stable.
@@ -33,15 +37,15 @@ Eligibility & fallback
 ----------------------
 Only exact instances of the three built-in clients (``FedAvgClient``,
 ``IIADMMClient``, ``ICEADMMClient``) with a compilable model (``MLP`` /
-``LogisticRegression`` — a pure Linear/ReLU chain) and privacy disabled
-qualify; everything else (user subclasses, DP-enabled runs, CNN models) falls
-back to the per-client path, as do leftover singleton groups —
+``LogisticRegression`` — a pure Linear/ReLU chain) qualify; user subclasses,
+CNN models and leftover singleton groups run per client —
 :func:`fallback_reason` names which, and
-:class:`~repro.core.executor.LocalExecutor` counts them.  The wire does not
-matter: encode and ``reconcile`` stay per client after the cohort, and the one
-client with reconcile state, IIADMM, has its stash (pre-update dual,
-dispatched global, ρ) written per lane before the stacked line-21 update.
-The gate lives in :meth:`repro.core.executor.LocalExecutor.update`, keyed on
+:class:`~repro.core.executor.LocalExecutor` counts them.  Neither DP nor the
+wire matters: encode and ``reconcile`` stay per client after the cohort, and
+the body writes IIADMM's reconcile stash per lane.  Configs that differ in a
+stepping scalar or in the privacy settings never share a cohort
+(:func:`_cohort_key`).  The gate lives in
+:meth:`repro.core.executor.LocalExecutor.update`, keyed on
 ``FLConfig.client_batch``; ``client_batch=1`` never enters this module.
 """
 
@@ -56,7 +60,7 @@ from .. import nn
 from ..data.dataloader import CohortLoader
 from ..nn.batched import batched_step_gradient
 from ..nn.functional import _pool
-from .base import DUAL_KEY, GLOBAL_KEY, PRIMAL_KEY, BaseClient
+from .base import GLOBAL_KEY, BaseClient
 from .fedavg import FedAvgClient
 from .iceadmm import ICEADMMClient
 from .iiadmm import IIADMMClient
@@ -141,17 +145,15 @@ def _compile_model_spec(model, vec) -> Optional[Tuple]:
 
 def supports_batched(client: BaseClient) -> bool:
     """Cheap structural gate (model compilability is checked separately)."""
-    return type(client) in _BATCHABLE and not client.config.privacy.enabled
+    return type(client) in _BATCHABLE
 
 
 def fallback_reason(client: BaseClient) -> str:
     """Why ``client`` ran per client although cohorts were requested:
-    ``"client_type"`` | ``"privacy"`` | ``"model"``, else ``"singleton"`` (it
-    qualifies, but no second lane shared its cohort key)."""
+    ``"client_type"`` | ``"model"``, else ``"singleton"`` (it qualifies, but
+    no second lane shared its cohort key)."""
     if type(client) not in _BATCHABLE:
         return "client_type"
-    if client.config.privacy.enabled:
-        return "privacy"
     if compile_model_spec(client) is None:
         return "model"
     return "singleton"
@@ -195,6 +197,8 @@ def _config_key(cfg) -> Tuple:
                 cfg.adaptive_rho,
                 cfg.rho_growth,
                 cfg.dtype,
+                # Every lane is clipped and calibrated with these settings.
+                cfg.privacy,
             ),
         )
         _config_key_cache[id(cfg)] = entry
@@ -241,127 +245,60 @@ def _same_cohort(client: BaseClient, rep: BaseClient) -> bool:
     return client.vectorizer.layout == rep.vectorizer.layout
 
 
-# ----------------------------------------------------------- algorithm loops
-def _fedavg_cohort(clients, w, Z, G, S, spec, loader) -> Dict[int, Dict[str, np.ndarray]]:
-    """Stacked FedAvg: L epochs of mini-batch SGD with momentum per lane."""
-    cfg = clients[0].config
-    B, dim = Z.shape
-    vkey = ("cohort_vel", B, dim, Z.dtype.str)
-    V = _pool.acquire(vkey, (B, dim), Z.dtype)
-    # Per-client resets its persistent momentum buffer at round start; a
-    # pooled (possibly dirty) stack zeroed here is the same starting state.
-    V.fill(0.0)
-    for _ in range(cfg.local_steps):
-        loader.epoch()
-        for xb, yb in loader.batches():
-            batched_step_gradient(spec, Z, G, xb, yb)
-            if cfg.momentum:
-                V *= cfg.momentum
-                V += G
-                step = V
-            else:
-                step = G
-            np.multiply(step, cfg.lr, out=S)
-            Z -= S
-    _pool.release(vkey, V)
+# ---------------------------------------------------------------- cohort rows
+class _CohortRows:
+    """A cohort's rows for the algorithm bodies: pooled ``(B, dim)`` stacks
+    (``Z`` starting at ``w``), gradients from :func:`batched_step_gradient`
+    over the stacked lanes' data."""
 
-    # One bulk copy off the pooled stack; each upload payload is a row view
-    # of this fresh (unpooled) array, so later pool reuse cannot touch it.
-    Zc = Z.copy()
-    uploads: Dict[int, Dict[str, np.ndarray]] = {}
-    for b, client in enumerate(clients):
-        np.copyto(client.vectorizer.flat_params, Zc[b])
-        client.round += 1
-        uploads[client.client_id] = {PRIMAL_KEY: Zc[b]}
-    return uploads
+    def __init__(self, lanes: Sequence[BaseClient], w: np.ndarray, spec: Tuple):
+        self.lanes, self.spec = lanes, spec
+        self._held: List[Tuple[Tuple, np.ndarray, Optional[str]]] = []
+        self.Z = self._acquire("z")
+        self.G = self._acquire("g")
+        self.S = self._acquire("s")
+        self.Z[:] = w  # local_params per lane: z ← w
+        self.loader = CohortLoader([c.loader for c in lanes], pool=_pool)
 
+    def _acquire(self, name: str, attr: Optional[str] = None) -> np.ndarray:
+        vec = self.lanes[0].vectorizer
+        shape = (len(self.lanes), vec.dim)
+        key = ("cohort_" + name,) + shape + (vec.dtype.str,)
+        buf = _pool.acquire(key, shape, vec.dtype)
+        self._held.append((key, buf, attr))
+        return buf
 
-def _iiadmm_cohort(clients, w, Z, G, S, spec, loader) -> Dict[int, Dict[str, np.ndarray]]:
-    """Stacked IIADMM: batched inexact primal updates + local dual update."""
-    cfg = clients[0].config
-    rho, zeta = clients[0]._rho, cfg.zeta
-    B, dim = Z.shape
-    dkey = ("cohort_dual", B, dim, Z.dtype.str)
-    D = _pool.acquire(dkey, (B, dim), Z.dtype)
-    for b, client in enumerate(clients):
-        np.copyto(D[b], client.dual)
-    for _ in range(cfg.local_steps):
-        loader.epoch()
-        for xb, yb in loader.batches():
-            batched_step_gradient(spec, Z, G, xb, yb)
-            # Line 16 of Algorithm 1, fused exactly as the per-client loop:
-            # z -= (g − λ_p − ρ(w − z)) / (ρ + ζ), with w broadcasting rows.
-            np.subtract(w, Z, out=S)
-            S *= rho
-            G -= D
-            G -= S
-            G /= rho + zeta
-            Z -= G
+    def block(self, attr: str, keep: bool = True) -> np.ndarray:
+        """The lanes' ``attr`` vectors as rows (``keep=False``: a round-local
+        buffer, neither loaded nor written back)."""
+        X = self._acquire(attr, attr if keep else None)
+        if keep:
+            for b, client in enumerate(self.lanes):
+                np.copyto(X[b], getattr(client, attr))
+        return X
 
-    # Bulk copy off the pooled stack: upload payloads are row views of this
-    # fresh (unpooled) array — pool reuse cannot touch them, and client.primal
-    # aliases the transmitted row exactly as the per-client path does.
-    Zc = Z.copy()
-    uploads: Dict[int, Dict[str, np.ndarray]] = {}
-    for b, client in enumerate(clients):
-        upload = Zc[b]
-        client.primal = upload
-        np.copyto(client.vectorizer.flat_params, Zc[b])
-        uploads[client.client_id] = {PRIMAL_KEY: upload}
-        client.stash_for_reconcile(D[b], w, rho)
-    # Line 21, stacked: λ_p += ρ (w − z_p) with the transmitted primals.
-    np.subtract(w, Z, out=S)
-    S *= rho
-    D += S
-    for b, client in enumerate(clients):
-        np.copyto(client.dual, D[b])
-        if cfg.adaptive_rho:
-            client._rho *= cfg.rho_growth
-        client.round += 1
-    _pool.release(dkey, D)
-    return uploads
+    def batches(self):
+        self.loader.epoch()
+        for xb, yb in self.loader.batches():
+            batched_step_gradient(self.spec, self.Z, self.G, xb, yb)
+            yield self.G
 
+    def full(self) -> np.ndarray:
+        batched_step_gradient(self.spec, self.Z, self.G, *self.loader.full_stack())
+        return self.G
 
-def _iceadmm_cohort(clients, w, Z, G, S, spec, loader) -> Dict[int, Dict[str, np.ndarray]]:
-    """Stacked ICEADMM: L full-gradient primal+dual updates per lane."""
-    cfg = clients[0].config
-    rho, zeta = clients[0]._rho, cfg.zeta
-    B, dim = Z.shape
-    dkey = ("cohort_dual", B, dim, Z.dtype.str)
-    L = _pool.acquire(dkey, (B, dim), Z.dtype)
-    for b, client in enumerate(clients):
-        np.copyto(L[b], client.dual)
-    xf, yf = loader.full_stack()  # full-batch gradients: no RNG consumed
-    for _ in range(cfg.local_steps):
-        batched_step_gradient(spec, Z, G, xf, yf)
-        np.subtract(w, Z, out=S)
-        S *= rho
-        G -= L
-        G -= S
-        G /= rho + zeta
-        Z -= G
-        # λ += ρ(w − z) with the freshly updated z.
-        np.subtract(w, Z, out=S)
-        S *= rho
-        L += S
+    def write_back(self) -> None:
+        """Hand every lane its parameters and kept blocks, as its own ``update()`` leaves them."""
+        for b, client in enumerate(self.lanes):
+            np.copyto(client.vectorizer.flat_params, self.Z[b])
+            for _key, buf, attr in self._held:
+                if attr is not None:
+                    np.copyto(getattr(client, attr), buf[b])
 
-    # Bulk copies off the pooled stacks: payloads are row views of fresh
-    # (unpooled) arrays, safe against pool reuse; client.primal aliases the
-    # transmitted row exactly as the per-client path does.
-    Zc = Z.copy()
-    Lc = L.copy()
-    uploads: Dict[int, Dict[str, np.ndarray]] = {}
-    for b, client in enumerate(clients):
-        primal = Zc[b]
-        client.primal = primal
-        np.copyto(client.dual, Lc[b])
-        np.copyto(client.vectorizer.flat_params, Zc[b])
-        if cfg.adaptive_rho:
-            client._rho *= cfg.rho_growth
-        client.round += 1
-        uploads[client.client_id] = {PRIMAL_KEY: primal, DUAL_KEY: Lc[b]}
-    _pool.release(dkey, L)
-    return uploads
+    def release(self) -> None:
+        self.loader.close()
+        for key, buf, _attr in self._held:
+            _pool.release(key, buf)
 
 
 def _run_cohort(
@@ -369,35 +306,18 @@ def _run_cohort(
     spec: Tuple,
     payloads: Mapping[int, Mapping[str, np.ndarray]],
 ) -> Dict[int, Dict[str, np.ndarray]]:
-    """One cohort's full local update; returns per-client upload payloads."""
-    first = cohort[0]
+    """One cohort's local update through its algorithm's body; returns the
+    per-client upload payloads."""
     # The runners broadcast one global snapshot per round, so every member's
     # decoded payload is bitwise the same vector — lane 0's serves the stack.
-    w = np.asarray(payloads[first.client_id][GLOBAL_KEY])
-    B, dim = len(cohort), first.vectorizer.dim
-    dtype = first.vectorizer.dtype
-    zkey = ("cohort_z", B, dim, dtype.str)
-    gkey = ("cohort_g", B, dim, dtype.str)
-    skey = ("cohort_s", B, dim, dtype.str)
-    Z = _pool.acquire(zkey, (B, dim), dtype)
-    G = _pool.acquire(gkey, (B, dim), dtype)
-    S = _pool.acquire(skey, (B, dim), dtype)
-    Z[:] = w  # local_params per lane: z ← w
-    loader = CohortLoader([c.loader for c in cohort], pool=_pool)
+    w = np.asarray(payloads[cohort[0].client_id][GLOBAL_KEY])
+    rows = _CohortRows(cohort, w, spec)
     try:
-        cls = type(first)
-        if cls is FedAvgClient:
-            return _fedavg_cohort(cohort, w, Z, G, S, spec, loader)
-        if cls is IIADMMClient:
-            return _iiadmm_cohort(cohort, w, Z, G, S, spec, loader)
-        if cls is ICEADMMClient:
-            return _iceadmm_cohort(cohort, w, Z, G, S, spec, loader)
-        raise TypeError(f"no batched kernel for {cls.__name__}")
+        sent = type(cohort[0]).update_rows(cohort, w, rows)
+        rows.write_back()
     finally:
-        loader.close()
-        _pool.release(zkey, Z)
-        _pool.release(gkey, G)
-        _pool.release(skey, S)
+        rows.release()
+    return {client.client_id: upload for client, upload in zip(cohort, sent)}
 
 
 def run_batched_updates(

@@ -105,8 +105,7 @@ class FLConfig:
     #   stack up to that many same-shaped clients' flat parameter vectors
     #   into a (B, dim) matrix and run their local updates as single batched
     #   GEMM/ufunc calls per step; clients without a batched kernel (CNN
-    #   models, privacy enabled, lossy codecs, custom algorithms) fall back
-    #   to the per-client path.  Batched results are bitwise identical to
+    #   models, custom algorithms) fall back to the per-client path.  Batched results are bitwise identical to
     #   per-client execution at float64 on the linear/MLP path.
     client_batch: int = 1
 

@@ -14,12 +14,12 @@ calibrated to the FedAvg sensitivity ``Δ = 2·C·η`` (Section III-B/IV-B).
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..privacy import FedAvgSensitivity
-from .base import GLOBAL_KEY, PRIMAL_KEY, BaseClient, BaseServer
+from ..privacy import FedAvgSensitivity, clip_rows, release_rows
+from .base import PRIMAL_KEY, BaseClient, BaseServer
 
 __all__ = ["FedAvgClient", "FedAvgServer"]
 
@@ -32,36 +32,37 @@ class FedAvgClient(BaseClient):
         # Momentum buffer, reset (not reallocated) at the start of each round.
         self._velocity = np.zeros(self.vectorizer.dim, dtype=self.vectorizer.dtype)
 
-    def update(self, global_payload: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        cfg = self.config
-        z = self.local_params(np.asarray(global_payload[GLOBAL_KEY]))
-        velocity = self._velocity
-        velocity.fill(0.0)
-        s = self._scratch
+    @staticmethod
+    def update_rows(lanes, w, rows) -> List[Dict[str, np.ndarray]]:
+        """One FedAvg round over rows: parameters ``Z`` (starting at ``w``),
+        gradients ``G``, velocity ``V`` and scratch ``S``."""
+        cfg = lanes[0].config
+        Z, S, V = rows.Z, rows.S, rows.block("_velocity", keep=False)
+        V.fill(0.0)  # the momentum starts from zero every round
         for _ in range(cfg.local_steps):
-            for batch_x, batch_y in self.loader:
-                grad = self.batch_gradient(z, batch_x, batch_y)
-                grad = self.clip_gradient(grad)
+            for G in rows.batches():
+                if cfg.privacy.enabled:
+                    clip_rows(G, cfg.privacy.clip_norm)
                 if cfg.momentum:
-                    velocity *= cfg.momentum
-                    velocity += grad
-                    step = velocity
+                    V *= cfg.momentum
+                    V += G
+                    step = V
                 else:
-                    step = grad
+                    step = G
                 # Fused in place: z -= lr * step.
-                np.multiply(step, cfg.lr, out=s)
-                z -= s
+                np.multiply(step, cfg.lr, out=S)
+                Z -= S
 
+        delta = 0.0
         if cfg.privacy.enabled:
-            num_steps = cfg.local_steps * max(1, len(self.loader))
-            sensitivity = FedAvgSensitivity(
+            num_steps = cfg.local_steps * max(1, len(lanes[0].loader))
+            delta = FedAvgSensitivity(
                 clip_norm=cfg.privacy.clip_norm, lr=cfg.lr, num_steps=num_steps
             ).sensitivity()
-            z = self.privatize(z, sensitivity)
-        else:
-            z = z.copy()
-        self.round += 1
-        return {PRIMAL_KEY: z}
+        (sent,) = release_rows(lanes, (Z, delta))
+        for client in lanes:
+            client.round += 1
+        return [{PRIMAL_KEY: z} for z in sent]
 
 
 class FedAvgServer(BaseServer):

@@ -21,12 +21,13 @@ noise calibrated to the IADMM sensitivity ``Δ = 2C/(ρ+ζ)``.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping
 
 import numpy as np
 
-from ..privacy import IADMMSensitivity
-from .base import DUAL_KEY, GLOBAL_KEY, PRIMAL_KEY, ADMMClient, ADMMServer
+from ..privacy import IADMMSensitivity, clip_rows, release_rows
+from .base import DUAL_KEY, PRIMAL_KEY, ADMMClient, ADMMServer
+from .iiadmm import dual_step, primal_step
 
 __all__ = ["ICEADMMClient", "ICEADMMServer"]
 
@@ -34,46 +35,35 @@ __all__ = ["ICEADMMClient", "ICEADMMServer"]
 class ICEADMMClient(ADMMClient):
     """ICEADMM client: L full-gradient primal+dual updates per round."""
 
-    def update(self, global_payload: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        cfg = self.config
-        w = np.asarray(global_payload[GLOBAL_KEY])
-        rho, zeta = self._rho, cfg.zeta
-        s = self._scratch
-
-        z = self.local_params(w)
-        lam = self.dual  # updated in place; persists as the next round's λ_p
+    @staticmethod
+    def update_rows(lanes, w, rows) -> List[Dict[str, np.ndarray]]:
+        """``L`` full-gradient primal+dual updates over rows: primals ``Z``, gradients
+        ``G``, duals ``D`` (λ, kept as the next round's λ_p), scratch ``S``."""
+        cfg = lanes[0].config
+        rho, zeta = lanes[0].rho, cfg.zeta
+        Z, S, D = rows.Z, rows.S, rows.block("dual")
         for _ in range(cfg.local_steps):
-            g = self.full_gradient(z)
-            g = self.clip_gradient(g)
-            # Fused in place: z -= (g − λ − ρ(w − z)) / (ρ + ζ).
-            np.subtract(w, z, out=s)
-            s *= rho
-            g -= lam
-            g -= s
-            g /= rho + zeta
-            z -= g
-            # λ += ρ(w − z) with the freshly updated z.
-            np.subtract(w, z, out=s)
-            s *= rho
-            lam += s
+            G = rows.full()
+            if cfg.privacy.enabled:
+                clip_rows(G, cfg.privacy.clip_norm)
+            primal_step(w, Z, G, D, S, rho, zeta)
+            dual_step(w, Z, D, S, rho)  # λ += ρ(w − z) with the freshly updated z
 
-        self.primal = z.copy()
-
+        delta = 0.0
         if cfg.privacy.enabled:
-            sensitivity = IADMMSensitivity(clip_norm=cfg.privacy.clip_norm, rho=rho, zeta=zeta).sensitivity()
-            upload_z = self.privatize(z, sensitivity)
-            # The dual is the sum of L increments of magnitude up to ρ·Δz each,
-            # so its sensitivity is L·ρ times the primal's.
-            upload_lam = self.privatize(lam, sensitivity * rho * cfg.local_steps)
-        else:
-            # Copies: z and lam alias this client's persistent buffers.
-            upload_z, upload_lam = self.primal, lam.copy()
-
-        if cfg.adaptive_rho:
-            self._rho *= cfg.rho_growth
-        self.round += 1
+            delta = IADMMSensitivity(clip_norm=cfg.privacy.clip_norm, rho=rho, zeta=zeta).sensitivity()
+        # The dual is the sum of L increments of magnitude up to ρ·Δz each,
+        # so its sensitivity is L·ρ times the primal's.
+        sent_z, sent_lam = release_rows(lanes, (Z, delta), (D, delta * rho * cfg.local_steps))
+        # client.primal keeps the un-noised z.
+        primals = Z.copy() if cfg.privacy.enabled else sent_z
+        for b, client in enumerate(lanes):
+            client.primal = primals[b]
+            if cfg.adaptive_rho:
+                client._rho *= cfg.rho_growth
+            client.round += 1
         # Both primal and dual travel to the server (2x IIADMM's payload).
-        return {PRIMAL_KEY: upload_z, DUAL_KEY: upload_lam}
+        return [{PRIMAL_KEY: z, DUAL_KEY: lam} for z, lam in zip(sent_z, sent_lam)]
 
 
 class ICEADMMServer(ADMMServer):

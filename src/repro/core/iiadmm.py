@@ -20,15 +20,33 @@ sensitivity ``Δ = 2C / (ρ + ζ)``.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping
 
 import numpy as np
 
 from ..comm.codecs import resolve_codec
-from ..privacy import IADMMSensitivity
-from .base import GLOBAL_KEY, PRIMAL_KEY, ADMMClient, ADMMServer
+from ..privacy import IADMMSensitivity, clip_rows, release_rows
+from .base import PRIMAL_KEY, ADMMClient, ADMMServer
 
 __all__ = ["IIADMMClient", "IIADMMServer"]
+
+
+def primal_step(w, Z, G, D, S, rho: float, zeta: float) -> None:
+    """Line 16 on rows, fused in place: z -= (g − λ_p − ρ(w − z)) / (ρ + ζ)
+    (``G`` and ``S`` are consumed)."""
+    np.subtract(w, Z, out=S)
+    S *= rho
+    G -= D
+    G -= S
+    G /= rho + zeta
+    Z -= G
+
+
+def dual_step(w, X, D, S, rho: float) -> None:
+    """Lines 6/21, in place: λ_p += ρ (w − x) (``S`` is consumed)."""
+    np.subtract(w, X, out=S)
+    S *= rho
+    D += S
 
 
 class IIADMMClient(ADMMClient):
@@ -53,56 +71,45 @@ class IIADMMClient(ADMMClient):
         self._sent_global: np.ndarray = None
         self._sent_rho = self._rho
 
-    def update(self, global_payload: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        cfg = self.config
-        w = np.asarray(global_payload[GLOBAL_KEY])
-        rho, zeta = self._rho, cfg.zeta
-        s = self._scratch
-
-        # Line 11: start local updates from the received global model (under
-        # the flat engine, z *is* the model's parameter buffer).
-        z = self.local_params(w)
+    @staticmethod
+    def update_rows(lanes, w, rows) -> List[Dict[str, np.ndarray]]:
+        """Lines 11-22 of Algorithm 1 over rows: primals ``Z``, gradients
+        ``G``, duals ``D`` (= λ_p) and scratch ``S``."""
+        cfg = lanes[0].config
+        rho, zeta = lanes[0].rho, cfg.zeta
+        # Line 11: Z starts at the received global model w.
+        Z, S, D = rows.Z, rows.S, rows.block("dual")
         for _ in range(cfg.local_steps):  # line 13: local steps ℓ = 1..L
-            for batch_x, batch_y in self.loader:  # line 14: batches b = 1..B_p
-                g = self.batch_gradient(z, batch_x, batch_y)  # line 15
-                g = self.clip_gradient(g)
-                # Line 16, fused in place: z -= (g − λ_p − ρ(w − z)) / (ρ + ζ).
-                np.subtract(w, z, out=s)
-                s *= rho
-                g -= self.dual
-                g -= s
-                g /= rho + zeta
-                z -= g
+            for G in rows.batches():  # lines 14-15: batches b = 1..B_p
+                if cfg.privacy.enabled:
+                    clip_rows(G, cfg.privacy.clip_norm)
+                primal_step(w, Z, G, D, S, rho, zeta)  # line 16
 
+        delta = 0.0
         if cfg.privacy.enabled:
-            sensitivity = IADMMSensitivity(clip_norm=cfg.privacy.clip_norm, rho=rho, zeta=zeta).sensitivity()
-            upload = self.privatize(z, sensitivity)
-        else:
-            upload = z.copy()  # line 20/22: the primal that will be transmitted
-
-        self.primal = upload
+            delta = IADMMSensitivity(clip_norm=cfg.privacy.clip_norm, rho=rho, zeta=zeta).sensitivity()
+        (sent,) = release_rows(lanes, (Z, delta))  # line 20/22: the transmitted primals
+        for b, client in enumerate(lanes):
+            client.primal = sent[b]
+            client.stash_for_reconcile(D[b], w, rho)
         # Line 21: client-side dual update.  It must use the *transmitted*
         # primal (perturbed under DP) — otherwise the client's dual and the
         # server's replica (line 6, which only sees the transmitted value)
         # would silently drift apart and the two updates would no longer be
         # "independent but identical" as Algorithm 1 requires.  Under a lossy
-        # codec the server sees the *decoded* primal instead; stash what
-        # reconcile_upload needs to replay this update from the echo.
-        self.stash_for_reconcile(self.dual, w, rho)
-        np.subtract(w, upload, out=s)
-        s *= rho
-        self.dual += s
-
-        if cfg.adaptive_rho:
-            self._rho *= cfg.rho_growth
-        self.round += 1
+        # codec the server sees the *decoded* primal instead; the stash above
+        # is what reconcile_upload replays this update from.
+        dual_step(w, sent, D, S, rho)
+        for client in lanes:
+            if cfg.adaptive_rho:
+                client._rho *= cfg.rho_growth
+            client.round += 1
         # Line 22 / line 5: only the primal is communicated.
-        return {PRIMAL_KEY: upload}
+        return [{PRIMAL_KEY: z} for z in sent]
 
     def stash_for_reconcile(self, dual: np.ndarray, w: np.ndarray, rho: float) -> None:
         """Keep what :meth:`reconcile_upload` replays line 21 from — the
-        pre-update dual, the dispatched global and ρ (lossy wire only; the
-        stacked cohort loop calls this per lane)."""
+        pre-update dual, the dispatched global and ρ (lossy wire only)."""
         if self._lossy_wire:
             np.copyto(self._dual_base, dual)
             self._sent_global = w
@@ -160,10 +167,7 @@ class IIADMMServer(ADMMServer):
         """
         z = np.asarray(payload[PRIMAL_KEY])
         self.primals[cid] = z
-        s = self._scratch
-        np.subtract(dispatched_global, z, out=s)
-        s *= self._rho
-        self.duals[cid] += s
+        dual_step(dispatched_global, z, self.duals[cid], self._scratch, self._rho)
 
     def consensus_residual(self) -> float:
         """L2 norm of the primal consensus residual ``max_p ||w − z_p||`` (diagnostic)."""

@@ -10,7 +10,12 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-__all__ = ["clip_by_norm", "clip_state_by_global_norm", "global_norm"]
+__all__ = ["clip_by_norm", "clip_rows", "clip_state_by_global_norm", "global_norm"]
+
+
+def _within(norm: float, max_norm: float) -> bool:
+    """The one clipping predicate: a vector of this ``norm`` is left as it is."""
+    return norm <= max_norm or norm == 0.0
 
 
 def global_norm(state: Mapping[str, np.ndarray]) -> float:
@@ -27,9 +32,19 @@ def clip_by_norm(values: np.ndarray, max_norm: float) -> np.ndarray:
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     norm = float(np.linalg.norm(values))
-    if norm <= max_norm or norm == 0.0:
+    if _within(norm, max_norm):
         return np.array(values, copy=True)
     return values * (max_norm / norm)
+
+
+def clip_rows(rows: np.ndarray, max_norm: float) -> None:
+    """Clip every row of a ``(B, dim)`` block in place, each exactly as
+    :func:`clip_by_norm` clips it alone (a contiguous row's norm reduces like
+    the standalone vector's)."""
+    for row in rows:
+        norm = float(np.linalg.norm(row))
+        if not _within(norm, max_norm):
+            row *= max_norm / norm
 
 
 def clip_state_by_global_norm(state: Mapping[str, np.ndarray], max_norm: float) -> Tuple[Dict[str, np.ndarray], float]:
@@ -41,7 +56,7 @@ def clip_state_by_global_norm(state: Mapping[str, np.ndarray], max_norm: float) 
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     norm = global_norm(state)
-    if norm <= max_norm or norm == 0.0:
+    if _within(norm, max_norm):
         return {k: np.array(v, copy=True) for k, v in state.items()}, norm
     scale = max_norm / norm
     return {k: np.asarray(v) * scale for k, v in state.items()}, norm

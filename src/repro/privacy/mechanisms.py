@@ -9,8 +9,10 @@ upper bound on the sensitivity of the update and ``ε`` is the privacy budget
 A Gaussian mechanism is also provided as an extension point (the paper lists
 more advanced DP methods as future work).
 
-Ordering with wire codecs: clipping and perturbation run inside
-``BaseClient.update`` — *before* the payload reaches the codec stack
+Ordering with wire codecs: clipping and perturbation run inside the
+algorithm body (``update_rows``: a per-row clip after each gradient, then the
+per-lane :func:`release_rows` epilogue, whether the body runs one client or a
+stacked cohort) — *before* the payload reaches the codec stack
 (``FLConfig.codec``) in the exchange layer.  Quantization, sparsification,
 and delta encoding are therefore post-processing of an already-released
 value, which cannot weaken the ε-DP guarantee (the post-processing
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Mechanism", "NoPrivacy", "LaplaceMechanism", "GaussianMechanism", "make_mechanism"]
+__all__ = ["Mechanism", "NoPrivacy", "LaplaceMechanism", "GaussianMechanism", "make_mechanism", "release_rows"]
 
 
 class Mechanism(ABC):
@@ -140,3 +142,19 @@ def make_mechanism(
     if kind == "gaussian":
         return GaussianMechanism(epsilon, rng=rng, **kwargs)
     raise ValueError(f"unknown mechanism kind {kind!r}")
+
+
+def release_rows(lanes: Sequence, *blocks: Tuple[np.ndarray, float]) -> List[np.ndarray]:
+    """Fresh copies of ``(X, Δ)`` row blocks, as they go on the wire.
+
+    Under DP each lane (a client) perturbs its own rows with its own
+    ``privatize`` — its mechanism and RNG — lane by lane and block by block,
+    so every client draws its noise in its per-client order.
+    """
+    if not lanes[0].config.privacy.enabled:
+        return [X.copy() for X, _ in blocks]
+    out = [np.empty_like(X) for X, _ in blocks]
+    for b, client in enumerate(lanes):
+        for sent, (X, delta) in zip(out, blocks):
+            sent[b] = client.privatize(X[b], delta)
+    return out

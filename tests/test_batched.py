@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FLConfig, build_federation
+from repro.core import FederatedRunner, FLConfig, PrivacyConfig, build_federation
 from repro.core.batched import (
     compile_model_spec,
     count_client_steps,
@@ -27,11 +27,25 @@ from repro.core.batched import (
     supports_batched,
 )
 from repro.core.models import MLP, LogisticRegression, PaperCNN
+from repro.core.runner import build_endpoints
 from repro.data import CohortLoader, DataLoader, TensorDataset
 from repro.obs import MetricsRegistry, Tracer, use_tracer
 from repro.scale import RunCheckpoint, build_virtual_federation
 
 ALGORITHMS = ("fedavg", "iiadmm", "iceadmm")
+#: DP is one more input of the equivalence lattice: clipped gradients and each
+#: lane's own noise draws (which consume its RNG) must stay bitwise per client.
+PRIVACY = {
+    "off": PrivacyConfig(),
+    "laplace": PrivacyConfig(epsilon=5.0, clip_norm=0.5),
+    "gaussian": PrivacyConfig(epsilon=5.0, clip_norm=0.5, mechanism="gaussian"),
+}
+#: every algorithm × privacy setting; the DP-off cases keep their plain ids
+ALGORITHM_PRIVACY = [
+    pytest.param(algorithm, privacy, id=algorithm if privacy == "off" else f"{algorithm}-{privacy}")
+    for algorithm in ALGORITHMS
+    for privacy in PRIVACY
+]
 
 
 def _datasets(num_clients, n=4, d=6, classes=3, seed=0):
@@ -54,7 +68,7 @@ def _model_fn(kind="mlp", d=6, classes=3):
     return build
 
 
-def _config(algorithm, dtype="float64", **kwargs):
+def _config(algorithm, dtype="float64", privacy="off", **kwargs):
     return FLConfig(
         algorithm=algorithm,
         num_rounds=2,
@@ -63,6 +77,7 @@ def _config(algorithm, dtype="float64", **kwargs):
         lr=0.05,
         seed=0,
         dtype=dtype,
+        privacy=PRIVACY[privacy],
         **kwargs,
     )
 
@@ -92,13 +107,15 @@ class TestBatchedEquivalence:
         model_kind=st.sampled_from(["mlp", "logistic"]),
         num_clients=st.integers(min_value=2, max_value=9),
         client_batch=st.integers(min_value=2, max_value=8),
+        privacy=st.sampled_from(sorted(PRIVACY)),
     )
-    def test_bitwise_at_float64(self, algorithm, model_kind, num_clients, client_batch):
-        """Random cohort sizes and ragged last cohorts, all three algorithms:
-        batched histories, uploads, and client state are bitwise per-client."""
+    def test_bitwise_at_float64(self, algorithm, model_kind, num_clients, client_batch, privacy):
+        """Random cohort sizes and ragged last cohorts, all three algorithms,
+        with and without DP: batched histories, uploads, and client state
+        (duals, primals, RNG streams) are bitwise per-client."""
         datasets = _datasets(num_clients)
         test = _datasets(1, n=20)[0]
-        cfg = _config(algorithm)
+        cfg = _config(algorithm, privacy=privacy)
         base = build_federation(cfg, _model_fn(model_kind), datasets, test_dataset=test)
         ref = base.run()
         batched = build_federation(
@@ -133,13 +150,14 @@ class TestBatchedEquivalence:
             batched.server.global_params, base.server.global_params, rtol=1e-5, atol=1e-6
         )
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_store_backed_waves_run_as_cohorts(self, algorithm):
+    @pytest.mark.parametrize("algorithm, privacy", ALGORITHM_PRIVACY)
+    def test_store_backed_waves_run_as_cohorts(self, algorithm, privacy):
         """A virtual (store-backed) batched run is bitwise the eager
-        per-client run, wave boundaries and all."""
+        per-client run, wave boundaries and all — under DP too, whose noise
+        draws the spilled RNG states must carry."""
         datasets = _datasets(11)
         test = _datasets(1, n=20)[0]
-        cfg = _config(algorithm)
+        cfg = _config(algorithm, privacy=privacy)
         eager = build_federation(cfg, _model_fn(), datasets, test_dataset=test)
         ref = eager.run()
         virtual = build_virtual_federation(
@@ -149,14 +167,14 @@ class TestBatchedEquivalence:
         assert _history_key(got) == _history_key(ref)
         assert np.array_equal(eager.server.global_params, virtual.server.global_params)
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_mid_run_checkpoint_resume_stays_bitwise(self, algorithm):
+    @pytest.mark.parametrize("algorithm, privacy", ALGORITHM_PRIVACY)
+    def test_mid_run_checkpoint_resume_stays_bitwise(self, algorithm, privacy):
         """Checkpoint a batched store-backed run mid-way, rebuild, restore,
         continue batched — bitwise the uninterrupted batched run (which is
         itself bitwise the per-client run)."""
         datasets = _datasets(9)
         test = _datasets(1, n=20)[0]
-        cfg = replace(_config(algorithm), num_rounds=4, client_batch=3)
+        cfg = replace(_config(algorithm, privacy=privacy), num_rounds=4, client_batch=3)
 
         full = build_virtual_federation(cfg, _model_fn(), datasets, live_cap=6, test_dataset=test)
         reference = full.run(4)
@@ -212,17 +230,46 @@ class TestFallback:
         assert compile_model_spec(batched.clients[0]) is None
         assert np.array_equal(base.server.global_params, batched.server.global_params)
 
-    def test_privacy_disables_batching(self):
+    def test_privacy_runs_as_cohorts(self):
+        """DP clients run as cohorts (no fallback): clip and noise are the
+        body's per-lane epilogue, each lane drawing from its own RNG, so the
+        run still matches a client_batch=1 run bitwise."""
         datasets = _datasets(3)
-        cfg = _config("iiadmm").with_privacy(1.0)
+        cfg = _config("iiadmm", privacy="laplace")
         runner = build_federation(replace(cfg, client_batch=4), _model_fn(), datasets)
-        assert not supports_batched(runner.clients[0])
-        # DP noise draws come from each client's own RNG stream, so the
-        # fallback path must still match a client_batch=1 run bitwise.
+        assert supports_batched(runner.clients[0])
         base = build_federation(cfg, _model_fn(), datasets)
         base.run(1)
         runner.run(1)
+        assert not runner.executor.cohort_fallbacks
         assert np.array_equal(base.server.global_params, runner.server.global_params)
+        assert _client_state_key(runner) == _client_state_key(base)
+
+    def test_cohort_key_separates_privacy_settings(self):
+        """Clients whose configs differ only in ``privacy.clip_norm`` never
+        share a cohort: each setting forms its own, so every lane is clipped
+        with its own client's norm — bitwise the client_batch=1 run."""
+        datasets = _datasets(8)
+
+        def runner(client_batch):
+            tight = _config("fedavg", privacy="laplace", client_batch=client_batch)
+            loose = replace(tight, privacy=replace(tight.privacy, clip_norm=50.0))
+            server, clients = build_endpoints(tight, _model_fn(), datasets)
+            _, others = build_endpoints(loose, _model_fn(), datasets)
+            # Interleaved, so a key blind to privacy would mix the two in one cohort.
+            mixed = [c if c.client_id % 2 == 0 else o for c, o in zip(clients, others)]
+            return FederatedRunner(server, mixed)
+
+        base, batched = runner(1), runner(8)
+        base.run(1)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            batched.run(1)
+        cohorts = [set(r["clients"]) for r in tracer.records if r.get("name") == "cohort_step"]
+        assert sorted(cohorts, key=min) == [{0, 2, 4, 6}, {1, 3, 5, 7}]
+        assert not batched.executor.cohort_fallbacks
+        assert batched.server.global_params.tobytes() == base.server.global_params.tobytes()
+        assert _client_state_key(batched) == _client_state_key(base)
 
     def test_lossy_codec_cohorts_match_per_client(self):
         """An fp16 wire does not stop cohorts: the cohort round runs (no

@@ -423,7 +423,7 @@ def test_a_vector_too_long_to_block_allocates_no_block():
 
 
 # ------------------------------------------------- cohorts under a lossy wire
-def _lossy_runner(algorithm, client_batch):
+def _lossy_runner(algorithm, client_batch, epsilon=math.inf):
     datasets = []
     for cid in range(6):
         rng = np.random.default_rng(cid)
@@ -431,7 +431,7 @@ def _lossy_runner(algorithm, client_batch):
     config = FLConfig(
         algorithm=algorithm, local_steps=2, batch_size=4, rho=2.0, zeta=2.0, lr=0.1, seed=0,
         codec="delta|int8", client_batch=client_batch,
-    )
+    ).with_privacy(epsilon, clip_norm=0.5)
     return build_federation(config, SeededModelFn("mlp", (1, 1, 6), 3, seed=42, hidden_sizes=(5,)), datasets)
 
 
@@ -459,9 +459,16 @@ def _exchange_and_ingest(runner, payloads, uploads):
     runner.server.finalize_round(decoded)
 
 
-@pytest.mark.parametrize("algorithm", ["fedavg", "iceadmm", "iiadmm"])
-def test_lossy_wire_cohorts_equal_per_client_through_a_checkpoint_before_reconcile(algorithm):
-    per_client, cohort = _lossy_runner(algorithm, 1), _lossy_runner(algorithm, 4)
+@pytest.mark.parametrize(
+    "algorithm, epsilon",
+    [
+        pytest.param(algorithm, epsilon, id=algorithm if epsilon == math.inf else f"{algorithm}-laplace")
+        for algorithm in ("fedavg", "iceadmm", "iiadmm")
+        for epsilon in (math.inf, 5.0)
+    ],
+)
+def test_lossy_wire_cohorts_equal_per_client_through_a_checkpoint_before_reconcile(algorithm, epsilon):
+    per_client, cohort = _lossy_runner(algorithm, 1, epsilon), _lossy_runner(algorithm, 4, epsilon)
     assert cohort.exchange.lossy
     for _ in range(2):
         sent = []
@@ -475,7 +482,9 @@ def test_lossy_wire_cohorts_equal_per_client_through_a_checkpoint_before_reconci
         if algorithm == "iiadmm":
             assert {"dual_base", "sent_global", "sent_rho"} <= set(cohort.clients[0].client_state())
         # a checkpoint taken right here resumes bitwise
-        resumed = RunCheckpoint.from_bytes(RunCheckpoint.capture(cohort).to_bytes()).restore(_lossy_runner(algorithm, 4))
+        resumed = RunCheckpoint.from_bytes(RunCheckpoint.capture(cohort).to_bytes()).restore(
+            _lossy_runner(algorithm, 4, epsilon)
+        )
         assert _client_blobs(resumed) == _client_blobs(cohort)
         for runner, (payloads, uploads) in ((per_client, sent[0]), (cohort, sent[1]), (resumed, sent[1])):
             _exchange_and_ingest(runner, payloads, uploads)
@@ -492,8 +501,8 @@ def test_lossy_wire_cohorts_equal_per_client_through_a_checkpoint_before_reconci
 
 
 def test_cohort_fallbacks_are_counted_by_reason():
-    """DP clients fall back (``privacy``), a lone client is a ``singleton``;
-    ``lossy_codec`` is no longer a reason.  End to end through absorb_runner."""
+    """A lone client is a ``singleton``; neither ``lossy_codec`` nor DP is a
+    reason any more.  End to end through absorb_runner."""
     def dataset(cid, samples=8):
         rng = np.random.default_rng(cid)
         return TensorDataset(rng.standard_normal((samples, 6)), rng.integers(0, 3, samples))
@@ -503,13 +512,13 @@ def test_cohort_fallbacks_are_counted_by_reason():
     config = FLConfig(algorithm="iiadmm", local_steps=1, batch_size=4, seed=0, codec="delta|int8", client_batch=4)
     with build_federation(config.with_privacy(5.0), model_fn, datasets) as private:
         private.run(2)
-        assert private.executor.cohort_fallbacks == {"privacy": 8}
-        snapshot = MetricsRegistry().absorb_runner(private).snapshot()
-        assert snapshot["counters"]["cohort_fallback_total{reason=privacy}"] == 8
-        assert "cohort_fallback_total{reason=privacy} = 8" in render_metrics(snapshot)
+        assert not private.executor.cohort_fallbacks
     with build_federation(config, model_fn, datasets[:3] + [dataset(3, samples=6)]) as mixed:
-        mixed.run(1)  # three lanes share a cohort; the fourth has 6 samples
-        assert mixed.executor.cohort_fallbacks == {"singleton": 1}
+        mixed.run(2)  # three lanes share a cohort; the fourth has 6 samples
+        assert mixed.executor.cohort_fallbacks == {"singleton": 2}
+        snapshot = MetricsRegistry().absorb_runner(mixed).snapshot()
+        assert snapshot["counters"]["cohort_fallback_total{reason=singleton}"] == 2
+        assert "cohort_fallback_total{reason=singleton} = 2" in render_metrics(snapshot)
     with build_federation(replace(config, client_batch=1), model_fn, datasets) as unrequested:
         unrequested.run(1)
         assert not unrequested.executor.cohort_fallbacks

@@ -16,6 +16,7 @@ from repro.privacy import (
     NoPrivacy,
     PrivacyAccountant,
     clip_by_norm,
+    clip_rows,
     clip_state_by_global_norm,
     global_norm,
     make_mechanism,
@@ -197,6 +198,24 @@ class TestClipping:
     def test_clip_never_exceeds_max_norm(self, values, max_norm):
         clipped = clip_by_norm(np.asarray(values), max_norm)
         assert np.linalg.norm(clipped) <= max_norm + 1e-9
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 40),
+        st.sampled_from(["float64", "float32"]),
+        st.floats(0.1, 10.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_clip_rows_is_clip_by_norm_per_row(self, rows, dim, dtype, max_norm, seed):
+        """The in-place clip of a ``(B, dim)`` block (the algorithm bodies'
+        DP clip) is bitwise :func:`clip_by_norm` of each row alone."""
+        block = (np.random.default_rng(seed).standard_normal((rows, dim)) * 3).astype(dtype)
+        block[-1] = 0.0  # a zero row is left as it is
+        expected = [clip_by_norm(row, max_norm) for row in block]
+        clip_rows(block, max_norm)
+        for row, want in zip(block, expected):
+            assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
 
 
 class TestAccountant:
