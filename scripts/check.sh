@@ -14,7 +14,9 @@
 # read-only gates on its result (async_fedbuff's adds per flush, hier_int8's
 # cohort share and root-hop bytes, longrun_monitored's cohort share under DP)
 # — perf/ is the one benchmark; throughput is compared there
-# (perf/compare.py), never gated on single samples here.
+# (perf/compare.py), never gated on single samples here.  A read-only source
+# gate runs first: telemetry and checkpoints read the runners' declared
+# surface (repro.core.phases.Runner), never probe a runner by name.
 #
 #   scripts/check.sh            # tier-1 + perf smoke (the pre-merge check)
 #   scripts/check.sh --slow     # additionally run the slow sweep tier
@@ -33,6 +35,16 @@ for arg in "$@"; do
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
+
+# Runners declare what obs/ and scale/ read (executors(), populations(),
+# client_steps, checkpoint_kind); a getattr probe or an isinstance ladder
+# over runner types must not come back.
+echo "== runner surface: no probes in obs/ or scale/ =="
+if grep -rnE 'getattr\((runner|owner|server|edge),' --include='*.py' src/repro/obs \
+  || grep -rn 'isinstance(runner' --include='*.py' src/repro/scale; then
+  echo "a runner is probed by name above - read the repro.core.phases.Runner surface instead" >&2
+  exit 1
+fi
 
 echo "== tier-1: unit suite + golden traces =="
 python -m pytest -x -q
@@ -54,10 +66,10 @@ python3 -c "import json; row = json.load(open('perf/out/result.json'))['workload
 # per-lane epilogue, not a reason to fall back.
 python3 -c "import json; share = json.load(open('perf/out/result.json'))['workloads']['longrun_monitored']['per_layer']['core.batched.cohort_share']; assert share == 1, f'longrun_monitored: cohort_share {share} - DP clients fell back to per-client updates'"
 echo "src/ LOC: $(find src -name '*.py' | xargs wc -l | tail -1)"
-# ROADMAP "one round engine" bar: the five runner/edge files stay <= 2,437.
-echo "runner/edge LOC: $(wc -l src/repro/core/runner.py src/repro/hier/edge.py \
+# ROADMAP "one runner shell" bar: the runner base and the four runners stay <= 2,230.
+echo "runner group LOC: $(wc -l src/repro/core/phases.py src/repro/core/runner.py \
   src/repro/hier/runner.py src/repro/asyncfl/runner.py src/repro/hier/async_runner.py | tail -1)"
-# ROADMAP "a process worker is an edge" bar: mp/ + core/executor.py, 1,223 -> <= 800.
+# ROADMAP "a process worker is an edge" bar: mp/ + core/executor.py, 1,024 -> <= 800.
 echo "mp/ + executor LOC: $(wc -l src/repro/mp/*.py src/repro/core/executor.py | tail -1)"
 # ROADMAP "one benchmark" bar: the paper-figure benches stay <= 400 lines.
 echo "benchmarks/ LOC: $(wc -l benchmarks/*.py | tail -1)"

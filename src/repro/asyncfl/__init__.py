@@ -9,7 +9,7 @@ fraction, weighted by data, availability traces with dropout and stragglers),
 and an :class:`AsyncServer` applies staleness-aware aggregation — FedAsync
 mixing, FedBuff buffering, or sampled synchronous rounds — through
 partial-participation-aware variants of the FedAvg/IIADMM/ICEADMM global
-updates.  :class:`AsyncRunner` mirrors ``FederatedRunner``'s API so the
+updates.  :class:`AsyncRunner` inherits ``FederatedRunner``'s API so the
 harnesses and benchmarks drive either loop unchanged.
 """
 

@@ -34,11 +34,11 @@ links, identical devices, and ``FedBuffStrategy(buffer_size=num_clients)``,
 the produced :class:`~repro.core.runner.TrainingHistory` is bit-for-bit the
 synchronous :class:`FederatedRunner`'s.
 
-The runner mirrors ``FederatedRunner``'s API — ``history``,
-``phase_seconds``, ``run()``, ``close()``, context management — so harnesses
-and benchmarks drive either interchangeably.  Each completed global update is
-closed by the shared :class:`~repro.core.phases.RoundLedger` as one
-:class:`~repro.core.runner.RoundResult` whose
+The runner inherits ``FederatedRunner``'s API (``history``,
+``phase_seconds``, ``close()``, context management) from the
+:class:`~repro.core.phases.Runner` shell and overrides ``run()`` with the
+event loop.  Each completed global update is closed by the shared
+:class:`~repro.core.phases.RoundLedger` as one :class:`RoundResult` whose
 ``wall_clock_seconds`` is the virtual arrival time and whose
 ``participating_clients`` lists the aggregated cohort.
 
@@ -70,7 +70,7 @@ from ..core.config import FLConfig
 from ..core.exchange import PacketExchange
 from ..core.executor import GrowOnlyThreads, resolve_workers
 from ..core.metrics import Evaluator
-from ..core.phases import PhaseClock, RoundLedger
+from ..core.phases import PhaseClock, Runner
 from ..core.runner import RoundResult, TrainingHistory, build_endpoints
 from ..data import Dataset
 from ..faults.injector import FaultInjector
@@ -87,8 +87,10 @@ __all__ = ["ZERO_LINK", "AsyncRunner", "build_async_federation"]
 FLAT = "flat"
 
 
-class AsyncRunner:
+class AsyncRunner(Runner):
     """Runs the event-driven federated-learning loop on a virtual clock."""
+
+    checkpoint_kind = "async"
 
     def __init__(
         self,
@@ -117,7 +119,6 @@ class AsyncRunner:
         if server.num_clients != num_clients:
             raise ValueError("server.num_clients must match the number of clients")
         self.num_clients = num_clients
-        self.server = server
         config = server.config
         self.strategy = strategy if strategy is not None else FedBuffStrategy(num_clients)
         buffer_size = self.strategy.buffer_size
@@ -131,8 +132,7 @@ class AsyncRunner:
         self.sampler = (
             sampler if sampler is not None else FullParticipationSampler(num_clients, seed=config.seed)
         )
-        self.evaluator = evaluator
-        self.accountant = accountant if accountant is not None else PrivacyAccountant()
+        super().__init__(server, evaluator, accountant, {FLAT: None})
         self.cost_model = (
             cost_model if cost_model is not None else LocalUpdateCostModel(local_steps=config.local_steps)
         )
@@ -164,13 +164,7 @@ class AsyncRunner:
 
         self.async_server = AsyncServer(server, self.strategy)
         self._dispatch_cache: Optional[tuple] = None  # (model version, encoded packet)
-        self.history = TrainingHistory()
         self._clock = EventLoop()
-        #: round accounting and close (phase seconds, wire bytes/seconds,
-        #: crashed clients) — shared with every other runner
-        self.ledger = RoundLedger(self, {FLAT: None})
-        #: cumulative real wall-clock seconds per phase (FederatedRunner API)
-        self.phase_seconds = self.ledger.phase_seconds
         self._phases = PhaseClock(self.ledger, "async", loop=self._clock)
         #: every client's dispatch → compute-done → arrival trip
         self.flights = ClientFlights(
@@ -193,9 +187,6 @@ class AsyncRunner:
         self._need_cohort = False
         self._primed = False
         self._callback: Optional[Callable[[RoundResult], None]] = None
-        #: fault layer (client crashes on the virtual timeline); see
-        #: :meth:`enable_faults`
-        self.injector = None
         #: total events handled on the virtual timeline (the benchmark metric)
         self.events_processed = 0
 
@@ -428,16 +419,6 @@ class AsyncRunner:
         ledger.failed = [int(c) for c in state.get("round_failed", ())]
         self._dispatch_cache = None
         self.flights.pinned.clear()
-
-    def close(self) -> None:
-        """Release the client worker pool (recreated lazily if needed again)."""
-        self._threads.close()
-
-    def __enter__(self) -> "AsyncRunner":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
 
 
 def build_async_federation(

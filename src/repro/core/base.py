@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -359,6 +360,10 @@ class BaseServer:
     #: True when :meth:`ingest` absorbs every upload into per-client state that
     #: aggregation then spans (:class:`ADMMServer`): runners stream uploads in, collecting none.
     absorbs_uploads = False
+    #: folds per ("incremental" | "rebuild", reason) and the latest one's
+    #: component count; only :class:`ADMMServer` keeps a running sum to fold
+    aggregate_counts: Mapping[Tuple[str, str], int] = MappingProxyType({})
+    partial_components = 0
 
     def require_fixed_rho(self, where: str) -> None:
         """Raise if the penalty schedule cannot survive ``where`` (:class:`ADMMServer`)."""
@@ -629,9 +634,7 @@ class ADMMServer(BaseServer):
         self._running: Optional[ExactPartial] = None
         self._touched: set = set()
         self._stale_reason: Optional[str] = None
-        #: folds per ("incremental" | "rebuild", reason); the latest one's component count
         self.aggregate_counts: Counter = Counter()
-        self.partial_components = 0
 
     @property
     def rho(self) -> float:

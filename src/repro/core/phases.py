@@ -12,6 +12,9 @@
   :class:`RoundResult` from the per-tier wire marks and the failed/recovered
   lists, reset the per-round state, record it, tell the monitor.  The two
   synchronous and the two event-driven runners all close their rounds here.
+* :class:`Runner` — the shell all four runners inherit: what every runner
+  keeps, its lifecycle, the one synchronous round skeleton, and the surface
+  telemetry and checkpoints read.  To add a runner, inherit it here.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "TrainingHistory",
     "PhaseClock",
     "RoundLedger",
+    "Runner",
     "run_client_phases",
 ]
 
@@ -170,7 +174,7 @@ class PhaseClock:
     def end_wave(self, owner: Any, index: int, clients: int, started: float) -> None:
         """Close one wave of ``owner``'s round: the ``wave`` span (sharing its
         start with the wave's first phase) and the monitor's wave-boundary
-        check."""
+        check over the ledger's runner (``owner`` when it has none)."""
         tracer = current_tracer()
         if tracer is not None:
             tracer.emit_span(
@@ -179,7 +183,7 @@ class PhaseClock:
             )
         monitor = current_monitor()
         if monitor is not None:
-            monitor.on_wave(owner, self.round_idx, index)
+            monitor.on_wave(self.ledger.runner, owner, self.round_idx, index)
 
 
 class RoundLedger:
@@ -324,6 +328,106 @@ class RoundLedger:
                 round=len(self.runner.history), participants=len(participants),
             )
         return self.close_round(scores, participants, injector, wall_clock=now, callback=callback)
+
+
+class Runner:
+    """The shell every runner inherits: one lifecycle, one telemetry surface.
+
+    It keeps the ``server``, ``evaluator``, privacy ``accountant``,
+    ``history``, :class:`RoundLedger`, cumulative ``phase_seconds`` and fault
+    ``injector`` (``None``: fault-free).  :meth:`run` drives :meth:`run_round`,
+    the one synchronous round skeleton around a subclass's ``_round_body``;
+    the event-driven runners override :meth:`run` instead.  Telemetry and
+    :class:`repro.scale.RunCheckpoint` read only this surface: the attributes
+    above, :meth:`executors`, :meth:`populations`, :attr:`client_steps`,
+    :attr:`edges` and :attr:`checkpoint_kind`.
+    """
+
+    #: the RunCheckpoint kind ("sync", "hier", "async"); ``None``: not checkpointable
+    checkpoint_kind: Optional[str] = None
+    #: the trace lane of a synchronous round's own phases and span
+    lane = "runner"
+    #: the edge aggregators of a hierarchical runner (none on a flat one)
+    edges: Sequence[Any] = ()
+    injector = None
+    #: a thread pool kept outside any executor (the async runner's)
+    _threads = None
+
+    def __init__(self, server, evaluator, accountant, tiers: Mapping[str, Optional[Communicator]]):
+        self.server = server
+        self.evaluator = evaluator
+        self.accountant = accountant if accountant is not None else PrivacyAccountant()
+        self.history = TrainingHistory()
+        self.ledger = RoundLedger(self, tiers)
+        #: cumulative wall-clock seconds spent in each phase across all rounds
+        self.phase_seconds = self.ledger.phase_seconds
+
+    def executors(self) -> List[LocalExecutor]:
+        """The executors running this runner's local updates: the edges'."""
+        return [edge.executor for edge in self.edges]
+
+    def populations(self) -> List[Tuple[str, Any]]:
+        """``(tier, population)`` pairs: each edge's as ``"edge:<id>"``, else the runner's as ``"flat"``."""
+        if self.edges:
+            return [(f"edge:{edge.edge_id}", edge.population) for edge in self.edges]
+        return [("flat", self.population)]
+
+    @property
+    def client_steps(self) -> int:
+        """Cumulative client optimizer steps (the client_steps_per_sec numerator)."""
+        return sum(executor.client_steps for executor in self.executors())
+
+    def close(self) -> None:
+        """Release the worker pools (recreated lazily if needed again)."""
+        for executor in self.executors():
+            executor.close()
+        if self._threads is not None:
+            self._threads.close()
+
+    def __enter__(self) -> "Runner":
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        self.close()
+
+    def run(
+        self, num_rounds: Optional[int] = None, callback: Optional[Callable[[RoundResult], None]] = None
+    ) -> TrainingHistory:
+        """Run ``num_rounds`` further rounds (default: the config's), numbered
+        on from the history as one uninterrupted run (or a resumed one) would."""
+        total = num_rounds if num_rounds is not None else self.server.config.num_rounds
+        start = len(self.history)
+        try:
+            for t in range(start, start + total):
+                result = self.run_round(t)
+                if callback is not None:
+                    callback(result)
+        finally:
+            self.close()
+        return self.history
+
+    def run_round(self, round_idx: int) -> RoundResult:
+        """One synchronous round: open → ``_round_body`` (participants, the
+        ``round`` span's labels) → evaluate → ``round`` span → close."""
+        injector = self.injector
+        ledger = self.ledger
+        ledger.open_round(faulty=injector is not None)
+        steps_before = self.client_steps
+        clock = PhaseClock(ledger, self.lane, round_idx)
+        round_start = time.perf_counter()
+        participants, labels = self._round_body(clock, round_idx)
+        scores = ledger.evaluate(clock)
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.emit_span(
+                "round", "round", round_start, time.perf_counter(),
+                lane=self.lane, round=round_idx, **labels,
+            )
+        # Every server indexes its clients by id in [0, num_clients).
+        return ledger.close_round(
+            scores, sorted(participants), injector, round_idx=round_idx,
+            population=range(self.num_clients), client_steps=self.client_steps - steps_before,
+        )
 
 
 def run_client_phases(

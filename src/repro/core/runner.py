@@ -13,11 +13,12 @@ named algorithm over a list of client datasets.
 
 Architecture & performance
 --------------------------
-:meth:`FederatedRunner.run_round` is the one synchronous round body: it hands
+:class:`FederatedRunner` inherits its lifecycle and its round skeleton from
+:class:`repro.core.phases.Runner` and keeps only the round's body: it hands
 the client side of the round — dispatch, local updates, gather, ingest — to
 :func:`repro.core.phases.run_client_phases` (the loop shared with
-:class:`~repro.hier.edge.EdgeAggregator`), keeps what is the server's — the
-finalize — and closes the round (evaluate, :class:`RoundResult`, history,
+:class:`~repro.hier.edge.EdgeAggregator`) and keeps what is the server's —
+the finalize.  The round closes (evaluate, :class:`RoundResult`, history,
 monitor) in the :class:`repro.core.phases.RoundLedger` every runner shares.
 Its clients are one population (:mod:`repro.core.population`), eager or
 store-backed alike.  *How* the local updates run (serial, thread pool,
@@ -46,21 +47,19 @@ the pre-codec behaviour, including the reported communication volume.
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import nn
 from ..comm import Communicator, SerialCommunicator
 from ..data import Dataset
-from ..obs import current_tracer
 from ..privacy import PrivacyAccountant
 from .base import BaseClient, BaseServer
 from .config import FLConfig
 from .exchange import PacketExchange
 from .executor import LocalExecutor
 from .metrics import Evaluator
-from .phases import PHASES, PhaseClock, RoundLedger, RoundResult, TrainingHistory, run_client_phases
+from .phases import PHASES, PhaseClock, RoundResult, Runner, TrainingHistory, run_client_phases
 from .population import build_server_and_factory
 
 __all__ = [
@@ -73,7 +72,7 @@ __all__ = [
 ]
 
 
-class FederatedRunner:
+class FederatedRunner(Runner):
     """Runs the synchronous federated-learning loop.
 
     Clients are supplied either *eagerly* (``clients`` — the classic list of
@@ -92,6 +91,8 @@ class FederatedRunner:
     communicators charge per-``collect`` congestion, which a waved gather
     necessarily sees differently).
     """
+
+    checkpoint_kind = "sync"
 
     def __init__(
         self,
@@ -114,38 +115,24 @@ class FederatedRunner:
         self.num_clients = len(self._client_ids)
         if server.num_clients != self.num_clients:
             raise ValueError("server.num_clients must match the number of clients")
-        self.server = server
         self.communicator = communicator if communicator is not None else SerialCommunicator()
-        self.evaluator = evaluator
-        self.accountant = accountant if accountant is not None else PrivacyAccountant()
-        self.history = TrainingHistory()
+        super().__init__(server, evaluator, accountant, {"flat": self.communicator})
         #: runs the local updates (serial | thread | process | cohort) and
         #: owns the worker pools and the client-step accounting
         self.executor = LocalExecutor(
             server.config, self.exchange, self.population, max_workers=max_workers,
         )
         self.max_workers = self.executor.max_workers
-        #: round accounting and close, shared with every other runner
-        self.ledger = RoundLedger(self, {"flat": self.communicator})
-        #: cumulative wall-clock seconds spent in each phase across all rounds
-        self.phase_seconds = self.ledger.phase_seconds
 
     @property
-    def client_steps(self) -> int:
-        """Cumulative client optimizer steps across all rounds; with
-        ``phase_seconds["local_update"]`` this yields the
-        client_steps_per_sec throughput metric."""
-        return self.executor.client_steps
+    def injector(self):
+        """The fault layer armed on the communicator (``None``: fault-free)."""
+        return self.communicator.injector
 
-    def run_round(self, round_idx: int) -> RoundResult:
-        """Execute one communication round and return its metrics."""
-        injector = self.communicator.injector
-        ledger = self.ledger
-        ledger.open_round(faulty=injector is not None)
-        steps_before = self.client_steps
-        clock = PhaseClock(ledger, "runner", round_idx)
-        round_start = time.perf_counter()
+    def executors(self) -> List[LocalExecutor]:
+        return [self.executor]
 
+    def _round_body(self, clock: PhaseClock, round_idx: int):
         # The sink decodes each surviving upload exactly once (ingest).  A
         # plug-and-play server whose only customisation is the legacy
         # update() keeps the seed contract instead: it is handed the raw
@@ -181,54 +168,10 @@ class FederatedRunner:
         # Finish with whatever cohort survived the wire; a faulted round
         # that lost everyone keeps the current global.
         clock.begin("aggregate")
-        if collected or streaming or injector is None:
+        if collected or streaming or self.injector is None:
             finish(collected)
         clock.end("aggregate")
-
-        scores = ledger.evaluate(clock)
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.emit_span(
-                "round", "round", round_start, time.perf_counter(),
-                lane="runner", round=round_idx, participants=len(participants),
-            )
-        return ledger.close_round(
-            scores,
-            sorted(participants),
-            injector,
-            round_idx=round_idx,
-            population=self._client_ids,
-            client_steps=self.client_steps - steps_before,
-        )
-
-    def close(self) -> None:
-        """Release the worker pools (recreated lazily if needed again); see
-        :meth:`LocalExecutor.close`."""
-        self.executor.close()
-
-    def __enter__(self) -> "FederatedRunner":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
-    def run(self, num_rounds: Optional[int] = None, callback: Optional[Callable[[RoundResult], None]] = None) -> TrainingHistory:
-        """Run ``num_rounds`` further rounds (default: the config's ``num_rounds``).
-
-        Round indices continue from the recorded history, so a second ``run``
-        call — or a run resumed from a :class:`repro.scale.RunCheckpoint` —
-        numbers its rounds exactly as one uninterrupted run would.
-        """
-        total = num_rounds if num_rounds is not None else self.server.config.num_rounds
-        start = len(self.history)
-        try:
-            for t in range(start, start + total):
-                result = self.run_round(t)
-                if callback is not None:
-                    callback(result)
-        finally:
-            self.close()
-        return self.history
+        return participants, {"participants": len(participants)}
 
 
 def build_endpoints(

@@ -14,7 +14,7 @@ shard summaries — so root traffic is O(edges) packets per round and, with
 identity per-hop codecs, the result is **bit-for-bit** the flat run for
 FedAvg, ICEADMM and IIADMM.
 
-Two runners mirror the flat APIs: the synchronous
+Two runners inherit the flat API from one shell: the synchronous
 :class:`~repro.hier.runner.HierRunner` and the event-driven
 :class:`~repro.hier.async_runner.HierAsyncRunner`, where every edge is an
 actor on its own virtual clock and the root applies staleness-aware

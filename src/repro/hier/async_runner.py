@@ -58,7 +58,7 @@ from ..core.config import FLConfig
 from ..core.exchange import PacketExchange
 from ..core.metrics import Evaluator
 from ..core.partial import unpack_partial
-from ..core.phases import PhaseClock, RoundLedger, RoundResult, TrainingHistory
+from ..core.phases import PhaseClock, RoundResult, Runner, TrainingHistory
 from ..data import Dataset
 from ..faults.injector import FaultInjector
 from ..obs import current_tracer
@@ -352,7 +352,7 @@ class _EdgeActor:
             self.start_cohort()
 
 
-class HierAsyncRunner:
+class HierAsyncRunner(Runner):
     """Runs the event-driven two-tier loop over per-edge virtual clocks."""
 
     def __init__(
@@ -373,7 +373,6 @@ class HierAsyncRunner:
         if not list(edges):
             raise ValueError("at least one edge is required")
         _check_hier_server(root)
-        self.server = root
         self.edges = list(edges)
         self.topology = topology
         config = root.config
@@ -383,21 +382,13 @@ class HierAsyncRunner:
                 f"buffer_size ({self.strategy.buffer_size}) cannot exceed the number "
                 f"of edges ({len(self.edges)})"
             )
-        self.evaluator = evaluator
-        self.accountant = accountant if accountant is not None else PrivacyAccountant()
+        super().__init__(root, evaluator, accountant, {CLIENT_EDGE: None, EDGE_ROOT: None})
         self.cost_model = (
             cost_model if cost_model is not None else LocalUpdateCostModel(local_steps=config.local_steps)
         )
         _, root_spec = _hop_codecs(config)
         self.exchange = PacketExchange(root_spec)
         self.root_loop = EventLoop()
-        #: round accounting and close (phase seconds, per-tier wire
-        #: bytes/seconds, crashed clients, recovered edges) — shared with
-        #: every other runner
-        self.ledger = RoundLedger(self, {CLIENT_EDGE: None, EDGE_ROOT: None})
-        #: cumulative real wall-clock seconds per canonical phase (the same
-        #: FederatedRunner/AsyncRunner accounting surface)
-        self.phase_seconds = self.ledger.phase_seconds
         self.clock = PhaseClock(self.ledger, "root", loop=self.root_loop)
         seed = config.seed if seed is None else seed
         fraction = config.client_fraction if edge_fraction is None else edge_fraction
@@ -419,7 +410,6 @@ class HierAsyncRunner:
             for edge in self.edges
         ]
         self._actor_by_edge = {actor.edge.edge_id: actor for actor in self.actors}
-        self.history = TrainingHistory()
         self.version = 0
         self.staleness_log: List[int] = []
         self.events_processed = 0
@@ -432,9 +422,6 @@ class HierAsyncRunner:
                 summary, participants = edge.initial_summary()
                 self._last_summary[edge.edge_id] = (unpack_partial(summary), participants)
         self._primed = False
-        #: fault layer (edge kills + client crashes on the merged clocks);
-        #: see :meth:`enable_faults`
-        self.injector = None
         #: real seconds spent restoring killed edges (recovery latency)
         self.recovery_seconds = 0.0
 
@@ -556,39 +543,32 @@ class HierAsyncRunner:
         total = num_rounds if num_rounds is not None else self.server.config.num_rounds
         target = len(self.history) + total
         budget = math.inf if max_events is None else int(max_events)
-        if not self._primed:
-            for actor in self.actors:
-                actor.start_cohort()
-            self._primed = True
-        loops = [self.root_loop] + [a.loop for a in self.actors]
-        while len(self.history) < target and budget > 0:
-            index = next_event_loop(loops)
-            if index is None:
-                break
-            self.events_processed += 1
-            budget -= 1
-            if index == 0:
-                event = self.root_loop.pop()
-                self._handle_summary(event, callback)
-            else:
-                actor = self.actors[index - 1]
-                actor.handle(actor.loop.pop())
-            if self.injector is not None:
-                for edge_id in self.injector.edge_kills_due(self.events_processed):
-                    victim = self._actor_by_edge.get(edge_id)
-                    if victim is not None:
-                        self._kill_and_recover(victim)
+        try:
+            if not self._primed:
+                for actor in self.actors:
+                    actor.start_cohort()
+                self._primed = True
+            loops = [self.root_loop] + [a.loop for a in self.actors]
+            while len(self.history) < target and budget > 0:
+                index = next_event_loop(loops)
+                if index is None:
+                    break
+                self.events_processed += 1
+                budget -= 1
+                if index == 0:
+                    event = self.root_loop.pop()
+                    self._handle_summary(event, callback)
+                else:
+                    actor = self.actors[index - 1]
+                    actor.handle(actor.loop.pop())
+                if self.injector is not None:
+                    for edge_id in self.injector.edge_kills_due(self.events_processed):
+                        victim = self._actor_by_edge.get(edge_id)
+                        if victim is not None:
+                            self._kill_and_recover(victim)
+        finally:
+            self.close()
         return self.history
-
-    def close(self) -> None:
-        for edge in self.edges:
-            edge.close()
-
-    def __enter__(self) -> "HierAsyncRunner":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
 
 
 def build_hier_async_federation(

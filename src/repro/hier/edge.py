@@ -123,12 +123,6 @@ class EdgeAggregator:
         self.summary_components = 0
         self.begin_collect()
 
-    @property
-    def client_steps(self) -> int:
-        """Cumulative client optimizer steps this edge executed (see
-        FederatedRunner.client_steps; the hier runner sums edges per round)."""
-        return self.executor.client_steps
-
     # ------------------------------------------------------------ global hop
     def receive_global(self, payload: "Dict[str, np.ndarray]") -> None:
         """Install the root's (decoded) broadcast as this edge's current

@@ -1,9 +1,10 @@
 """Synchronous hierarchical federation: root ↔ edges ↔ clients.
 
-:class:`HierRunner` mirrors :class:`~repro.core.runner.FederatedRunner`'s
+:class:`HierRunner` inherits :class:`~repro.core.runner.FederatedRunner`'s
 API (``history``, ``phase_seconds``, ``run()``/``run_round()``, context
-management) over a two-tier topology: every round the root's global model is
-broadcast once per edge (the edge↔root hop's codec and communicator), each
+management) from the :class:`~repro.core.phases.Runner` shell and supplies a
+two-tier round body: every round the root's global model is broadcast once
+per edge (the edge↔root hop's codec and communicator), each
 :class:`~repro.hier.edge.EdgeAggregator` runs its shard's client loop
 (client↔edge hop) and folds the uploads into one exact shard summary, and
 the root combines the E summaries into the next global model and closes the
@@ -26,7 +27,6 @@ bounded by ``edges × live_cap`` regardless of population size.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -40,7 +40,7 @@ from ..core.exchange import PacketExchange
 from ..comm.latency import LinkModel
 from ..core.metrics import Evaluator
 from ..core.partial import pack_partial, unpack_partial
-from ..core.phases import PhaseClock, RoundLedger, RoundResult, TrainingHistory
+from ..core.phases import PhaseClock, Runner
 from ..core.population import build_server_and_factory
 from ..data import Dataset
 from ..faults.injector import FaultInjector
@@ -71,8 +71,11 @@ def _check_hier_server(server: BaseServer) -> None:
     server.require_fixed_rho("hierarchical runs")
 
 
-class HierRunner:
+class HierRunner(Runner):
     """Runs the synchronous two-tier federated-learning loop."""
+
+    checkpoint_kind = "hier"
+    lane = "root"
 
     def __init__(
         self,
@@ -86,7 +89,6 @@ class HierRunner:
         if not list(edges):
             raise ValueError("at least one edge is required")
         _check_hier_server(root)
-        self.server = root  # FederatedRunner-compatible attribute name
         self.edges = list(edges)
         covered = sorted(cid for edge in self.edges for cid in edge.shard)
         if covered != list(range(root.num_clients)):
@@ -121,20 +123,10 @@ class HierRunner:
         for edge in self.edges:
             if edge.communicator is None:
                 edge.communicator = self.client_communicator
-        self.evaluator = evaluator
-        self.accountant = accountant if accountant is not None else PrivacyAccountant()
-        self.history = TrainingHistory()
-        #: round accounting and close, shared with every other runner
-        self.ledger = RoundLedger(
-            self, {CLIENT_EDGE: self.client_communicator, EDGE_ROOT: self.root_communicator}
+        super().__init__(
+            root, evaluator, accountant,
+            {CLIENT_EDGE: self.client_communicator, EDGE_ROOT: self.root_communicator},
         )
-        self.phase_seconds = self.ledger.phase_seconds
-        #: cumulative client optimizer steps across all edges and rounds (the
-        #: numerator of the client_steps_per_sec throughput metric)
-        self.client_steps: int = 0
-        #: fault layer (see :meth:`enable_faults`); ``None`` keeps every code
-        #: path bit-identical to the fault-free runner
-        self.injector = None
         #: last shard summary the root received per edge (decoded), the
         #: stale stand-in ADMM combines for an unreachable edge
         self._last_summary: Dict[int, Dict[str, np.ndarray]] = {}
@@ -168,18 +160,13 @@ class HierRunner:
         return self
 
     # ------------------------------------------------------------------- run
-    def run_round(self, round_idx: int) -> RoundResult:
-        """Execute one two-tier communication round and return its metrics."""
+    def _round_body(self, clock: PhaseClock, round_idx: int):
+        # ``clock`` times the root tier; edge-tier intervals are timed (and
+        # traced) inside EdgeAggregator.run_local_round on the edge lanes.
         tracer = current_tracer()
-        round_start = time.perf_counter()
         injector = self.injector
         ledger = self.ledger
-        ledger.open_round(faulty=injector is not None)
-        # Root-tier phase intervals; edge-tier intervals are timed (and
-        # traced) inside EdgeAggregator.run_local_round on the edge lanes.
-        clock = PhaseClock(ledger, "root", round_idx)
         edge_ids = [edge.edge_id for edge in self.edges]
-        steps_before = sum(edge.client_steps for edge in self.edges)
         if injector is not None and injector.plan.edge_crash_rounds:
             # Round-start snapshot: the slice a mid-round edge death rolls
             # back to.  Taken before the broadcast mutates any edge, so a
@@ -252,83 +239,28 @@ class HierRunner:
         gathered = self.root_communicator.collect(round_idx, packets)
         clock.end("gather")
 
-        # Root: decode each summary once and combine the exact partials.
+        # Root: decode each delivered summary once and combine the exact
+        # partials; only delivered summaries' clients participate.  For a
+        # missing edge, ADMM-family roots substitute its cached last summary
+        # (its clients' last-known state — the algorithms' partial-
+        # participation form); FedAvg omits the shard and renormalises.
         clock.begin("aggregate")
-        participants: List[int] = []
-        if injector is None:
-            participants = [cid for eid in edge_ids for cid in parts_by_edge[eid]]
-            partials = [
-                unpack_partial(self.exchange.pipeline.decode_state(gathered[eid])) for eid in edge_ids
-            ]
-            self.server.combine_partials(partials, participants)
-        else:
-            # Degraded combine: only delivered summaries count as this
-            # round's participants.  ADMM-family roots substitute the cached
-            # last-delivered summary for a missing edge (its clients'
-            # last-known state — the partial-participation form those
-            # algorithms already define); FedAvg omits the missing shard and
-            # renormalises over who actually reported.
-            streaming = self.server.absorbs_uploads
-            partials = []
-            for eid in edge_ids:
-                if eid in gathered:
-                    decoded = self.exchange.pipeline.decode_state(gathered[eid])
+        streaming = self.server.absorbs_uploads
+        partials, participants = [], []
+        for eid in edge_ids:
+            if eid in gathered:
+                decoded = self.exchange.pipeline.decode_state(gathered[eid])
+                if injector is not None:
                     self._last_summary[eid] = decoded
-                    partials.append(unpack_partial(decoded))
-                    participants.extend(parts_by_edge[eid])
-                elif streaming and eid in self._last_summary:
-                    partials.append(unpack_partial(self._last_summary[eid]))
-            if streaming or participants:
-                self.server.combine_partials(partials, participants)
-            # else: the whole cohort was lost — keep the current global.
+                partials.append(unpack_partial(decoded))
+                participants.extend(parts_by_edge[eid])
+            elif streaming and eid in self._last_summary:
+                partials.append(unpack_partial(self._last_summary[eid]))
+        if streaming or participants:
+            self.server.combine_partials(partials, participants)
+        # else: the whole cohort was lost — keep the current global.
         clock.end("aggregate")
-
-        scores = ledger.evaluate(clock)
-        round_steps = sum(edge.client_steps for edge in self.edges) - steps_before
-        self.client_steps += round_steps
-        if tracer is not None:
-            tracer.emit_span(
-                "round", "round", round_start, time.perf_counter(),
-                lane="root", round=round_idx, edges=len(live_edges),
-            )
-        return ledger.close_round(
-            scores,
-            sorted(participants),
-            injector,
-            round_idx=round_idx,
-            population=range(self.num_clients),
-            client_steps=round_steps,
-        )
-
-    def run(
-        self,
-        num_rounds: Optional[int] = None,
-        callback: Optional[Callable[[RoundResult], None]] = None,
-    ) -> TrainingHistory:
-        """Run ``num_rounds`` further rounds (default: the config's
-        ``num_rounds``); round indices continue from the recorded history."""
-        total = num_rounds if num_rounds is not None else self.server.config.num_rounds
-        start = len(self.history)
-        try:
-            for t in range(start, start + total):
-                result = self.run_round(t)
-                if callback is not None:
-                    callback(result)
-        finally:
-            self.close()
-        return self.history
-
-    # -------------------------------------------------------------- plumbing
-    def close(self) -> None:
-        """Release the edges' worker pools (recreated lazily if needed)."""
-        for edge in self.edges:
-            edge.close()
-
-    def __enter__(self) -> "HierRunner":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
+        return participants, {"edges": len(live_edges)}
 
 
 def build_hier_endpoints(

@@ -9,7 +9,7 @@ parent → worker           worker → parent
 ========================  =====================================================
 ``("init", spec)``        ``("ready",)``
 ``("round", ids, name,    ``("done", arena_name, manifest, scalars, steps,
-mainfest)``               timings, telemetry)``
+manifest, scalars)``      timings, telemetry)``
 ``("pull",)``             ``("snapshot", population.snapshot())``
 ``("push", rows)``        ``("ok",)`` after ``population.restore(rows)``
 ``("stop",)``             *(exits)*

@@ -550,8 +550,10 @@ class RunMonitor:
         """Record one client update's real wall-clock duration."""
         self.registry.histogram("local_update_seconds", tier="run").observe(seconds)
 
-    def on_wave(self, owner: Any, round_index: int, wave_index: int) -> None:
-        """Cheap wave-boundary check: memory watermarks only."""
+    def on_wave(self, runner: Any, owner: Any, round_index: int, wave_index: int) -> None:
+        """Cheap wave-boundary check: memory watermarks only, over every
+        client population of ``runner`` — or ``owner``'s alone, when an edge
+        round runs without a runner."""
         self.report.waves += 1
         memory = self._memory_monitors
         if not any(
@@ -560,12 +562,17 @@ class RunMonitor:
             return
         reg = MetricsRegistry(**self.labels)
         self._memory_gauges(reg)
-        if owner.population.stats is not None:
-            reg.absorb_store(owner.population, tier="flat")
+        if runner is None:
+            runner, history, populations = owner, None, [("flat", owner.population)]
+        else:
+            history, populations = runner.history, runner.populations()
+        for tier, population in populations:
+            if population.stats is not None:
+                reg.absorb_store(population, tier=tier)
         snapshot = reg.snapshot()
         sample = HealthSample(
-            runner=owner,
-            history=getattr(owner, "history", None),
+            runner=runner,
+            history=history,
             result=None,
             snapshot=snapshot,
             delta={"counters": {}, "gauges": snapshot["gauges"], "histograms": {}},
@@ -592,7 +599,7 @@ class RunMonitor:
             self.stream.append(snapshot, delta, **meta)
         sample = HealthSample(
             runner=runner,
-            history=getattr(runner, "history", None),
+            history=runner.history,
             result=result,
             snapshot=snapshot,
             delta=delta,

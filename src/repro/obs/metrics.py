@@ -444,30 +444,29 @@ class MetricsRegistry:
         checkpoint — the registry clears itself and reads from 0 rather than
         count anything twice.
 
-        Duck-types the runner: whatever accounting surfaces exist
-        (``phase_seconds``, communicators with logs, a fault injector, the
-        client population's store statistics — flat or per edge —, a privacy
-        accountant, and the training history) are folded in; missing surfaces
-        are skipped.
+        Reads only the :class:`repro.core.phases.Runner` surface: the
+        ledger's wire tiers (communicator logs, or the bytes a virtual
+        timeline charged), ``phase_seconds`` and ``client_steps``, the fault
+        ``injector``, the store statistics of :meth:`~repro.core.phases.
+        Runner.populations`, the :meth:`~repro.core.phases.Runner.executors`'
+        worker telemetry, the privacy ``accountant``, the server's and edges'
+        aggregation counts, and the training history.
         """
-        ledger = getattr(runner, "ledger", None)
-        tiers = ledger.tiers if ledger is not None else {}
-        history = getattr(runner, "history", None)
+        ledger, history = runner.ledger, runner.history
+        tiers = ledger.tiers
         feeds = [_records_feed(comm.log, tier) for tier, comm in tiers.items() if comm is not None]
-        if history is not None:
-            feeds.append(_history_feed(history))
+        feeds.append(_history_feed(history))
         if any(self._position(*feed) is None for feed in feeds):
             self.clear()
 
-        phases = getattr(runner, "phase_seconds", None)
-        if phases:
-            self.absorb_phase_seconds(phases, tier="run")
+        phases = runner.phase_seconds
+        self.absorb_phase_seconds(phases, tier="run")
 
         # Local-update throughput: client optimizer steps per wall-clock
         # second of the local_update phase (both runner execution paths count
         # steps; see repro.core.batched.count_client_steps).
-        steps = getattr(runner, "client_steps", 0)
-        local_seconds = (phases or {}).get("local_update", 0.0)
+        steps = runner.client_steps
+        local_seconds = phases.get("local_update", 0.0)
         if steps and local_seconds > 0:
             self.gauge("client_steps_per_sec", tier="run").set(steps / local_seconds)
 
@@ -477,29 +476,20 @@ class MetricsRegistry:
         for tier, comm in tiers.items():
             if comm is not None:
                 self.absorb_comm_log(comm.log, tier=tier)
-        if ledger is not None:
-            for tier, nbytes in ledger.wire_bytes_by_tier().items():
-                self.counter("comm_bytes", tier=tier).value = nbytes
+        for tier, nbytes in ledger.wire_bytes_by_tier().items():
+            self.counter("comm_bytes", tier=tier).value = nbytes
 
-        injector = getattr(runner, "injector", None)
-        if injector is not None:
-            self.absorb_fault_stats(injector.stats)
+        if runner.injector is not None:
+            self.absorb_fault_stats(runner.injector.stats)
 
-        # Client populations: the runner's, or each edge's on a hier run;
-        # only a store keeps statistics.
-        edges = getattr(runner, "edges", ())
-        populations = [(f"edge:{e.edge_id}", e.population) for e in edges] or [("flat", runner.population)]
-        for tier, population in populations:
+        # Client populations (only a store keeps statistics).
+        for tier, population in runner.populations():
             if population.stats is not None:
                 self.absorb_store(population, tier=tier)
 
-        # Worker-side telemetry from the process backend (the event-driven
-        # runners have no pooled executor), and the updates that ran per client
-        # although cohorts were requested, by reason.
-        owners = (runner, *edges)
-        executors = [
-            owner.executor for owner in owners if getattr(owner, "executor", None) is not None
-        ]
+        # Worker-side telemetry from the process backend, and the updates
+        # that ran per client although cohorts were requested, by reason.
+        executors = runner.executors()
         self.absorb_worker_telemetry(executors)
         fallbacks: Dict[str, int] = {}
         for executor in executors:
@@ -508,25 +498,21 @@ class MetricsRegistry:
         for reason, count in fallbacks.items():
             self.counter("cohort_fallback_total", reason=reason).value = count
 
-        accountant = getattr(runner, "accountant", None)
-        if accountant is not None:
-            self.absorb_accountant(accountant)
+        self.absorb_accountant(runner.accountant)
 
         # Which path each ADMMServer.aggregate_global took and why (flat runs
         # only), and how long the exact sum it rounded was — on a hier run, each
         # edge's latest summary (what sets the root hop's bytes).
-        server = getattr(runner, "server", None)
-        folds = getattr(server, "aggregate_counts", {})
-        for (mode, reason), count in folds.items():
+        server = runner.server
+        for (mode, reason), count in server.aggregate_counts.items():
             self.counter("server_aggregate_total", mode=mode, reason=reason).value = count
-        if folds:
+        if server.aggregate_counts:
             self.gauge("server_partial_components").set(server.partial_components)
-        for edge in getattr(runner, "edges", ()):
-            if getattr(edge, "summary_components", 0):
+        for edge in runner.edges:
+            if edge.summary_components:
                 self.gauge("server_partial_components", tier=f"edge:{edge.edge_id}").set(
                     edge.summary_components
                 )
 
-        if history is not None:
-            self.absorb_history(history)
+        self.absorb_history(history)
         return self

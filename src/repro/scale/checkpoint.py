@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..comm.serialization import decode_state_blob, encode_state_blob
-from ..core.runner import FederatedRunner, RoundResult, TrainingHistory
+from ..core.phases import RoundResult, Runner, TrainingHistory
 from ..obs import current_tracer
 
 __all__ = [
@@ -77,23 +77,23 @@ def _load_history(state) -> TrainingHistory:
     return history
 
 
-def _clients_state(owner, executor=None) -> Dict[str, object]:
+def _clients_state(owner, executors) -> Dict[str, object]:
     """Client-population state of a runner *or* a hier EdgeAggregator (both
-    hold a ``population``).  ``executor`` is the owner's
-    :class:`~repro.core.executor.LocalExecutor` (the event-driven runner has
-    none): under execution_backend="process" its workers hold the
-    authoritative client state between rounds — pulled home first so the
-    snapshot covers what actually ran."""
-    if executor is not None:
+    hold a ``population``).  ``executors`` are the owner's local-update
+    executors (the event-driven runner has none): under
+    execution_backend="process" their workers hold the authoritative client
+    state between rounds — pulled home first so the snapshot covers what
+    actually ran."""
+    for executor in executors:
         executor.sync_parent()
     return owner.population.checkpoint_state()
 
 
-def _restore_clients(owner, state, executor=None) -> None:
+def _restore_clients(owner, state, executors) -> None:
     owner.population.load_checkpoint_state(state)
     # Mirror the restored state back into any live process workers, so the
     # next pooled round resumes from the checkpoint bitwise.
-    if executor is not None:
+    for executor in executors:
         executor.push_from_parent()
 
 
@@ -105,7 +105,7 @@ def edge_slice_state(edge) -> Dict[str, object]:
     """
     return {
         "server": edge.server.server_state(),
-        "clients": _clients_state(edge, edge.executor),
+        "clients": _clients_state(edge, [edge.executor]),
     }
 
 
@@ -116,25 +116,17 @@ def restore_edge_slice(edge, state) -> None:
     # (the root broadcast it trained its previous round on).
     edge._global = edge.server.global_params
     edge.begin_collect()
-    _restore_clients(edge, state["clients"], edge.executor)
+    _restore_clients(edge, state["clients"], [edge.executor])
 
 
 def _runner_kind(runner) -> str:
-    """The checkpoint ``kind`` of a runner (imports are local: the runner
-    packages import this one)."""
-    from ..asyncfl.runner import AsyncRunner
-    from ..hier.runner import HierRunner
-
-    if isinstance(runner, AsyncRunner):
-        return "async"
-    if isinstance(runner, HierRunner):
-        return "hier"
-    if isinstance(runner, FederatedRunner):
-        return "sync"
-    raise TypeError(
-        f"checkpointing supports FederatedRunner, AsyncRunner, and the "
-        f"synchronous HierRunner; got {type(runner).__name__}"
-    )
+    """The checkpoint ``kind`` a runner declares."""
+    if runner.checkpoint_kind is None:
+        raise TypeError(
+            f"checkpointing supports FederatedRunner, AsyncRunner, and the "
+            f"synchronous HierRunner; got {type(runner).__name__}"
+        )
+    return runner.checkpoint_kind
 
 
 class RunCheckpoint:
@@ -161,10 +153,12 @@ class RunCheckpoint:
     # ----------------------------------------------------------------- capture
     @classmethod
     def capture(cls, runner) -> "RunCheckpoint":
-        """Snapshot a :class:`FederatedRunner` or ``AsyncRunner`` in place.
+        """Snapshot a :class:`FederatedRunner`, ``HierRunner`` or
+        ``AsyncRunner`` in place.
 
-        Safe points: between rounds for the synchronous runner; anywhere the
-        event loop is not mid-``pop`` for the asynchronous one (e.g. after a
+        Safe points: between rounds for the synchronous runners (or at a
+        hier round's start, before any shard loop ran); anywhere the event
+        loop is not mid-``pop`` for the asynchronous one (e.g. after a
         ``run(..., max_events=N)`` return).  Capturing quiesces pending
         asynchronous local updates (see module docstring) but leaves the
         runner fully consistent — it may keep running afterwards (the
@@ -219,7 +213,7 @@ class RunCheckpoint:
                 **runner.timeline_state(),
             }
         # Clients last: the async quiesce above may advance client state.
-        payload["clients"] = _clients_state(runner, None if kind == "async" else runner.executor)
+        payload["clients"] = _clients_state(runner, runner.executors())
         return cls(cls._finish_capture(payload, kind, tick))
 
     @staticmethod
@@ -269,8 +263,7 @@ class RunCheckpoint:
             for edge in runner.edges:
                 restore_edge_slice(edge, edges_state[edge.edge_id])
         else:
-            executor = None if kind == "async" else runner.executor
-            _restore_clients(runner, self.payload["clients"], executor)
+            _restore_clients(runner, self.payload["clients"], runner.executors())
         runner.history = _load_history(self.payload["history"])
         runner.accountant.load_accountant_state(self.payload["accountant"])
         runner.phase_seconds.update((k, float(v)) for k, v in self.payload["phase_seconds"].items())
@@ -333,6 +326,6 @@ def save_checkpoint(runner, path: Union[str, Path]) -> RunCheckpoint:
     return RunCheckpoint.save(runner, path)
 
 
-def load_checkpoint(path: Union[str, Path], runner) -> "FederatedRunner":
+def load_checkpoint(path: Union[str, Path], runner) -> Runner:
     """Convenience wrapper: load ``path`` and restore it into ``runner``."""
     return RunCheckpoint.load(path).restore(runner)

@@ -266,6 +266,21 @@ def test_absorb_runner_all_tiers():
     assert "comm_bytes{tier=client_edge}" in text
 
 
+def test_absorb_runner_exports_a_flat_runs_fault_counters():
+    """A flat runner's faults are armed on its communicator; the registry
+    still mirrors the injector's running totals."""
+    from repro.faults import FaultPlan
+
+    runner = _build("sync", "fedavg")
+    runner.communicator.install_faults(FaultPlan(seed=3, drop_prob=0.3))
+    runner.run(3)
+    stats = runner.communicator.injector.stats
+    assert stats.drops > 0 and stats.retries > 0
+    counters = MetricsRegistry().absorb_runner(runner).snapshot()["counters"]
+    for name in ("drops", "retries", "dead_letters"):
+        assert counters[f"faults_{name}"] == getattr(stats, name)
+
+
 # ------------------------------------------------------------ unified phases
 @pytest.mark.parametrize("mode", ("sync", "async", "hier", "hier_async"))
 def test_phase_keys_are_canonical(mode):

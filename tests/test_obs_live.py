@@ -408,6 +408,40 @@ class TestWatchdogs:
         # unarmed watermarks never fire
         assert MemoryWatchdog().check(_sample(snapshot=hot)) == []
 
+    def test_memory_watchdog_sees_every_edge_store_at_a_wave(self):
+        """A wave boundary samples every edge's store, not only the one whose
+        wave closed: a watermark above any one edge's store but below the
+        federation's fires at a wave, before the first round sample."""
+        from repro.hier import build_hier_federation
+
+        rng = np.random.default_rng(0)
+        datasets = [
+            TensorDataset(rng.standard_normal((4, INPUT_DIM)), rng.integers(0, NUM_CLASSES, 4))
+            for _ in range(16)
+        ]
+
+        def build():
+            config = _config("iiadmm", topology="edges:4")
+            return build_hier_federation(config, _model_fn(), datasets, live_cap=2)
+
+        sizing = build()
+        sizing.run(1)
+        one_edge = max(edge.population.store_nbytes for edge in sizing.edges)
+        alerts_at_round = []
+
+        class Watching(RunMonitor):
+            def on_round(self, runner, result=None):
+                alerts_at_round.append(len(self.report.alerts))
+                super().on_round(runner, result)
+
+        monitor = Watching(monitors=[MemoryWatchdog(max_store_bytes=int(1.5 * one_edge))])
+        with use_monitor(monitor):
+            build().run(2)
+        monitor.close()
+        assert monitor.report.waves > 0
+        assert alerts_at_round[0] > 0, "no wave-boundary alert before the first round sample"
+        assert {a.monitor for a in monitor.report.alerts} == {"memory"}
+
     def test_watchdog_error_becomes_alert_not_crash(self, tmp_path):
         class Broken(ConvergenceWatchdog):
             name = "broken"
