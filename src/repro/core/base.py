@@ -603,22 +603,22 @@ class ADMMServer(BaseServer):
 
     **A flat aggregation costs O(arrivals), not O(population).**
     :meth:`aggregate_global` keeps the sum in one running
-    :class:`~repro.core.partial.ExactPartial`: :meth:`ingest` adds the negated
-    term of a client about to change (there and then, so nothing is stashed),
-    the fold the new terms of everyone heard from as one block — two term
-    evaluations per client heard from and, the expansion being exact, the same
-    real number, so ``round()`` returns the re-sum's bits.  The server picks
-    the path from its own traffic: a window that touched fewer than half the
-    shard updates in place; any other re-sums (:meth:`partial_sum`) and keeps
-    nothing alive across the next client phase — the accumulator is dropped
-    the moment a window turns majority and kept only from the first minority
-    window on.  It is *derived* state: never in :meth:`server_state`, and
-    dropped (the next fold re-sums) by :meth:`load_server_state` and whenever
-    ρ changes (``adaptive_rho``: every round).  Only its *value* is
-    history-free, so it never leaves the server: :meth:`partial_sum` — what a
-    hier edge puts on the wire — stays the fresh re-sum, a function of the
-    replicas alone.  Change :attr:`primals` / :attr:`duals` only through
-    ``ingest`` and ``load_server_state``.
+    :class:`~repro.core.partial.ExactPartial`: :meth:`ingest` writes the
+    negated term of a client about to change as a row of its block (there and
+    then, so nothing is stashed), the fold adds the new terms of everyone
+    heard from as rows and reads the block once — two term evaluations per
+    client heard from, no cascade ``add`` per arrival, and, the sum being
+    exact, the same real number, so ``round()`` returns the re-sum's bits.
+    The server picks the path from its own traffic: a window that touched
+    fewer than half the shard updates in place; any other re-sums
+    (:meth:`partial_sum`) and keeps nothing alive across the next client
+    phase.  It is *derived* state: never in :meth:`server_state`, and dropped
+    (the next fold re-sums) by :meth:`load_server_state`, whenever ρ changes
+    (``adaptive_rho``: every round) and once it holds an inf or NaN, which no
+    removal takes out.  Only its *value* is history-free, so it never leaves
+    the server: :meth:`partial_sum` — what a hier edge puts on the wire —
+    stays the fresh re-sum.  Change :attr:`primals` / :attr:`duals` only
+    through ``ingest`` and ``load_server_state``.
     """
 
     absorbs_uploads = True
@@ -664,9 +664,9 @@ class ADMMServer(BaseServer):
             if self._running is not None:
                 if 2 * len(self._touched) >= len(self.shard):
                     self._running = None  # a majority window: re-summing is cheaper — free it now
-                else:
-                    stale = self.partial_term(cid)
-                    self._running.add(np.negative(stale, out=stale))
+                else:  # its stale term leaves as a row of the fold's block
+                    stale = self.partial_term(cid, out=self._running.row())
+                    np.negative(stale, out=stale)
         payload = super().ingest(cid, payload, dispatched_global)
         self._absorb(cid, payload, dispatched_global)
         return payload
@@ -713,6 +713,8 @@ class ADMMServer(BaseServer):
         self.aggregate_counts[key] += 1
         self.partial_components = len(acc)
         self.combine_partials([acc])
+        if self._running is not None and not np.isfinite(self.global_params).all():
+            self._forget_running("non_finite")
 
     def finalize_round(self, payloads: Mapping[int, Mapping[str, np.ndarray]]) -> None:
         """Per-upload state was absorbed by :meth:`ingest`; only the global update remains."""

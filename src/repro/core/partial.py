@@ -48,35 +48,44 @@ reduction included.  The remainders are at most ``σ·2⁻ᵖ`` (``p`` the
 format's precision), so the next level's ``σ`` is known without looking, and
 the levels repeat until the remainders are all zero: 2 for similar-magnitude
 terms, 5-6 for 60-decade exponent spreads.  The level sums of a block that
-filled up are carried into the next one as its first rows, and the last 2-4
-go through the cascade :meth:`~ExactPartial.add` — the one-vector primitive
-the block path *ends in*.  ``round()`` returns the same bits whichever way a
-sum was built, because it is a function of the exact real total alone; the
-*expansion* of a block-built sum is a function of the terms and their order
-alone, which is what lets it travel a wire.
+filled up are carried into the next one as its first rows, the last one
+takes the expansion held so far as rows too, and its 2-4 level sums go through
+the cascade :meth:`~ExactPartial.add` — the one-vector primitive the block
+path *ends in*.  ``round()`` returns the same bits however a sum was built,
+because it is a function of the exact real total alone; the *expansion* of a
+block-built sum is a function of the terms and their order alone, which is
+what lets it travel a wire.
 
 Three things are decided from the data, never by a caller: scratch is bounded
 (rows are handed out under one fixed byte budget, at most ``_MAX_BLOCK_ROWS``
 of them, and the ``(K, tile)`` temporary is column-tiled; a vector too long
-for a block of ``_MIN_BLOCK_ROWS`` rows takes the cascade one term at a time,
-through a one-row scratch); a block never holds more than ``2^(p/2−2)`` rows
-(1,024 at float32 — it binds only in narrower formats), so each level retires
-at least half the mantissa; and a block whose ``σ`` would overflow, or that
-holds a non-finite value, is added row by row through the cascade, so those
-lanes get exactly the cascade's result.
+for a block of ``_MIN_BLOCK_ROWS`` rows is added one term at a time, through a
+one-row scratch — "Long vectors"); a block never holds more than ``2^(p/2−2)``
+rows (1,024 at float32 — it binds only in narrower formats), so each level
+retires at least half the mantissa; and a block whose ``σ`` would overflow, or
+that holds a non-finite value, is added row by row through the cascade, so
+those lanes get exactly the cascade's result.
 
 Running use
 -----------
-IEEE negation is exact, so *removing* a term is adding its negation: after
-``add(t_old)`` … ``add(-t_old)``, ``add(t_new)`` the expansion represents the
-current multiset, not the history, and :meth:`round` returns the bits a fresh
-accumulator over it would (:class:`~repro.core.base.ADMMServer` replaces a
-client's term this way instead of re-summing everyone).  Cancellation leaves
-zeros, which the invariants allow; ``add`` drops all-zero components and
-compaction bounds the rest, so the length tracks the widest lane, not the
-number of replacements.  Only the *representation* depends on history (equal
-values may differ in component count): read a running sum through ``round()``
-and never pack it onto a wire.
+IEEE negation is exact, so *removing* a term is adding its negation: with
+``-t_old`` and ``t_new`` written as rows, the next read folds them and the
+expansion held so far as one block, into the current multiset's sum — no
+longer than a fresh block sum of it, and :meth:`round` gives a fresh sum's
+bits (:class:`~repro.core.base.ADMMServer` replaces a client's term so).  Only
+the *representation* depends on history: never pack a running sum.
+
+Long vectors
+------------
+A vector too long to block in a format narrower than float64 (float32 past
+32,768 floats: the Fig. 2 CNN's 406,922) is summed in float64: an add is one
+column-tiled float64 sum certified exact per lane (Dekker: the sum minus its
+larger operand is exact, so a rounded sum gives an operand back wrong), else
+the cascade in float64.  ``round()`` casts the lanes held in one component —
+one rounding of the exact value — and walks the rest over their exact pieces
+in the format, as ``components`` ships them: the format's own cascade gives
+the same bits while no sum passes a quarter of its range.  One that does, or
+is not finite, hands the accumulator (as those pieces) to that cascade.
 """
 
 from __future__ import annotations
@@ -108,7 +117,7 @@ class ExactPartial:
     dtype:
         IEEE float dtype the accumulation runs in (the pipeline dtype; the
         error-free transformations below are valid in any IEEE binary
-        format, so float32 runs stay exact in float32 arithmetic).
+        format, so float32 runs stay exact — long ones in float64).
     """
 
     def __init__(self, dim: int, dtype=np.float64):
@@ -124,6 +133,9 @@ class ExactPartial:
         )
         #: rows per block; 1 = a vector too long to block, summed through the cascade
         self._block_rows = rows if rows >= _MIN_BLOCK_ROWS else 1
+        #: float64 while a long narrow vector sums wide, under ``_limit`` (¼ of the range); else None
+        self._wide = np.dtype(np.float64) if self._block_rows == 1 and self.dtype.itemsize < 8 else None
+        self._limit = float(np.ldexp(1.0, np.finfo(self.dtype).maxexp - 2))
         #: rows handed out by :meth:`row` and not yet in ``_comps`` (the first ``_used``)
         self._block: Optional[np.ndarray] = None
         self._used = 0
@@ -133,13 +145,14 @@ class ExactPartial:
     def components(self) -> Tuple[np.ndarray, ...]:
         """The expansion's component arrays, smallest magnitude first.
 
-        Together they represent the exact accumulated sum; they are live
-        references — copy before mutating.
+        Together they represent the exact accumulated sum, in the format;
+        they are live references — copy before mutating.
         """
         self._settle()
-        return tuple(self._comps)
+        return tuple(self._comps if self._wide is None else _narrow(self._comps, self.dtype))
 
     def __len__(self) -> int:
+        """How many component arrays hold the sum (float64 ones while it runs wide)."""
         self._settle()
         return len(self._comps)
 
@@ -166,12 +179,16 @@ class ExactPartial:
     def _settle(self, carry: bool = False) -> None:
         """Fold the rows handed out so far: a block down to its level sums —
         kept as the block's first rows when more terms are coming (``carry``),
-        else added to the expansion — and anything a block cannot or need not
-        take (three rows or fewer, a one-row scratch, overflow, non-finite
-        values) row by row through the cascade."""
+        else the new expansion, the old one having joined the block as rows —
+        and anything a block cannot or need not take (three rows or fewer, a
+        one-row scratch, overflow, non-finite values) row by row through the cascade."""
         block, used = self._block, self._used
         if not used:  # nothing handed out (or a read from inside the adds below)
             return
+        if used > 3 and self._comps and not carry:  # the expansion joins the block, as rows
+            comps, self._comps = self._comps, []
+            self.merge(comps)
+            block, used = self._block, self._used
         self._used = 0
         if not carry:
             self._block = None
@@ -179,9 +196,7 @@ class ExactPartial:
         if terms is None:
             terms = block[:used]
         elif carry and 2 * len(terms) <= len(block):
-            for level in terms:
-                np.copyto(self.row(), level)
-            return
+            return self.merge(terms)
         for term in terms:
             self.add(term)
 
@@ -230,20 +245,18 @@ class ExactPartial:
     def add(self, term: np.ndarray) -> None:
         """Add one vector to the exact running sum (error-free)."""
         self._settle()
-        q = self._vector(term).astype(self.dtype)
-        comps: List[np.ndarray] = []
-        for e in self._comps:
-            # Knuth TwoSum: s + err == q + e exactly, no magnitude ordering
-            # required.  Cascading it through the components (Shewchuk's
-            # GROW-EXPANSION) keeps the expansion non-overlapping and in
-            # increasing magnitude order — the invariant round() relies on.
-            s = q + e
-            bv = s - q
-            err = (q - (s - bv)) + (e - bv)
-            if np.any(err):
-                comps.append(err)
-            q = s
-        comps.append(q)
+        q = self._vector(term)
+        if self._wide is not None:
+            q, total = q.astype(self.dtype, copy=False), np.empty(self.dim, self._wide)
+            if len(self._comps) == 1 and _sum_once(self._comps[0], q, total, self._limit):
+                self._comps = [total]  # what _grow makes of it, at a third of the cost
+                return
+            comps = _grow(self._comps, q.astype(self._wide))
+            if not (comps[-1].max() < self._limit and comps[-1].min() > -self._limit):  # True at a NaN
+                # a sum this large could overflow the format: from here its own cascade decides
+                self._comps, self._wide = _narrow(self._comps, self.dtype), None
+        if self._wide is None:
+            comps = _grow(self._comps, q.astype(self.dtype))
         self._comps = comps
         if len(comps) > self._compact_at:
             self._compact()
@@ -261,7 +274,7 @@ class ExactPartial:
         nonzero = stack != 0
         depth = int(nonzero.sum(axis=0).max()) if stack.size else 0
         depth = max(depth, 1)
-        packed = np.zeros((depth, self.dim), dtype=self.dtype)
+        packed = np.zeros((depth, self.dim), dtype=stack.dtype)
         rows, cols = np.nonzero(nonzero)
         packed[nonzero.cumsum(axis=0)[rows, cols] - 1, cols] = stack[rows, cols]
         self._comps = list(packed)
@@ -282,46 +295,91 @@ class ExactPartial:
 
     # -------------------------------------------------------------- rounding
     def round(self) -> np.ndarray:
-        """The exact accumulated sum, correctly rounded to one vector.
-
-        This is ``math.fsum``'s final-rounding step, vectorised: walk the
-        components from the largest down until a non-zero low-order residue
-        appears, then nudge by one ulp when that residue is exactly half an
-        ulp and the remaining tail pushes the exact value past the halfway
-        point.  The result depends only on the exact real sum — not on the
-        expansion that happens to represent it (an exactly zero lane is
-        ``+0.0``, whatever signed zeros the additions left).
-        """
+        """The exact accumulated sum, correctly rounded to one vector — see
+        :func:`_round` and "Long vectors"."""
         self._settle()
         comps = self._comps
-        if not comps:
-            return np.zeros(self.dim, dtype=self.dtype)
-        hi = comps[-1] + self.dtype.type(0)  # a copy; -0.0 → +0.0, and no sum below can undo it
-        if len(comps) == 1:
-            return hi
-        lo = np.zeros_like(hi)
-        done = np.zeros(self.dim, dtype=bool)
-        tail_sign = np.zeros_like(hi)
-        for y in reversed(comps[:-1]):
-            active = ~done
-            s = hi + y
-            yr = s - hi
-            resid = y - yr
-            np.copyto(hi, s, where=active)
-            np.copyto(lo, resid, where=active)
-            newly = active & (lo != 0)
-            done |= newly
-            # For lanes whose residue is already fixed, remember the sign of
-            # the largest non-zero remaining component (non-overlap makes it
-            # dominate the tail) — the halfway-case tie breaker below.
-            need_sign = done & ~newly & (tail_sign == 0) & (y != 0)
-            np.copyto(tail_sign, np.sign(y), where=need_sign)
-        half = self.dtype.type(2.0) * lo
-        bumped = hi + half
-        exact_bump = (bumped - hi) == half
-        fix = exact_bump & (lo != 0) & (np.sign(lo) == tail_sign)
-        np.copyto(hi, bumped, where=fix)
+        if self._wide is None or not comps:
+            return _round(comps, self.dim, self.dtype)
+        out = np.add(comps[-1], 0.0, dtype=self.dtype)  # one rounding; -0.0 → +0.0
+        lanes = np.flatnonzero(np.logical_or.reduce([c != 0 for c in comps[:-1]]))  # held in more than one
+        out[lanes] = _round(_narrow([c[lanes] for c in comps], self.dtype), lanes.size, self.dtype)
+        return out
+
+
+def _grow(comps: List[np.ndarray], q: np.ndarray) -> List[np.ndarray]:
+    """``comps`` (an expansion, smallest magnitude first) plus ``q``, exactly."""
+    out: List[np.ndarray] = []
+    for e in comps:
+        # Knuth TwoSum: s + err == q + e exactly, in any magnitude order.  Down
+        # the components (Shewchuk's GROW-EXPANSION) it keeps the expansion
+        # non-overlapping and increasing — the invariant _round relies on.
+        s = q + e
+        bv = s - q
+        err = (q - (s - bv)) + (e - bv)
+        if np.any(err):
+            out.append(err)
+        q = s
+    out.append(q)
+    return out
+
+
+def _sum_once(e: np.ndarray, q: np.ndarray, out: np.ndarray, limit: float) -> bool:
+    """``out = e + q``, column-tiled; True when every lane is exact ("Long vectors") and inside ``±limit``."""
+    width = _TILE_BYTES // out.itemsize
+    for lo in range(0, len(out), width):
+        a, b, s = e[lo : lo + width], q[lo : lo + width], out[lo : lo + width]
+        np.add(a, b, out=s)
+        if not ((s - b == a).all() and (s - a == b).all() and s.max() < limit and s.min() > -limit):
+            return False
+    return True
+
+
+def _narrow(comps: Sequence[np.ndarray], dtype: np.dtype) -> List[np.ndarray]:
+    """A float64 expansion of ``dtype`` values as one in ``dtype`` (exact: every
+    component is a multiple of the least subnormal), never empty once added to."""
+    out: List[np.ndarray] = []
+    for comp in comps:
+        while comp.any() or not out:
+            piece = comp.astype(dtype)
+            out, comp = _grow(out, piece), comp - piece
+    return out
+
+
+def _round(comps: Sequence[np.ndarray], dim: int, dtype: np.dtype) -> np.ndarray:
+    """``math.fsum``'s final-rounding step, vectorised: walk the components
+    from the largest down until a non-zero low-order residue appears, then
+    nudge by one ulp when that residue is exactly half an ulp and the remaining
+    tail pushes the exact value past the halfway point.  A function of the
+    exact sum alone, not of its expansion (an exactly zero lane is ``+0.0``)."""
+    if not comps:
+        return np.zeros(dim, dtype=dtype)
+    hi = comps[-1] + dtype.type(0)  # a copy; -0.0 → +0.0, and no sum below can undo it
+    if len(comps) == 1:
         return hi
+    lo = np.zeros_like(hi)
+    done = np.zeros(dim, dtype=bool)
+    tail_sign = np.zeros_like(hi)
+    for y in reversed(comps[:-1]):
+        active = ~done
+        s = hi + y
+        yr = s - hi
+        resid = y - yr
+        np.copyto(hi, s, where=active)
+        np.copyto(lo, resid, where=active)
+        newly = active & (lo != 0)
+        done |= newly
+        # For lanes whose residue is already fixed, remember the sign of
+        # the largest non-zero remaining component (non-overlap makes it
+        # dominate the tail) — the halfway-case tie breaker below.
+        need_sign = done & ~newly & (tail_sign == 0) & (y != 0)
+        np.copyto(tail_sign, np.sign(y), where=need_sign)
+    half = dtype.type(2.0) * lo
+    bumped = hi + half
+    exact_bump = (bumped - hi) == half
+    fix = exact_bump & (lo != 0) & (np.sign(lo) == tail_sign)
+    np.copyto(hi, bumped, where=fix)
+    return hi
 
 
 # ------------------------------------------------------------------ packing

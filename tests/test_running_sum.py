@@ -1,20 +1,24 @@
-"""The running exact sum is the re-sum (ISSUE 16).
+"""The running exact sum is the re-sum.
 
 :meth:`repro.core.base.ADMMServer.aggregate_global` keeps ``Σ_p (z_p − λ_p/ρ)``
 in one running :class:`~repro.core.partial.ExactPartial` and replaces a client's
-term (add the negated old one, add the new one) instead of re-summing every
-tracked client.  Three layers of evidence that nothing moves:
+term — the negated old one and the new one, each written as a row of the
+fold's block — instead of re-summing every tracked client.  Layers of evidence
+that nothing moves:
 
 * the accumulator itself: any interleaving of additions and removals rounds
   bitwise to a fresh accumulator over the surviving multiset, and its length
-  stays bounded over 10,000 replacements;
+  stays bounded over 10,000 replacements — cascaded one by one, or as block
+  rows folded every 16 (no longer than a block-built sum: ≤ 4 components);
 * the servers: random op sequences on IIADMM / ICEADMM servers (flat and
   sharded, ``adaptive_rho`` on and off, state save/load mid-window) against a
-  twin that always re-sums;
-* the cost: a minority window evaluates ``2·arrivals`` client terms (ISSUE 20:
-  O(arrivals) is counted in ``partial_term`` evaluations now that terms are
-  summed by the block, with ``add`` calls bounded by what the per-term cascade
-  made), a full-participation window exactly what a re-sum evaluates;
+  twin that always re-sums — a population of at most 14, so two more cases
+  the twin never reaches: a minority window past one 64-row block (its level
+  sums carried), and an inf in a window's block (summed row by row, the kept
+  sum dropped);
+* the cost: ``ingest`` makes no cascade ``add``, a minority window evaluates
+  ``2·arrivals`` client terms and its fold adds only the block's level sums,
+  a full-participation window costs exactly what a re-sum does;
 
 and end to end: an async FedBuff run against the always-re-sum twin, and a
 hier-async run whose edges hear from a minority per flush — there the running
@@ -116,6 +120,32 @@ def test_length_stays_bounded_over_ten_thousand_replacements(dtype):
     # Non-overlapping components of one lane span at most the format's
     # exponent range; compaction keeps the array count within twice that.
     assert longest <= 24
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_length_stays_bounded_over_ten_thousand_replacements_as_rows(dtype):
+    """The server's form: each replacement writes the negated old term and the
+    new one as block rows, and a read every 16 replacements (a FedBuff(16)
+    flush) folds them — the expansion stays as short as a block-built sum."""
+    rng = np.random.default_rng(0)
+    dim, population = 64, 48
+    scales = 10.0 ** rng.integers(-6, 7, size=(population, 1))
+    terms = (rng.standard_normal((population, dim)) * scales).astype(dtype)
+    running = ExactPartial(dim, dtype)
+    for term in terms:
+        np.copyto(running.row(), term)
+    longest = 0
+    for step in range(10_000):
+        cid = int(rng.integers(population))
+        new = (terms[cid] + rng.standard_normal(dim) * 0.05 * scales[cid]).astype(dtype)
+        np.negative(terms[cid], out=running.row())
+        np.copyto(running.row(), new)
+        terms[cid] = new
+        if step % 16 == 15:
+            longest = max(longest, len(running))
+        if step % 1000 == 999:
+            assert running.round().tobytes() == _fresh(terms, dtype, dim).round().tobytes()
+    assert longest <= 4
 
 
 # ------------------------------------------------------------------ servers
@@ -241,11 +271,11 @@ def _window(server, cids, seed):
 
 
 @pytest.mark.parametrize("algorithm", sorted(SERVERS))
-def test_a_minority_window_costs_two_adds_per_arrival(algorithm, add_calls, term_calls):
-    """Per client heard from: its stale term out (one cascade ``add`` at its
-    first arrival), its new term in (one row of the catch-up block).  The
-    parent commit made one ``add`` per term and per merged component; the
-    block path may only make fewer."""
+def test_a_minority_window_costs_two_rows_per_arrival(algorithm, add_calls, term_calls):
+    """Per client heard from: its stale term out (one row of the fold's block,
+    written at its first arrival), its new term in (one more row at the fold).
+    ``ingest`` makes no cascade ``add``; the fold adds only the block's level
+    sums to the kept expansion."""
     population, arrivals = 40, 5
     server = _server(SERVERS[algorithm], population, None, "float64", False)
     _window(server, range(arrivals), seed=0)
@@ -257,12 +287,11 @@ def test_a_minority_window_costs_two_adds_per_arrival(algorithm, add_calls, term
         del add_calls[:], term_calls[:]
         cids = [(7 * window + i) % population for i in range(arrivals)]
         _window(server, cids + cids[:2], seed=window)  # two clients report twice
-        assert len(add_calls) == arrivals and term_calls == cids  # nothing is stashed
+        assert not add_calls and term_calls == cids  # nothing is stashed, nothing is cascaded
         server.aggregate_global()
         # two evaluations per client heard from, whatever the population
         assert len(term_calls) == 2 * arrivals and sorted(term_calls[arrivals:]) == sorted(cids)
-        assert arrivals < len(add_calls) <= 2 * arrivals + server.partial_components
-        assert server.partial_components <= 12
+        assert 0 < len(add_calls) <= server.partial_components <= 4
     assert server.aggregate_counts[("incremental", "minority_window")] == 5
 
 
@@ -291,11 +320,66 @@ def test_a_window_that_turns_majority_drops_the_accumulator(add_calls):
     assert server._running is not None
     del add_calls[:]
     _window(server, range(4), seed=0)
-    assert len(add_calls) == 4  # each old term leaves at its arrival: nothing is stashed
+    assert not add_calls and server._running._used == 4  # each old term leaves at its arrival, as a row
     _window(server, [4], seed=1)  # the fifth of ten: re-summing is now cheaper
-    assert server._running is None and len(add_calls) == 4
+    assert server._running is None and not add_calls
     server.aggregate_global()
     assert server.aggregate_counts == {("rebuild", "first"): 1, ("rebuild", "majority_window"): 1}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("algorithm", sorted(SERVERS))
+def test_a_minority_window_past_one_block_carries_its_level_sums(algorithm, dtype, monkeypatch):
+    """45 of 100 clients, 10 of them twice: 90 rows overflow the 64-row block,
+    whose level sums are carried into the next one — bitwise the re-sum."""
+    extracted = []
+    original = ExactPartial._extract
+    monkeypatch.setattr(ExactPartial, "_extract", lambda self, block: extracted.append(len(block)) or original(self, block))
+    population = 100
+    server = _server(SERVERS[algorithm], population, None, dtype, False)
+    twin = _server(_resumming(SERVERS[algorithm]), population, None, dtype, False)
+    for window, start in enumerate([0, 30, 55, 10]):
+        cids = [(start + i) % population for i in range(45)]
+        for s in (server, twin):
+            _window(s, cids + cids[:10], seed=window)
+        del extracted[:]
+        server.aggregate_global()
+        twin.aggregate_global()
+        _assert_same_state(server, twin)
+        if window:
+            assert extracted[0] == server._running._block_rows == 64  # a full block, carried
+    assert server.aggregate_counts[("incremental", "minority_window")] == 3
+
+
+@pytest.mark.parametrize("algorithm", sorted(SERVERS))
+def test_a_non_finite_term_is_summed_row_by_row_and_never_kept(algorithm):
+    """An inf in a window's block: the block goes row by row through the
+    cascade, as the re-sum's does, and the kept sum is dropped — an inf or NaN
+    can never be taken out again, so no later window would match the re-sum.
+    An ICEADMM replica is absolute state: once the client reports finite values
+    again, the model is finite again too."""
+    population = 12
+    server = _server(SERVERS[algorithm], population, None, "float64", False)
+    twin = _server(_resumming(SERVERS[algorithm]), population, None, "float64", False)
+    dim = server.vectorizer.dim
+    finite, kept = np.zeros(dim), []
+    for window, poison in enumerate([False, True, False, False]):
+        for s in (server, twin):
+            rng = np.random.default_rng(window)
+            for cid in (3, 4, 5):
+                primal = rng.standard_normal(dim)
+                if poison and cid == 4:
+                    primal[1] = np.inf
+                s.ingest(cid, {PRIMAL_KEY: primal, DUAL_KEY: rng.standard_normal(dim)}, finite)
+        with np.errstate(invalid="ignore"):
+            server.aggregate_global()
+            twin.aggregate_global()
+        assert server.global_params.tobytes() == twin.global_params.tobytes()
+        kept.append(server._running is not None)
+    recovers = algorithm == "iceadmm"  # an IIADMM dual replays increments: its inf stays
+    assert kept == [True, False, recovers, recovers]
+    assert server.aggregate_counts[("rebuild", "non_finite")] == (1 if recovers else 2)
+    assert np.isfinite(server.global_params).all() == recovers
 
 
 def test_restore_and_rho_growth_each_force_one_named_resum():
