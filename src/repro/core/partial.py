@@ -48,10 +48,10 @@ reduction included.  The remainders are at most ``σ·2⁻ᵖ`` (``p`` the
 format's precision), so the next level's ``σ`` is known without looking, and
 the levels repeat until the remainders are all zero: 2 for similar-magnitude
 terms, 5-6 for 60-decade exponent spreads.  The level sums of a block that
-filled up are carried into the next one as its first rows, the last one
-takes the expansion held so far as rows too, and its 2-4 level sums go through
-the cascade :meth:`~ExactPartial.add` — the one-vector primitive the block
-path *ends in*.  ``round()`` returns the same bits however a sum was built,
+filled up are carried into the next one as its first rows (through the
+cascade when more than half a block), and the last block's 2-4 go through the
+cascade :meth:`~ExactPartial.add` — the one-vector primitive the block path
+*ends in*.  ``round()`` returns the same bits however a sum was built,
 because it is a function of the exact real total alone; the *expansion* of a
 block-built sum is a function of the terms and their order alone, which is
 what lets it travel a wire.
@@ -70,22 +70,24 @@ Running use
 -----------
 IEEE negation is exact, so *removing* a term is adding its negation: with
 ``-t_old`` and ``t_new`` written as rows, the next read folds them and the
-expansion held so far as one block, into the current multiset's sum — no
-longer than a fresh block sum of it, and :meth:`round` gives a fresh sum's
-bits (:class:`~repro.core.base.ADMMServer` replaces a client's term so).  Only
-the *representation* depends on history: never pack a running sum.
+expansion held before the first of them as one block, into the current
+multiset's sum — no longer than a fresh block sum of it, and :meth:`round`
+gives a fresh sum's bits (:class:`~repro.core.base.ADMMServer` replaces a
+client's term so).  Only an expansion held before a fold's first row joins
+it: a fresh sum ships its blocks' levels, cascaded.  Only the
+*representation* depends on history: never pack a running sum.
 
 Long vectors
 ------------
 A vector too long to block in a format narrower than float64 (float32 past
-32,768 floats: the Fig. 2 CNN's 406,922) is summed in float64: an add is one
-column-tiled float64 sum certified exact per lane (Dekker: the sum minus its
-larger operand is exact, so a rounded sum gives an operand back wrong), else
-the cascade in float64.  ``round()`` casts the lanes held in one component —
-one rounding of the exact value — and walks the rest over their exact pieces
-in the format, as ``components`` ships them: the format's own cascade gives
-the same bits while no sum passes a quarter of its range.  One that does, or
-is not finite, hands the accumulator (as those pieces) to that cascade.
+32,768 floats: the Fig. 2 CNN's 406,922) is summed in float64, where the
+cascade adds similar-magnitude float32 values without error, and an all-zero
+error array is not kept: the sum stays one component until a lane spans more
+than 53 bits.  ``round()`` casts the lanes held in one component — one
+rounding of the exact value — and walks the rest over their exact pieces in
+the format, as ``components`` ships them: the format's own cascade gives the
+same bits while no sum passes a quarter of its range.  One that does, or is
+not finite, hands the accumulator (as those pieces) to that cascade.
 """
 
 from __future__ import annotations
@@ -128,9 +130,7 @@ class ExactPartial:
         self._comps: List[np.ndarray] = []
         self._compact_at = 8
         precision = np.finfo(self.dtype).nmant + 1
-        rows = min(
-            _BLOCK_BYTES // max(1, self.dim * self.dtype.itemsize), _MAX_BLOCK_ROWS, 2 ** (precision // 2 - 2)
-        )
+        rows = min(_BLOCK_BYTES // max(1, self.dim * self.dtype.itemsize), _MAX_BLOCK_ROWS, 2 ** (precision // 2 - 2))
         #: rows per block; 1 = a vector too long to block, summed through the cascade
         self._block_rows = rows if rows >= _MIN_BLOCK_ROWS else 1
         #: float64 while a long narrow vector sums wide, under ``_limit`` (¼ of the range); else None
@@ -139,6 +139,7 @@ class ExactPartial:
         #: rows handed out by :meth:`row` and not yet in ``_comps`` (the first ``_used``)
         self._block: Optional[np.ndarray] = None
         self._used = 0
+        self._joins = False  #: the expansion predates the block's first row (a running sum's): it joins
 
     # ------------------------------------------------------------ inspection
     @property
@@ -152,9 +153,8 @@ class ExactPartial:
         return tuple(self._comps if self._wide is None else _narrow(self._comps, self.dtype))
 
     def __len__(self) -> int:
-        """How many component arrays hold the sum (float64 ones while it runs wide)."""
-        self._settle()
-        return len(self._comps)
+        """How many component arrays :attr:`components` ships."""
+        return len(self.components)
 
     @classmethod
     def from_components(cls, components: Sequence[np.ndarray], dim: int, dtype) -> "ExactPartial":
@@ -171,6 +171,7 @@ class ExactPartial:
         ``row()`` past a full block and by any read."""
         if self._block is None:
             self._block = np.empty((self._block_rows, self.dim), dtype=self.dtype)
+            self._joins = bool(self._comps)
         elif self._used == len(self._block):
             self._settle(carry=True)
         self._used += 1
@@ -179,13 +180,14 @@ class ExactPartial:
     def _settle(self, carry: bool = False) -> None:
         """Fold the rows handed out so far: a block down to its level sums —
         kept as the block's first rows when more terms are coming (``carry``),
-        else the new expansion, the old one having joined the block as rows —
-        and anything a block cannot or need not take (three rows or fewer, a
-        one-row scratch, overflow, non-finite values) row by row through the cascade."""
+        else the new expansion, one held before the block's first row (a
+        running sum's) having joined it as rows — and anything a block cannot or
+        need not take (three rows or fewer, a one-row scratch, overflow,
+        non-finite values) row by row through the cascade."""
         block, used = self._block, self._used
         if not used:  # nothing handed out (or a read from inside the adds below)
             return
-        if used > 3 and self._comps and not carry:  # the expansion joins the block, as rows
+        if used > 3 and self._joins and not carry:  # the expansion joins the block, as rows
             comps, self._comps = self._comps, []
             self.merge(comps)
             block, used = self._block, self._used
@@ -245,18 +247,14 @@ class ExactPartial:
     def add(self, term: np.ndarray) -> None:
         """Add one vector to the exact running sum (error-free)."""
         self._settle()
-        q = self._vector(term)
+        q = self._vector(term).astype(self.dtype, copy=False)
         if self._wide is not None:
-            q, total = q.astype(self.dtype, copy=False), np.empty(self.dim, self._wide)
-            if len(self._comps) == 1 and _sum_once(self._comps[0], q, total, self._limit):
-                self._comps = [total]  # what _grow makes of it, at a third of the cost
-                return
-            comps = _grow(self._comps, q.astype(self._wide))
+            comps = _grow(self._comps, q, self._wide)
             if not (comps[-1].max() < self._limit and comps[-1].min() > -self._limit):  # True at a NaN
                 # a sum this large could overflow the format: from here its own cascade decides
                 self._comps, self._wide = _narrow(self._comps, self.dtype), None
         if self._wide is None:
-            comps = _grow(self._comps, q.astype(self.dtype))
+            comps = _grow(self._comps, q, self.dtype)
         self._comps = comps
         if len(comps) > self._compact_at:
             self._compact()
@@ -307,32 +305,34 @@ class ExactPartial:
         return out
 
 
-def _grow(comps: List[np.ndarray], q: np.ndarray) -> List[np.ndarray]:
-    """``comps`` (an expansion, smallest magnitude first) plus ``q``, exactly."""
-    out: List[np.ndarray] = []
-    for e in comps:
-        # Knuth TwoSum: s + err == q + e exactly, in any magnitude order.  Down
-        # the components (Shewchuk's GROW-EXPANSION) it keeps the expansion
-        # non-overlapping and increasing — the invariant _round relies on.
-        s = q + e
-        bv = s - q
-        err = (q - (s - bv)) + (e - bv)
-        if np.any(err):
-            out.append(err)
-        q = s
-    out.append(q)
-    return out
-
-
-def _sum_once(e: np.ndarray, q: np.ndarray, out: np.ndarray, limit: float) -> bool:
-    """``out = e + q``, column-tiled; True when every lane is exact ("Long vectors") and inside ``±limit``."""
-    width = _TILE_BYTES // out.itemsize
-    for lo in range(0, len(out), width):
-        a, b, s = e[lo : lo + width], q[lo : lo + width], out[lo : lo + width]
-        np.add(a, b, out=s)
-        if not ((s - b == a).all() and (s - a == b).all() and s.max() < limit and s.min() > -limit):
-            return False
-    return True
+def _grow(comps: List[np.ndarray], q: np.ndarray, dtype: np.dtype) -> List[np.ndarray]:
+    """``comps`` (an expansion, smallest magnitude first) plus ``q``, exactly,
+    in ``dtype``.  Column-tiled: the temporaries are four reused tiles, and an
+    error array is allocated, written and kept only where a tile of it is non-zero."""
+    if not comps:
+        return [q.astype(dtype)]
+    dim, width = len(q), _TILE_BYTES // dtype.itemsize
+    total, errs = np.empty(dim, dtype), [None] * len(comps)
+    tiles = np.empty((4, min(width, dim)), dtype)  # one allocation, four tiles
+    for lo in range(0, dim, width):
+        acc = q[lo : lo + width]
+        s0, s1, bv, av = (t[: len(acc)] for t in tiles)
+        for i, e in enumerate(comps):
+            # Knuth TwoSum (Shewchuk's names): s + err == acc + e exactly, in any order.  Down the components
+            # (GROW-EXPANSION) it keeps the expansion non-overlapping and increasing, as _round needs.
+            e, s = e[lo : lo + width], total[lo : lo + width] if i == len(comps) - 1 else (s0, s1)[i % 2]
+            np.add(acc, e, out=s)
+            np.subtract(s, acc, out=bv)
+            np.subtract(s, bv, out=av)
+            np.subtract(acc, av, out=av)  # a_roundoff
+            np.subtract(e, bv, out=bv)  # b_roundoff
+            np.add(av, bv, out=bv)  # err; av += bv on a one-lane tile can return bv's NaN, not av's
+            if bv.any():
+                if errs[i] is None:
+                    errs[i] = np.zeros(dim, dtype)
+                errs[i][lo : lo + width] = bv
+            acc = s
+    return [a for a in errs if a is not None] + [total]
 
 
 def _narrow(comps: Sequence[np.ndarray], dtype: np.dtype) -> List[np.ndarray]:
@@ -342,7 +342,7 @@ def _narrow(comps: Sequence[np.ndarray], dtype: np.dtype) -> List[np.ndarray]:
     for comp in comps:
         while comp.any() or not out:
             piece = comp.astype(dtype)
-            out, comp = _grow(out, piece), comp - piece
+            out, comp = _grow(out, piece, dtype), comp - piece
     return out
 
 

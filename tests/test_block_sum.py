@@ -136,6 +136,25 @@ def test_every_count_around_a_block_boundary_and_past_the_row_cap(dtype, dim, de
             assert got[lanes].tobytes() == (_fsum(terms[:, lanes], 32) + 0.0).tobytes()
 
 
+@pytest.mark.parametrize("dtype, dim, decades", [(np.float64, 16384, 150), (np.float32, 32768, 18)])
+def test_a_fresh_fold_ships_its_blocks_levels_through_the_cascade(dtype, dim, decades):
+    """An 8-row block whose level sums are more than half a block carries them
+    through ``add``; the next block must not take that expansion as rows (only a
+    running sum's, held before the fold, joins): an edge summary of such a window
+    ships each block's levels cascaded in order, component for component."""
+    rng = np.random.default_rng(6)
+    scales = 10.0 ** rng.integers(-decades, decades + 1, size=(13, dim))
+    terms = (rng.standard_normal((13, dim)) * scales).astype(dtype)
+    rows = ExactPartial(dim, dtype)._block_rows
+    assert rows == 8 and len(ExactPartial(dim, dtype)._extract(terms[:rows].copy())) > rows // 2
+    want = ExactPartial(dim, dtype)
+    for start in (0, rows):
+        for level in want._extract(terms[start : start + rows].copy()):
+            want.add(level)
+    got = pack_partial(_blocked(terms, dtype, dim))
+    assert [(key, c.tobytes()) for key, c in got.items()] == [(key, c.tobytes()) for key, c in pack_partial(want).items()]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_similar_magnitude_terms_take_two_or_three_components(dtype):
     rng = np.random.default_rng(1)

@@ -2,10 +2,11 @@
 
 A float32 vector too long to block (more than 32,768 floats — the Fig. 2 CNN
 has 406,922) takes :class:`~repro.core.partial.ExactPartial`'s one-row path.
-Its terms are summed in float64: one rounding per add, certified exact lane by
-lane, while every lane's sum is; a float64 expansion where one is not; and the
-format's own cascade, continued from the exact pieces of the sum, from the
-first sum that nears float32's range or holds a non-finite value.  ``round()``
+Its terms are summed through the cascade in float64, one component while no
+lane spans more than float64's 53 bits and an expansion where one does; and
+through the format's own cascade, continued from the exact pieces of the sum,
+from the first sum that nears float32's range or holds a non-finite value.
+``len()`` counts the float32 pieces ``components`` ships.  ``round()``
 casts the lanes held in one float64 component (one rounding of the exact
 value) and walks the others in float32.
 
@@ -102,7 +103,7 @@ def test_the_float64_fold_rounds_to_the_float32_cascade(terms):
             return
         # the wire carries exact float32 pieces: a fixed point through pack, unpack and merge
         shipped = unpack_partial(pack_partial(acc))
-        assert all(piece.dtype == np.float32 for piece in shipped)
+        assert all(piece.dtype == np.float32 for piece in shipped) and len(shipped) == len(acc)
         again = ExactPartial(DIM, np.float32)
         again.merge(shipped)
         assert again.round().tobytes() == got.tobytes()
@@ -125,6 +126,6 @@ def test_each_way_a_long_sum_is_held(case):
         got = acc.round()
         assert got.tobytes() == _reference_round(terms).tobytes()
     held = {"certified": (True, 1), "uncertified": (True, 2), "near_max": (False, 2), "non_finite": (False, 2)}
-    assert (acc._wide is not None, min(len(acc), 2)) == held[case]
+    assert (acc._wide is not None, min(len(acc._comps), 2)) == held[case]  # the held components, not the shipped pieces
     if case == "non_finite":
         assert np.isnan(got[7]) and np.isfinite(np.delete(got, 7)).all()
