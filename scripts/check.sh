@@ -10,10 +10,11 @@
 # populations pin, snapshot/restore and hand worker shards to a real process
 # pool and back bitwise, and an eager process round checks nothing out
 # parent-side),
-# and the perf/ benchmark's API-surface + bitwise-digest smoke with four
+# and the perf/ benchmark's API-surface + bitwise-digest smoke with five
 # read-only gates on its result (async_fedbuff's cascade adds per flush,
-# <= 8, hier_int8's cohort share and root-hop bytes, longrun_monitored's
-# cohort share under DP)
+# <= 8, and per-client update() calls per aggregation, <= 4 — its flights
+# run as version cohorts — hier_int8's cohort share and root-hop bytes,
+# longrun_monitored's cohort share under DP)
 # — perf/ is the one benchmark; throughput is compared there
 # (perf/compare.py), never gated on single samples here.  A read-only source
 # gate runs first: telemetry and checkpoints read the runners' declared
@@ -69,6 +70,11 @@ python3 -c "import json; row = json.load(open('perf/out/result.json'))['workload
 # differentially private: clip and Laplace noise are the algorithm body's
 # per-lane epilogue, not a reason to fall back.
 python3 -c "import json; share = json.load(open('perf/out/result.json'))['workloads']['longrun_monitored']['per_layer']['core.batched.cohort_share']; assert share == 1, f'longrun_monitored: cohort_share {share} - DP clients fell back to per-client updates'"
+# async_fedbuff's flights run as version cohorts: a compute-done runs every
+# pending flight of its model version as one stacked update, so its 16
+# arrivals per aggregation need (almost) no per-client update() (<= 4 gated;
+# 16 means every flight ran alone again).
+python3 -c "import json; n = json.load(open('perf/out/result.json'))['workloads']['async_fedbuff']['per_layer']['core.client.update_calls']; assert n <= 4, f'async_fedbuff: {n} per-client update() calls per aggregation (bound 4) - flights no longer run as version cohorts'"
 echo "src/ LOC: $(find src -name '*.py' | xargs wc -l | tail -1)"
 # ROADMAP "one runner shell" bar: the runner base and the four runners stay <= 2,230.
 echo "runner group LOC: $(wc -l src/repro/core/phases.py src/repro/core/runner.py \
@@ -77,6 +83,8 @@ echo "runner group LOC: $(wc -l src/repro/core/phases.py src/repro/core/runner.p
 echo "mp/ + executor LOC: $(wc -l src/repro/mp/*.py src/repro/core/executor.py | tail -1)"
 # ROADMAP "exact sums at the price of a plain sum" bar: core/partial.py 349 + 60 -> <= 409.
 echo "core/partial.py LOC: $(wc -l < src/repro/core/partial.py) (bar <= 409)"
+# ROADMAP "version cohorts" bar: asyncfl/ + hier/async_runner.py 2,101 + 40 -> <= 2,141.
+echo "asyncfl/ + hier/async_runner.py LOC: $(wc -l src/repro/asyncfl/*.py src/repro/hier/async_runner.py | tail -1) (bar <= 2141)"
 # ROADMAP "one benchmark" bar: the paper-figure benches stay <= 400 lines.
 echo "benchmarks/ LOC: $(wc -l benchmarks/*.py | tail -1)"
 

@@ -10,15 +10,18 @@ what happens to a client between dispatch and ingest lives here once:
   time.  A dispatch the fault plan crashes schedules a dead ``compute_done``
   instead: the update never runs, so the client's persistent state — and any
   server-side replica of it (IIADMM's duals) — stays exactly where it was.
-* **compute-done** runs (or collects) the local update, encodes the upload
-  against the *dispatched* global — the delta-codec reference and the global
-  ``ingest`` will replay duals against, under any staleness — reconciles
-  lossy-codec client state with the decoded echo, unpins the client, charges
-  the uplink and schedules ``arrival``.  A crashed flight is tallied and its
-  slot handed back.
+* **compute-done** collects the local update — a started future, an upload
+  computed earlier, or else, in one go, the update of every pending flight
+  of the same model version (:meth:`ClientFlights.precompute`: stacked
+  cohorts, each other flight's upload stashed on its event) — then encodes
+  the upload against the *dispatched* global — the delta-codec reference and
+  the global ``ingest`` will replay duals against, under any staleness —
+  reconciles lossy-codec client state with the decoded echo, unpins the
+  client, charges the uplink and schedules ``arrival``.  A crashed flight is
+  tallied and its slot handed back.
 * **arrival** charges privacy (keyless on purpose: on a timeline every
-  arrival is a distinct release, and crashed dispatches never reach here),
-  feeds the *sink*, and hands the slot back.
+  arrival is a distinct release, and crashed dispatches never reach here)
+  and the upload's client steps, feeds the *sink*, and hands the slot back.
 
 To add a timeline event to a client's trip, add it here.  The owners keep
 only what is theirs: which client flies next, and what a freed slot means.
@@ -27,8 +30,9 @@ A flight holds exactly one pin on its owner's population
 (:mod:`repro.core.population` — eager or a
 :class:`~repro.scale.store.ClientStateStore`), taken at dispatch and dropped
 when the upload is encoded, the flight crashes, or the owner
-:meth:`~ClientFlights.abort`\\ s (an edge kill).  A ``compute_done`` popped
-after a checkpoint resume re-takes the pin its save did not carry.
+:meth:`~ClientFlights.abort`\\ s (an edge kill).  After a checkpoint resume a
+flight re-takes the pin its save did not carry when its version cohort runs
+or its ``compute_done`` pops, whichever comes first.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from ..comm.codecs import UpdatePacket
 from ..comm.latency import LinkModel
 from ..core.base import GLOBAL_KEY, BaseClient
+from ..core.batched import count_client_steps, run_batched_updates
 from ..core.exchange import PacketExchange
 from ..core.phases import PhaseClock
 from ..obs import current_tracer
@@ -57,6 +62,15 @@ ARRIVAL = "arrival"
 #: a free link: zero latency, infinite bandwidth — transfers take 0 simulated
 #: seconds, which is what the sync-equivalence guarantees assume.
 ZERO_LINK = LinkModel(latency=0.0, bandwidth=math.inf)
+
+#: Bytes one stacked ``(B, dim)`` block of a version cohort may take: a
+#: version group runs in near-equal chunks of at most that many rows (two at
+#: least).  Pooled cohort scratch grows to the widest chunk and stays, so
+#: without a cap one priming wave (every flight at version 0) would set the
+#: run's memory high-water mark.  At 256 KiB the four blocks a step's fused
+#: elementwise updates sweep (Z, G, S and a kept block such as IIADMM's
+#: duals) stay within 1 MiB, inside a typical per-core L2 cache.
+COHORT_BLOCK_BYTES = 256 << 10
 
 
 def per_client(value, num_clients: int, kind: str) -> List:
@@ -86,9 +100,10 @@ class ClientFlights:
     * ``trace_labels(version)`` — its labels for the flight's ``dispatch`` /
       ``arrival`` trace events;
     * optionally ``submit(client, payload) → Future | None`` to start local
-      updates eagerly on a pool.  Without one they run in-line at pop time —
-      bit-identical either way: an update depends only on the dispatched
-      payload snapshot and the client's own state.
+      updates eagerly on a pool.  Without one they run in-line, as version
+      cohorts, at the first pop of their version — bit-identical either way:
+      an update depends only on the dispatched payload snapshot and the
+      client's own state, and its flight pins the client until compute-done.
     """
 
     def __init__(
@@ -204,15 +219,16 @@ class ClientFlights:
         client = self.acquire(cid)
         clock = self.clock
         clock.begin("local_update")
-        future = data.get("future")
-        if "upload" in data:
-            # Quiesced/checkpointed event: client.update already ran (eagerly
-            # or forced at save time) and its result travelled with the event.
-            upload = data["upload"]
-        elif future is not None:
-            upload = future.result()
-        else:
-            upload = client.update(data["payload"])
+        if "upload" not in data:
+            # Nothing computed yet (a quiesce, a checkpoint or a version peer's
+            # cohort would have stashed it): run this flight with every
+            # pending future-less flight of its model version.
+            version = data["version"]
+            self.precompute([data] + [
+                ev.data for ev in self.loop.snapshot_events()
+                if ev.kind == COMPUTE_DONE and ev.data["version"] == version and not ev.data.get("future")
+            ])
+        upload = data["upload"]
         clock.end("local_update", client=cid)
         # DP noise was already applied inside client.update; the epsilon
         # travels with the event since the client may be spilled by arrival.
@@ -232,13 +248,44 @@ class ClientFlights:
             version=data["version"],
             dispatched_global=dispatched_global,
             privacy_eps=privacy.epsilon if privacy.enabled else None,
+            steps=count_client_steps(client),
         )
+
+    def precompute(self, flights: List[Dict[str, Any]]) -> None:
+        """Give every live flight among ``flights`` (``compute_done`` event
+        data) that has none its computed ``upload``: a started future is
+        collected, the rest run per model version through
+        :func:`~repro.core.batched.run_batched_updates` — in chunks of at most
+        :data:`COHORT_BLOCK_BYTES` per block — and per client where no cohort
+        forms (singletons, models without a batched kernel)."""
+        groups: Dict[int, List[Dict[str, Any]]] = {}
+        for data in flights:
+            if data.get("crashed") or "upload" in data:
+                continue
+            if data.get("future") is not None:
+                data["upload"], data["future"] = data["future"].result(), None
+            else:
+                groups.setdefault(data["version"], []).append(data)
+        for group in groups.values():
+            clients = [self.acquire(data["cid"]) for data in group]
+            payloads = {data["cid"]: data["payload"] for data in group}
+            vec = clients[0].vectorizer
+            cap = max(2, COHORT_BLOCK_BYTES // (vec.dim * vec.dtype.itemsize))
+            chunks = -(-len(group) // cap)  # ceilings: near-equal chunks of at most cap lanes
+            width = -(-len(group) // chunks)
+            batched = run_batched_updates(clients, payloads, width, current_tracer())
+            uploads, leftover = batched[:2] if batched is not None else ({}, clients)
+            for client in leftover:
+                uploads[client.client_id] = client.update(payloads[client.client_id])
+            for data in group:
+                data["upload"] = uploads[data["cid"]]
 
     def _arrival(self, data: Dict[str, Any]) -> None:
         cid = data["cid"]
         eps = data.get("privacy_eps")
         if eps is not None:
             self.accountant.record(cid, eps)
+        self.ledger.arrived_steps[cid] = data.get("steps", 0)
         tracer = current_tracer()
         if tracer is not None:
             tracer.event(

@@ -27,12 +27,12 @@ Events are processed in ``(virtual time, schedule order)`` order; all events
 sharing the current virtual time are drained before any freed dispatch slot is
 refilled, so an aggregation triggered by the last simultaneous arrival is
 visible to every replacement download.  Client updates only depend on the
-dispatched payload snapshot and the client's own state, so they may execute
-eagerly on a thread pool (``FLConfig.parallel_clients``) without changing a
-single bit of the history.  Consequently, with full participation, zero-cost
-links, identical devices, and ``FedBuffStrategy(buffer_size=num_clients)``,
-the produced :class:`~repro.core.runner.TrainingHistory` is bit-for-bit the
-synchronous :class:`FederatedRunner`'s.
+dispatched payload snapshot and the client's own state, so they may run early
+(a model version's pending flights as one stacked cohort, fallback clients on a
+thread pool) without changing a single bit of the history.  Consequently, with
+full participation, zero-cost links, identical devices, and
+``FedBuffStrategy(buffer_size=num_clients)``, the produced history is
+bit-for-bit the synchronous :class:`FederatedRunner`'s.
 
 The runner inherits ``FederatedRunner``'s API (``history``,
 ``phase_seconds``, ``close()``, context management) from the
@@ -66,6 +66,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from .. import nn
 from ..comm.latency import LinkModel
 from ..core.base import BaseClient, BaseServer
+from ..core.batched import fallback_reason
 from ..core.config import FLConfig
 from ..core.exchange import PacketExchange
 from ..core.executor import GrowOnlyThreads, resolve_workers
@@ -221,7 +222,8 @@ class AsyncRunner(Runner):
 
     # ------------------------------------------------------------- execution
     def _submit(self, client: BaseClient, payload) -> Optional[Future]:
-        """Start the client's local update eagerly when running parallel.
+        """Start the local update of a client without a batched kernel eagerly
+        when running parallel (the others run as version cohorts).
 
         Works for store-backed populations too: a dispatched client is pinned
         until its upload is encoded, so the instance stays valid while the
@@ -230,7 +232,7 @@ class AsyncRunner(Runner):
         # At most `concurrency` updates are ever in flight — sizing by the
         # population over-provisioned threads under partial participation.
         width = min(self.max_workers, self.concurrency)
-        if self.backend != "serial" and width > 1:
+        if self.backend != "serial" and width > 1 and fallback_reason(client) != "singleton":
             return self._threads.at_least(width).submit(client.update, payload)
         return None
 
@@ -351,22 +353,10 @@ class AsyncRunner(Runner):
         client's own state, so forcing them early is bit-identical to running
         them at their pop time (the same invariant that makes eager
         thread-pool execution exact).  The live runner remains consistent —
-        the forced results are attached to the events it will later pop.
+        the forced results are attached to the events it will later pop, by
+        the one helper a compute-done runs (:meth:`ClientFlights.precompute`).
         """
-        for event in self._clock.snapshot_events():
-            if event.kind != COMPUTE_DONE or "upload" in event.data:
-                continue
-            if event.data.get("crashed"):
-                # Crashed dispatches carry no payload and never ran — nothing
-                # to force; the crash resolves when the event pops.
-                continue
-            future = event.data.get("future")
-            if future is not None:
-                event.data["upload"] = future.result()
-            else:
-                client = self.flights.acquire(event.data["cid"])
-                event.data["upload"] = client.update(event.data["payload"])
-            event.data["future"] = None
+        self.flights.precompute([ev.data for ev in self._clock.snapshot_events() if ev.kind == COMPUTE_DONE])
 
     # ------------------------------------------------------------ persistence
     def timeline_state(self) -> Dict[str, Any]:
@@ -394,9 +384,10 @@ class AsyncRunner(Runner):
             "sim_comm_seconds": ledger.wire_seconds[FLAT],
             "sim_comm_seconds_last": ledger.seconds_mark[FLAT],
             "round_timings": dict(ledger.timings),
-            # The open round's crashes number the next crash draws.  Absent
-            # when there are none — which is every blob older than the key.
+            # The open round's crashes number the next crash draws, its arrivals'
+            # steps go into its RoundResult; each is absent when empty (old blobs).
             **({"round_failed": list(ledger.failed)} if ledger.failed else {}),
+            **({"round_client_steps": dict(ledger.arrived_steps)} if ledger.arrived_steps else {}),
         }
 
     def load_timeline_state(self, state: Dict[str, Any]) -> None:
@@ -417,6 +408,7 @@ class AsyncRunner(Runner):
         ledger.seconds_mark[FLAT] = float(state["sim_comm_seconds_last"])
         ledger.timings = {k: float(v) for k, v in state["round_timings"].items()}
         ledger.failed = [int(c) for c in state.get("round_failed", ())]
+        ledger.arrived_steps = {int(c): int(n) for c, n in state.get("round_client_steps", {}).items()}
         self._dispatch_cache = None
         self.flights.pinned.clear()
 

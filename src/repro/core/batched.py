@@ -44,9 +44,13 @@ CNN models and leftover singleton groups run per client —
 wire matters: encode and ``reconcile`` stay per client after the cohort, and
 the body writes IIADMM's reconcile stash per lane.  Configs that differ in a
 stepping scalar or in the privacy settings never share a cohort
-(:func:`_cohort_key`).  The gate lives in
-:meth:`repro.core.executor.LocalExecutor.update`, keyed on
-``FLConfig.client_batch``; ``client_batch=1`` never enters this module.
+(:func:`_cohort_key`).  Two callers gate on it:
+:meth:`repro.core.executor.LocalExecutor.update` for synchronous rounds,
+keyed on ``FLConfig.client_batch`` (``client_batch=1`` never enters this
+module from there), and :meth:`repro.asyncfl.flight.ClientFlights.precompute`
+on a virtual timeline, which runs every pending flight of one model version
+here whatever ``client_batch`` says, in chunks sized by a byte budget
+(:data:`repro.asyncfl.flight.COHORT_BLOCK_BYTES`).
 """
 
 from __future__ import annotations
@@ -248,8 +252,9 @@ def _same_cohort(client: BaseClient, rep: BaseClient) -> bool:
 # ---------------------------------------------------------------- cohort rows
 class _CohortRows:
     """A cohort's rows for the algorithm bodies: pooled ``(B, dim)`` stacks
-    (``Z`` starting at ``w``), gradients from :func:`batched_step_gradient`
-    over the stacked lanes' data."""
+    (``Z`` starting at ``w``; width-free pool keys, so cohorts of every width
+    share one set), gradients from :func:`batched_step_gradient` over the
+    stacked lanes' data."""
 
     def __init__(self, lanes: Sequence[BaseClient], w: np.ndarray, spec: Tuple):
         self.lanes, self.spec = lanes, spec
@@ -262,9 +267,8 @@ class _CohortRows:
 
     def _acquire(self, name: str, attr: Optional[str] = None) -> np.ndarray:
         vec = self.lanes[0].vectorizer
-        shape = (len(self.lanes), vec.dim)
-        key = ("cohort_" + name,) + shape + (vec.dtype.str,)
-        buf = _pool.acquire(key, shape, vec.dtype)
+        key = ("cohort_" + name, vec.dim, vec.dtype.str)
+        buf = _pool.acquire_lanes(key, (len(self.lanes), vec.dim), vec.dtype)
         self._held.append((key, buf, attr))
         return buf
 
@@ -298,7 +302,7 @@ class _CohortRows:
     def release(self) -> None:
         self.loader.close()
         for key, buf, _attr in self._held:
-            _pool.release(key, buf)
+            _pool.release_lanes(key, buf)
 
 
 def _run_cohort(
@@ -308,8 +312,9 @@ def _run_cohort(
 ) -> Dict[int, Dict[str, np.ndarray]]:
     """One cohort's local update through its algorithm's body; returns the
     per-client upload payloads."""
-    # The runners broadcast one global snapshot per round, so every member's
-    # decoded payload is bitwise the same vector — lane 0's serves the stack.
+    # The runners broadcast one global snapshot per round (a timeline one
+    # packet per model version), so every member's decoded payload is bitwise
+    # the same vector — lane 0's serves the stack.
     w = np.asarray(payloads[cohort[0].client_id][GLOBAL_KEY])
     rows = _CohortRows(cohort, w, spec)
     try:

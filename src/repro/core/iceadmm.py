@@ -55,10 +55,8 @@ class ICEADMMClient(ADMMClient):
         # The dual is the sum of L increments of magnitude up to ρ·Δz each,
         # so its sensitivity is L·ρ times the primal's.
         sent_z, sent_lam = release_rows(lanes, (Z, delta), (D, delta * rho * cfg.local_steps))
-        # client.primal keeps the un-noised z.
-        primals = Z.copy() if cfg.privacy.enabled else sent_z
         for b, client in enumerate(lanes):
-            client.primal = primals[b]
+            client.primal = Z[b].copy()  # the un-noised z, the lane's own copy
             if cfg.adaptive_rho:
                 client._rho *= cfg.rho_growth
             client.round += 1

@@ -90,7 +90,9 @@ class IIADMMClient(ADMMClient):
             delta = IADMMSensitivity(clip_norm=cfg.privacy.clip_norm, rho=rho, zeta=zeta).sensitivity()
         (sent,) = release_rows(lanes, (Z, delta))  # line 20/22: the transmitted primals
         for b, client in enumerate(lanes):
-            client.primal = sent[b]
+            # The lane's own copy: a row view would keep the whole release
+            # block alive for as long as this client lives.
+            client.primal = sent[b].copy()
             client.stash_for_reconcile(D[b], w, rho)
         # Line 21: client-side dual update.  It must use the *transmitted*
         # primal (perturbed under DP) — otherwise the client's dual and the
@@ -105,7 +107,7 @@ class IIADMMClient(ADMMClient):
                 client._rho *= cfg.rho_growth
             client.round += 1
         # Line 22 / line 5: only the primal is communicated.
-        return [{PRIMAL_KEY: z} for z in sent]
+        return [{PRIMAL_KEY: client.primal} for client in lanes]
 
     def stash_for_reconcile(self, dual: np.ndarray, w: np.ndarray, rho: float) -> None:
         """Keep what :meth:`reconcile_upload` replays line 21 from — the

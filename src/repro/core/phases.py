@@ -212,6 +212,10 @@ class RoundLedger:
         self._faulted_mark = 0
         self.failed: List[int] = []
         self.recovered: List[int] = []
+        #: client steps a virtual timeline's closed rounds aggregated, and per
+        #: client those of its freshest upload to arrive since the last close
+        self.timeline_steps = 0
+        self.arrived_steps: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ wire
     def charge_wire(self, tier: str, link, nbytes: int) -> float:
@@ -327,7 +331,11 @@ class RoundLedger:
                 "round_complete", "async", lane=clock.lane, vt=now,
                 round=len(self.runner.history), participants=len(participants),
             )
-        return self.close_round(scores, participants, injector, wall_clock=now, callback=callback)
+        steps = sum(self.arrived_steps.get(cid, 0) for cid in participants)
+        self.timeline_steps += steps
+        self.arrived_steps = {}
+        return self.close_round(scores, participants, injector, wall_clock=now,
+                                client_steps=steps, callback=callback)
 
 
 class Runner:
@@ -375,7 +383,7 @@ class Runner:
     @property
     def client_steps(self) -> int:
         """Cumulative client optimizer steps (the client_steps_per_sec numerator)."""
-        return sum(executor.client_steps for executor in self.executors())
+        return sum(executor.client_steps for executor in self.executors()) + self.ledger.timeline_steps
 
     def close(self) -> None:
         """Release the worker pools (recreated lazily if needed again)."""

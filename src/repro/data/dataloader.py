@@ -127,9 +127,10 @@ class CohortLoader:
 
     All loaders must hold equally many samples of equal shape/dtype and share
     one batch size; the cohort builder groups clients so this holds.  Pass a
-    buffer pool with ``acquire(key, shape, dtype)`` / ``release(key, buf)``
-    (e.g. :data:`repro.nn.functional._pool`) to recycle the stacked arrays
-    across cohorts; call :meth:`close` when done to return them.
+    buffer pool with ``acquire_lanes(key, shape, dtype)`` / ``release_lanes(key,
+    rows)`` (e.g. :data:`repro.nn.functional._pool`) to recycle the stacked
+    arrays across cohorts of any width (the keys leave the width out); call
+    :meth:`close` when done to return them.
     """
 
     def __init__(self, loaders: "Sequence[DataLoader]", pool=None):
@@ -153,17 +154,13 @@ class CohortLoader:
         self._pool = pool
         self._held = []
         x0, y0 = first._inputs, first._labels
-        self._inputs = self._acquire(
-            ("cohort_x", B) + x0.shape + (x0.dtype.str,), (B,) + x0.shape, x0.dtype
-        )
-        self._labels = self._acquire(
-            ("cohort_y", B) + y0.shape + (y0.dtype.str,), (B,) + y0.shape, y0.dtype
-        )
+        self._inputs = self._acquire(("cohort_x",) + x0.shape + (x0.dtype.str,), (B,) + x0.shape, x0.dtype)
+        self._labels = self._acquire(("cohort_y",) + y0.shape + (y0.dtype.str,), (B,) + y0.shape, y0.dtype)
         for b, ld in enumerate(loaders):
             np.copyto(self._inputs[b], ld._inputs)
             np.copyto(self._labels[b], ld._labels)
-        self._orders = self._acquire(("cohort_order", B, n), (B, n), np.intp)
-        self._flat = self._acquire(("cohort_flat", B, self.batch_size), (B, self.batch_size), np.intp)
+        self._orders = self._acquire(("cohort_order", n), (B, n), np.intp)
+        self._flat = self._acquire(("cohort_flat", self.batch_size), (B, self.batch_size), np.intp)
         self._lane_base = np.arange(B)[:, None] * n
         # Flattened row views served by the one-take gather.
         self._x_rows = self._inputs.reshape((B * n,) + x0.shape[1:])
@@ -174,7 +171,7 @@ class CohortLoader:
     def _acquire(self, key, shape, dtype) -> np.ndarray:
         if self._pool is None:
             return np.empty(shape, dtype=dtype)
-        buf = self._pool.acquire(key, shape, dtype)
+        buf = self._pool.acquire_lanes(key, shape, dtype)
         self._held.append((key, buf))
         return buf
 
@@ -205,20 +202,16 @@ class CohortLoader:
             xb = self._xblocks.get(k)
             if xb is None:
                 xb = self._acquire(
-                    ("cohort_xb", B, k) + tail + (self._inputs.dtype.str,),
-                    (B * k,) + tail,
-                    self._inputs.dtype,
+                    ("cohort_xb", k) + tail + (self._inputs.dtype.str,), (B, k) + tail, self._inputs.dtype
                 )
                 self._xblocks[k] = xb
             yb = self._yblocks.get(k)
             if yb is None:
-                yb = self._acquire(
-                    ("cohort_yb", B, k, self._labels.dtype.str), (B * k,), self._labels.dtype
-                )
+                yb = self._acquire(("cohort_yb", k, self._labels.dtype.str), (B, k), self._labels.dtype)
                 self._yblocks[k] = yb
-            np.take(self._x_rows, rows, axis=0, out=xb)
-            np.take(self._y_rows, rows, axis=0, out=yb)
-            yield xb.reshape((B, k) + tail), yb.reshape(B, k)
+            np.take(self._x_rows, rows, axis=0, out=xb.reshape((B * k,) + tail))
+            np.take(self._y_rows, rows, axis=0, out=yb.reshape(B * k))
+            yield xb, yb
 
     def full_stack(self) -> Tuple[np.ndarray, np.ndarray]:
         """The whole stacked dataset (ICEADMM's full-gradient path)."""
@@ -228,5 +221,5 @@ class CohortLoader:
         """Return pooled buffers to the pool (no-op without a pool)."""
         if self._pool is not None:
             for key, buf in self._held:
-                self._pool.release(key, buf)
+                self._pool.release_lanes(key, buf)
             self._held = []

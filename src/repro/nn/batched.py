@@ -35,8 +35,9 @@ A *layer spec* is a tuple of ops compiled from a supported model (see
 * ``("relu",)``.
 
 Intermediates are recycled through the thread-local scratch pool shared
-with the im2col/GEMM kernels (:data:`repro.nn.functional._pool`), so a
-long cohort wave allocates its activation/gradient blocks once.
+with the im2col/GEMM kernels (:data:`repro.nn.functional._pool`) under
+width-free keys, so a long run of cohorts allocates its activation/gradient
+blocks once, at its widest cohort.
 """
 
 from __future__ import annotations
@@ -61,9 +62,7 @@ def spec_dim_check(spec: Sequence[Tuple], dim: int) -> bool:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, key, shape, dtype) -> np.ndarray:
-    out = _pool.acquire(key, shape, dtype)
-    if out.shape != shape:  # pool hit from a different geometry tag — paranoia
-        out = np.empty(shape, dtype=dtype)
+    out = _pool.acquire_lanes(key, shape, dtype)
     np.matmul(a, b, out=out)
     return out
 
@@ -110,23 +109,23 @@ def batched_step_gradient(
             Wv = Z[:, woff : woff + out_f * in_f].reshape(B, out_f, in_f)
             bv = Z[:, boff : boff + out_f].reshape(B, 1, out_f)
             acts.append(a)
-            key = ("bmm_fwd", B, n, out_f, dtype.str)
+            key = ("bmm_fwd", n, out_f, dtype.str)
             h = _matmul(a, Wv.transpose(0, 2, 1), key, (B, n, out_f), dtype)
             # `out + bias` allocates a fresh array per client; reuse a pooled
             # block for the batched equivalent (same elementwise values).
-            key2 = ("badd", B, n, out_f, dtype.str)
-            h2 = _pool.acquire(key2, (B, n, out_f), dtype)
+            key2 = ("badd", n, out_f, dtype.str)
+            h2 = _pool.acquire_lanes(key2, (B, n, out_f), dtype)
             np.add(h, bv, out=h2)
-            _pool.release(key, h)
+            _pool.release_lanes(key, h)
             released.append((key2, h2))
             a = h2
         else:  # relu
-            mkey = ("bmask", B) + a.shape[1:] + (a.dtype.str,)
-            mask = _pool.acquire(mkey, a.shape, np.bool_)
+            mkey = ("bmask",) + a.shape[1:] + (a.dtype.str,)
+            mask = _pool.acquire_lanes(mkey, a.shape, np.bool_)
             np.greater(a, 0, out=mask)
             masks.append((mkey, mask))
-            rkey = ("brelu", B) + a.shape[1:] + (a.dtype.str,)
-            r = _pool.acquire(rkey, a.shape, dtype)
+            rkey = ("brelu",) + a.shape[1:] + (a.dtype.str,)
+            r = _pool.acquire_lanes(rkey, a.shape, dtype)
             np.maximum(a, 0, out=r)
             released.append((rkey, r))
             a = r
@@ -157,10 +156,10 @@ def batched_step_gradient(
         Gb = G[:, boff : boff + out_f]
         Gb += g.sum(axis=1)
         Gw = G[:, woff : woff + out_f * in_f].reshape(B, out_f, in_f)
-        key = ("bmm_gw", B, in_f, out_f, dtype.str)
+        key = ("bmm_gw", in_f, out_f, dtype.str)
         GwT = _matmul(a_in.transpose(0, 2, 1), g, key, (B, in_f, out_f), dtype)
         Gw += GwT.transpose(0, 2, 1)
-        _pool.release(key, GwT)
+        _pool.release_lanes(key, GwT)
         if li > 0:
             # Upstream gradient for the previous layer's output (the input
             # never requires grad, so layer 0 skips this GEMM).
@@ -168,6 +167,6 @@ def batched_step_gradient(
             g = np.matmul(g, Wv)
 
     for key, buf in released:
-        _pool.release(key, buf)
+        _pool.release_lanes(key, buf)
     for mkey, mask in masks:
-        _pool.release(mkey, mask)
+        _pool.release_lanes(mkey, mask)

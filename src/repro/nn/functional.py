@@ -101,7 +101,9 @@ class _BufferPool(threading.local):
     """Thread-local free-lists of scratch arrays keyed by (tag, geometry, dtype).
 
     Thread-local so parallel FL clients never hand the same scratch buffer to
-    two concurrent convolutions.
+    two concurrent convolutions.  Cohort scratch, whose leading axis is the
+    cohort width, goes through :meth:`acquire_lanes` / :meth:`release_lanes`:
+    its key leaves the width out, so cohorts of every width share one set.
     """
 
     def __init__(self):
@@ -115,6 +117,20 @@ class _BufferPool(threading.local):
 
     def release(self, key, buf: np.ndarray) -> None:
         self.free.setdefault(key, []).append(buf)
+
+    def acquire_lanes(self, key, shape, dtype) -> np.ndarray:
+        """The first ``shape[0]`` rows of a pooled base under a width-free
+        ``key``: a contiguous view, from a base that is replaced by a wider
+        one when too narrow (so the pool holds the widest width's set)."""
+        stack = self.free.get(key)
+        base = stack.pop() if stack else None
+        if base is None or len(base) < shape[0]:
+            base = np.empty(shape, dtype=dtype)
+        return base[: shape[0]]
+
+    def release_lanes(self, key, rows: np.ndarray) -> None:
+        """Return a view :meth:`acquire_lanes` handed out (or a reshape of it)."""
+        self.free.setdefault(key, []).append(rows.base)
 
 
 _pool = _BufferPool()

@@ -192,7 +192,7 @@ class TestVirtualEquivalence:
             np.testing.assert_array_equal(client.dual, virtual.server.duals[cid])
             virtual.population.release(cid)
 
-    def test_async_history_bitwise_equal(self):
+    def test_async_history_bitwise_equal(self, monkeypatch):
         clients, test, spec = _workload()
         config = _config("iiadmm")
         # strategy and sampler are stateful: each build needs fresh instances
@@ -210,22 +210,31 @@ class TestVirtualEquivalence:
         assert _key(h_eager) == _key(h_virtual)
         assert virtual.population.stats.peak_live <= 3
         # eager thread-pool execution must engage for store-backed populations
-        # too, without changing a bit (pinned clients stay valid in workers)
-        parallel = build_virtual_async_federation(
-            _config("iiadmm", parallel_clients=2), _model_fn(spec), clients,
-            live_cap=3, test_dataset=test, **kwargs()
-        )
-        h_parallel = parallel.run(4)
-        assert _key(h_eager) == _key(h_parallel)
-        # the eager pool really engages in store mode (clients list is empty,
-        # so the gate must consult the population size, not len(clients))
+        # too, without changing a bit (pinned clients stay valid in workers).
+        # It runs the clients without a batched kernel — these MLP clients
+        # wait for their version cohort — so the second pass makes every
+        # client such a fallback client.
+        from repro.asyncfl import runner as async_runner
         from repro.core.base import GLOBAL_KEY
 
-        client = parallel.flights.acquire(0)
-        future = parallel._submit(client, {GLOBAL_KEY: parallel.server.global_params.copy()})
-        assert future is not None
-        future.result()
-        parallel.flights.release(0)
+        for fallback in (False, True):
+            if fallback:
+                monkeypatch.setattr(async_runner, "fallback_reason", lambda client: "client_type")
+            parallel = build_virtual_async_federation(
+                _config("iiadmm", parallel_clients=2), _model_fn(spec), clients,
+                live_cap=3, test_dataset=test, **kwargs()
+            )
+            h_parallel = parallel.run(4)
+            assert _key(h_eager) == _key(h_parallel)
+            # the eager pool really engages in store mode (clients list is
+            # empty, so the gate must consult the population size, not
+            # len(clients)) — for fallback clients only
+            client = parallel.flights.acquire(0)
+            future = parallel._submit(client, {GLOBAL_KEY: parallel.server.global_params.copy()})
+            assert (future is not None) == fallback
+            if future is not None:
+                future.result()
+            parallel.flights.release(0)
 
     def test_async_concurrency_must_fit_cap(self):
         clients, test, spec = _workload()
